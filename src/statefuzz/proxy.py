@@ -86,24 +86,25 @@ class InProcessTransport:
         self.handle.run_until_steady()
 
     def exchange(self, msg):
-        self._log("send", msg)
+        _log_frame(self.frame_log, "send", msg)
         self.handle.deliver(msg)
         self.ticks_advanced += self.window_ticks
         events = self.handle.tick(self.window_ticks)
         for _, reply in events:
-            self._log("recv", reply)
+            _log_frame(self.frame_log, "recv", reply)
         return events
 
     def inject(self, msg):
-        self._log("send", msg)
+        _log_frame(self.frame_log, "send", msg)
         self.handle.deliver(msg)
 
     def observe(self):
         return self.handle.observe()
 
-    def _log(self, direction, msg):
-        if self.frame_log is not None:
-            self.frame_log.append((direction, frame_encode(msg)))
+
+def _log_frame(frame_log: list | None, direction: str, msg: ConcreteMessage):
+    if frame_log is not None:
+        frame_log.append((direction, frame_encode(msg)))
 
 
 class ClusterProxy:
@@ -186,39 +187,36 @@ class TransportError(RuntimeError):
     """Transport-level failure reported by, or while talking to, the far end."""
 
 
-def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage, seq) -> list:
-    """Process one control frame; return the reply frames, errors included."""
+def _serve_request(local: InProcessTransport, msg: ConcreteMessage, seq) -> list:
+    """Run one control frame on ``local``; return its replies, errors included."""
 
     def ctrl(msg_type: str, payload: dict) -> ConcreteMessage:
         return ConcreteMessage(
-            cluster_id=cluster.cfg.cluster_id, sender="__server__",
+            cluster_id=local.handle.cfg.cluster_id, sender="__server__",
             logical_ts=next(seq), msg_type=msg_type, payload=payload)
 
     try:
         kind = msg.msg_type
         if kind == CTRL_RESET:
-            cluster.reset()
-            cluster.run_until_steady()
-            return [ctrl(CTRL_DONE,
-                         {"window_ticks": cluster.cfg.heartbeat_threshold})]
+            local.reset()
+            return [ctrl(CTRL_DONE, {"window_ticks": local.window_ticks})]
         if kind == CTRL_DELIVER:
-            cluster.deliver(message_from_wire(msg.payload.get("frame")))
-            events = cluster.tick(cluster.cfg.heartbeat_threshold)
-            frames = [ctrl(CTRL_REPLY, {"tick": t, "frame": m.to_wire()})
-                      for t, m in events]
-            frames.append(ctrl(CTRL_DONE, {"count": len(events)}))
-            return frames
+            events = local.exchange(message_from_wire(msg.payload.get("frame")))
+            return [ctrl(CTRL_REPLY, {"tick": t, "frame": m.to_wire()})
+                    for t, m in events] + [ctrl(CTRL_DONE, {"count": len(events)})]
         if kind == CTRL_INJECT:
-            cluster.deliver(message_from_wire(msg.payload.get("frame")))
+            local.inject(message_from_wire(msg.payload.get("frame")))
             return [ctrl(CTRL_DONE, {})]
         if kind == CTRL_OBSERVE:
-            return [ctrl(CTRL_DONE, {"observation": cluster.observe().to_dict()})]
+            return [ctrl(CTRL_DONE, {"observation": local.observe().to_dict()})]
         return [ctrl(CTRL_ERROR, {"reason": f"unknown control type: {kind!r}"})]
     except Exception as exc:  # reported in-band; the connection stays usable
         return [ctrl(CTRL_ERROR, {"reason": str(exc)})]
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True  # each reply is one write; send it at once
+
     def handle(self):
         seq = itertools.count(1)
         with self.server.session_lock:  # one owner session at a time
@@ -229,10 +227,9 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     return  # malformed stream: drop this client, accept the next
                 if msg is None:
                     return
+                replies = _serve_request(self.server.local, msg, seq)
                 try:
-                    for reply in _serve_request(self.server.cluster, msg, seq):
-                        self.wfile.write(frame_encode(reply))
-                    self.wfile.flush()
+                    self.wfile.write(b"".join(map(frame_encode, replies)))
                 except (BrokenPipeError, ConnectionResetError):
                     return
 
@@ -261,7 +258,7 @@ class ClusterServer:
                  port: int = 0):
         self.cluster = cluster
         self._server = _Server((host, port), _RequestHandler)
-        self._server.cluster = cluster
+        self._server.local = InProcessTransport(cluster)
         self._server.session_lock = threading.Lock()
         self._thread: threading.Thread | None = None
 
@@ -301,6 +298,7 @@ class TcpTransport:
     def __init__(self, address, timeout: float = 30.0,
                  frame_log: list | None = None):
         self._sock = socket.create_connection(address, timeout=timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._seq = itertools.count(1)
         self.window_ticks: int | None = None
@@ -325,7 +323,7 @@ class TcpTransport:
     def exchange(self, msg: ConcreteMessage) -> list:
         if self.window_ticks is None:
             raise TransportError("exchange before the first reset")
-        self._log("send", msg)
+        _log_frame(self.frame_log, "send", msg)
         self._send(CTRL_DELIVER, {"frame": msg.to_wire()})
         events = []
         while True:
@@ -338,13 +336,13 @@ class TcpTransport:
             if not isinstance(tick, int) or isinstance(tick, bool):
                 raise TransportError("reply frame carries no integer tick")
             inner = message_from_wire(reply.payload.get("frame"))
-            self._log("recv", inner)
+            _log_frame(self.frame_log, "recv", inner)
             events.append((tick, inner))
         self.ticks_advanced += self.window_ticks
         return events
 
     def inject(self, msg: ConcreteMessage):
-        self._log("send", msg)
+        _log_frame(self.frame_log, "send", msg)
         self._send(CTRL_INJECT, {"frame": msg.to_wire()})
         self._read()
 
@@ -357,16 +355,18 @@ class TcpTransport:
         frame = ConcreteMessage(
             cluster_id="__transport__", sender="__client__",
             logical_ts=next(self._seq), msg_type=msg_type, payload=payload)
-        self._sock.sendall(frame_encode(frame))
+        try:
+            self._sock.sendall(frame_encode(frame))
+        except OSError as exc:
+            raise TransportError(f"send to the server failed: {exc}") from exc
 
     def _read(self) -> ConcreteMessage:
-        msg = read_frame(self._rfile.read)
+        try:
+            msg = read_frame(self._rfile.read)
+        except OSError as exc:
+            raise TransportError(f"read from the server failed: {exc}") from exc
         if msg is None:
             raise TransportError("server closed the connection")
         if msg.msg_type == CTRL_ERROR:
             raise TransportError(msg.payload.get("reason", "unspecified failure"))
         return msg
-
-    def _log(self, direction, msg):
-        if self.frame_log is not None:
-            self.frame_log.append((direction, frame_encode(msg)))

@@ -25,6 +25,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .alphabet import (
     ALIVE, BREQ, BRES, DATA_APP, DATA_TOPO, DEAD, OP_ADD, OP_REMOVE, PREQ,
@@ -105,16 +106,12 @@ class ClusterConfig:
         return self.session_reap_interval or 2 * self.heartbeat_threshold
 
     def digest(self) -> str:
-        doc = {
-            "members": list(self.members),
-            "cluster_id": self.cluster_id,
-            "heartbeat_threshold": self.heartbeat_threshold,
-            "election_timeout_range": list(self.election_timeout_range),
-            "vulnerabilities": sorted(self.vulnerabilities),
-            "seed": self.seed,
-            "apps": list(self.apps),
-        }
-        blob = json.dumps(doc, sort_keys=True).encode()
+        """Short identity of the whole configuration, every field included."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha1(blob).hexdigest()[:12]
 
     def to_dict(self) -> dict:

@@ -136,6 +136,10 @@ class TestConfig:
         d = ClusterConfig(seed=7)
         assert a.digest() == b.digest()
         assert len({a.digest(), c.digest(), d.digest()}) == 3
+        # Every field that changes behaviour changes the identity too.
+        for kw in ({"session_ttl": 1000}, {"session_reap_interval": 7},
+                   {"fake_link_pair": ("a1", "b1")}, {"suppress_keepalives": True}):
+            assert ClusterConfig(**kw).digest() != a.digest(), kw
 
     def test_dict_roundtrip(self):
         cfg = ClusterConfig(vulnerabilities=frozenset({VULN_FAKE_LINK}), seed=9)

@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import contextlib
 import random
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
-from statefuzz.alphabet import ConcreteMessage, input_domains
+from statefuzz.alphabet import (
+    KNOWN, PREQ, ConcreteMessage, NodeRef, Symbol, encode, input_domains,
+)
 from statefuzz.detector import Baseline, Detector
 from statefuzz.fuzzer import (
     MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE, MUT_SWAP_ARG, run_campaign,
 )
 from statefuzz.mealy import PrunePolicy
 from statefuzz.proxy import (
-    ClusterProxy, ClusterServer, InProcessTransport, TcpTransport,
-    TransportError,
+    ClusterProxy, ClusterServer, InProcessTransport, SessionContext,
+    TcpTransport, TransportError,
 )
 from statefuzz.sulsim import (
     ERROR_TYPE, ClusterConfig, default_alphabet, spawn_cluster,
@@ -127,6 +132,41 @@ class TestContract:
                 "server.close() must not wait for a connected client"
         finally:
             transport.close()
+
+    def test_silent_server_times_out_as_transport_error(self):
+        # The kernel completes the handshake; nothing ever answers.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with TcpTransport(listener.getsockname(), timeout=0.2) as transport:
+                with pytest.raises(TransportError) as info:
+                    transport.reset()
+        assert isinstance(info.value.__cause__, TimeoutError)
+
+    def test_reset_connection_surfaces_as_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with TcpTransport(listener.getsockname(), timeout=5.0) as transport:
+                conn, _ = listener.accept()
+                # Zero linger: close() sends RST instead of FIN.
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                conn.close()
+                with pytest.raises(TransportError) as info:
+                    transport.reset()
+        assert isinstance(info.value.__cause__, OSError)
+
+
+class TestLatency:
+    def test_replies_with_frames_do_not_wait_for_delayed_acks(self):
+        # Written frame by frame, a reply's closing frame waits for the
+        # client's delayed ACK (Nagle's algorithm): about 40 ms per exchange.
+        with tcp_transport() as (transport, cfg):
+            assert transport._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            transport.reset()
+            ctx = SessionContext(cfg.cluster_id, "dummy", transport.observe().term)
+            probe = Symbol(PREQ, (NodeRef("n1", KNOWN),))
+            start = time.perf_counter()
+            for _ in range(100):
+                assert transport.exchange(encode(probe, ctx)), "no reply frame"
+            assert time.perf_counter() - start < 2.0
 
 
 class TestParity:

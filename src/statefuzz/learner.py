@@ -2,10 +2,10 @@
 
 The learner builds an observation table from membership queries (each a
 reset-isolated word sent through the proxy), closes it, keeps it
-consistent, and proposes a hypothesis machine.  A conformance suite over
-the hypothesis hunts for counterexamples; every suffix of a counterexample
-becomes a new distinguishing experiment.  The loop ends when the suite
-finds no disagreement.
+consistent, and proposes a hypothesis machine.  A Wp-method conformance
+suite over the hypothesis hunts for counterexamples; every suffix of a
+counterexample becomes a new distinguishing experiment.  The loop ends when
+the suite finds no disagreement.
 
 Noise handling: every distinct word is asked up to ``votes`` times (odd),
 stopping early once one reaction transcript holds a strict majority.  If
@@ -261,13 +261,17 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
 # Conformance suite
 # ---------------------------------------------------------------------------
 
-def distinguishing_suffixes(machine: MealyMachine) -> tuple:
-    """A characterization set: for every pair of states, some suffix whose
-    reactions differ.  ``((),)`` for machines with fewer than two states."""
-    m = minimize(machine)
+def _word_key(word) -> tuple:
+    return (len(word), tuple(symbol_sort_key(s) for s in word))
+
+
+def _identification_sets(m: MealyMachine) -> dict:
+    """For every state of the minimal machine ``m``, its identification set:
+    one separating suffix against each other state.  A single-state
+    machine's only state gets ``{()}``."""
     states = list(m.states)
     if len(states) < 2:
-        return ((),)
+        return {s: {()} for s in states}
     sep: dict = {}
     pending = {frozenset((p, q)) for i, p in enumerate(states)
                for q in states[i + 1:]}
@@ -292,14 +296,22 @@ def distinguishing_suffixes(machine: MealyMachine) -> tuple:
     missing = pending - set(sep)
     if missing:
         raise ValueError("machine has equivalent states after minimization")
-    suffixes = sorted(set(sep.values()),
-                      key=lambda w: (len(w), tuple(symbol_sort_key(s) for s in w)))
-    return tuple(suffixes)
+    ident = {s: set() for s in states}
+    for pair, suffix in sep.items():
+        for s in pair:
+            ident[s].add(suffix)
+    return ident
 
 
-def transition_cover(machine: MealyMachine) -> tuple:
-    """Shortest access prefix for every state, plus each extended by every
-    input letter."""
+def distinguishing_suffixes(machine: MealyMachine) -> tuple:
+    """A characterization set: for every pair of states, some suffix whose
+    reactions differ.  ``((),)`` for machines with fewer than two states."""
+    ident = _identification_sets(minimize(machine))
+    return tuple(sorted(set().union(*ident.values()), key=_word_key))
+
+
+def _state_cover(machine: MealyMachine) -> dict:
+    """Shortest access word of every reachable state, breadth first."""
     access = {machine.initial: ()}
     frontier = [machine.initial]
     while frontier:
@@ -311,45 +323,56 @@ def transition_cover(machine: MealyMachine) -> tuple:
                     access[target] = access[state] + (a,)
                     nxt.append(target)
         frontier = nxt
-    cover = set(access.values())
+    return access
+
+
+def transition_cover(machine: MealyMachine) -> tuple:
+    """Shortest access prefix for every state, plus each extended by every
+    input letter."""
+    cover = set(_state_cover(machine).values())
     for prefix in list(cover):
         for a in machine.input_alphabet:
             cover.add(prefix + (a,))
-    return tuple(sorted(cover,
-                        key=lambda w: (len(w), tuple(symbol_sort_key(s) for s in w))))
+    return tuple(sorted(cover, key=_word_key))
 
 
 def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:
-    """Deterministically ordered conformance test words.
+    """Deterministically ordered conformance test words, built by the Wp
+    refinement of the W-method (Fujiwara et al., IEEE TSE 1991).
 
     ``depth`` bounds how many extra states the real system may hide beyond
-    the hypothesis; every middle section up to that length is appended
-    between the transition cover and the characterization suffixes.
+    the hypothesis.  Each word of the state cover extended by up to
+    ``depth`` letters gets the whole characterization set W.  Every other
+    word of the transition cover extended by up to ``depth`` letters (the
+    state cover extended by ``depth + 1``) gets only the identification set
+    of the state it reaches, a subset of W.  The suite is therefore a
+    subset of the W-method's, and it is complete for the same targets: any
+    target with at most ``depth`` extra states that disagrees with the
+    hypothesis disagrees on some suite word.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    cover = transition_cover(machine)
-    suffixes = distinguishing_suffixes(machine)
-    middles = [()]
-    layer = [()]
-    for _ in range(depth):
-        layer = [m + (a,) for m in layer for a in machine.input_alphabet]
-        middles.extend(layer)
+    m = minimize(machine)
+    ident = _identification_sets(m)
+    full = set().union(*ident.values())
+    layer = {q: m.state_after(q) for q in _state_cover(machine).values()}
     words = set()
-    for p in cover:
-        for mid in middles:
-            for w in suffixes:
-                word = p + mid + w
-                if word:
-                    words.add(word)
-    return tuple(sorted(words,
-                        key=lambda w: (len(w), tuple(symbol_sort_key(s) for s in w))))
+    for extra in range(depth + 2):
+        for head, state in layer.items():
+            for suffix in (full if extra <= depth else ident[state]):
+                if head or suffix:
+                    words.add(head + suffix)
+        if extra <= depth:
+            layer = {head + (a,): m.transitions[(state, a)][0]
+                     for head, state in layer.items() for a in m.input_alphabet}
+    return tuple(sorted(words, key=_word_key))
 
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
                            depth: int = 2):
-    """First suite word on which the target and the hypothesis disagree, or
-    ``None`` if the whole suite matches position by position."""
+    """First word of the Wp-method suite (:func:`wmethod_suite`) on which the
+    target and the hypothesis disagree, or ``None`` if the whole suite
+    matches position by position."""
     for word in wmethod_suite(machine, depth):
         expected = machine.run_outputs(word)
         actual = oracle.query(word)

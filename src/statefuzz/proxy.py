@@ -9,8 +9,9 @@ query results depend only on protocol-relevant reactions.
 
 A transport is any object with:
 
-``reset()``
-    Put the cluster back into its converged baseline state.
+``reset() -> int``
+    Put the cluster back into its converged baseline state and return the
+    leader term of that fresh session.
 ``exchange(msg) -> list[(logical_ts, ConcreteMessage)]``
     Deliver one message and return everything the cluster emitted during
     the fixed observation window that follows it.
@@ -81,9 +82,8 @@ class InProcessTransport:
         self.ticks_advanced = 0
         self.frame_log = frame_log
 
-    def reset(self):
-        self.handle.reset()
-        self.handle.run_until_steady()
+    def reset(self) -> int:
+        return self.handle.run_until_steady()
 
     def exchange(self, msg):
         _log_frame(self.frame_log, "send", msg)
@@ -126,9 +126,9 @@ class ClusterProxy:
 
     def reset_session(self):
         """Fresh converged cluster, fresh session identity."""
-        self.transport.reset()
-        self.ctx = SessionContext(cluster_id=self.cfg.cluster_id, self_id=self.cfg.self_id)
-        self.ctx.observed_leader_term = self.transport.observe().term
+        term = self.transport.reset()
+        self.ctx = SessionContext(cluster_id=self.cfg.cluster_id, self_id=self.cfg.self_id,
+                                  observed_leader_term=term)
         self.resets += 1
 
     def send_symbol(self, sym: Symbol) -> OutputWord:
@@ -198,8 +198,8 @@ def _serve_request(local: InProcessTransport, msg: ConcreteMessage, seq) -> list
     try:
         kind = msg.msg_type
         if kind == CTRL_RESET:
-            local.reset()
-            return [ctrl(CTRL_DONE, {"window_ticks": local.window_ticks})]
+            term = local.reset()
+            return [ctrl(CTRL_DONE, {"window_ticks": local.window_ticks, "term": term})]
         if kind == CTRL_DELIVER:
             events = local.exchange(message_from_wire(msg.payload.get("frame")))
             return [ctrl(CTRL_REPLY, {"tick": t, "frame": m.to_wire()})
@@ -297,7 +297,10 @@ class TcpTransport:
 
     def __init__(self, address, timeout: float = 30.0,
                  frame_log: list | None = None):
-        self._sock = socket.create_connection(address, timeout=timeout)
+        try:
+            self._sock = socket.create_connection(address, timeout=timeout)
+        except OSError as exc:
+            raise TransportError(f"cannot connect to {address}: {exc}") from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._seq = itertools.count(1)
@@ -315,10 +318,11 @@ class TcpTransport:
     def __exit__(self, *exc):
         self.close()
 
-    def reset(self):
+    def reset(self) -> int:
         self._send(CTRL_RESET, {})
         done = self._read()
         self.window_ticks = done.payload["window_ticks"]
+        return done.payload["term"]
 
     def exchange(self, msg: ConcreteMessage) -> list:
         if self.window_ticks is None:

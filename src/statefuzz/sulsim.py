@@ -24,7 +24,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .alphabet import (
@@ -200,8 +200,6 @@ class _Node:
     term: int = 0
     voted_for: str | None = None
     votes: int = 0
-    probe_idx: int = 0
-    view: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -242,8 +240,7 @@ class ClusterHandle:
         self._emissions = []
         self._emit_ts = 0
         self._last_in_ts = {}
-        self.nodes = {m: _Node(view={p: ALIVE for p in cfg.members if p != m})
-                      for m in cfg.members}
+        self.nodes = {m: _Node() for m in cfg.members}
         self.leader_id = None
         self.cluster_term = 0
         self.leaders_by_term = {}
@@ -253,7 +250,6 @@ class ClusterHandle:
         self.dead_marks = {}
         self.flap_count = 0
         self.dummy = _DummyPeer()
-        self.delivered = 0
         self.rejected_frames = 0
         rng = random.Random(cfg.seed)
         lo, hi = cfg.election_timeout_range
@@ -263,16 +259,20 @@ class ClusterHandle:
         self._schedule(cfg.heartbeat_threshold, "swim_round", None)
         self._schedule(cfg.reap_interval, "session_reap", None)
 
-    def run_until_steady(self):
-        """Advance until one leader exists and liveness rounds are underway.
+    def run_until_steady(self) -> int:
+        """Put the cluster into its converged baseline state; return the
+        leader term.
 
-        The post-convergence state is cached: later calls restore the cached
-        snapshot, which is equivalent to re-simulating from the same seed
-        (asserted by tests) but far cheaper.
+        The baseline is what the seed reaches from tick 0 once one leader
+        exists and liveness rounds are underway.  The first call simulates
+        it from a fresh :meth:`reset` and caches a snapshot; every later call
+        restores that snapshot in one step, whatever happened in between.
+        Both paths give the same state (asserted by tests).
         """
         if self._steady_snapshot is not None:
             self._restore(self._steady_snapshot)
-            return
+            return self.cluster_term
+        self.reset()
         limit = 3 * self.cfg.election_timeout_range[1]
         while self.leader_id is None:
             if self.now > limit:
@@ -281,6 +281,7 @@ class ClusterHandle:
         self.tick(2)  # let vote traffic drain
         self._emissions.clear()
         self._steady_snapshot = self._snapshot()
+        return self.cluster_term
 
     def _snapshot(self):
         return {
@@ -289,7 +290,7 @@ class ClusterHandle:
             "events": list(self._events),
             "emit_ts": self._emit_ts,
             "nodes": {
-                m: (n.role, n.term, n.voted_for, n.votes, n.probe_idx, dict(n.view))
+                m: (n.role, n.term, n.voted_for, n.votes)
                 for m, n in self.nodes.items()
             },
             "leader_id": self.leader_id,
@@ -305,10 +306,7 @@ class ClusterHandle:
         self._emissions = []
         self._emit_ts = snap["emit_ts"]
         self._last_in_ts = {}
-        self.nodes = {
-            m: _Node(role=r, term=t, voted_for=v, votes=vc, probe_idx=pi, view=dict(view))
-            for m, (r, t, v, vc, pi, view) in snap["nodes"].items()
-        }
+        self.nodes = {m: _Node(*fields) for m, fields in snap["nodes"].items()}
         self.leader_id = snap["leader_id"]
         self.cluster_term = snap["cluster_term"]
         self.leaders_by_term = dict(snap["leaders_by_term"])
@@ -318,7 +316,6 @@ class ClusterHandle:
         self.dead_marks = {}
         self.flap_count = 0
         self.dummy = _DummyPeer()
-        self.delivered = 0
         self.rejected_frames = 0
 
     # -- virtual clock -----------------------------------------------------
@@ -408,11 +405,8 @@ class ClusterHandle:
             node.votes = 0
 
     def _swim_round(self):
-        # Internal liveness probing is modeled as direct view refresh; it
-        # generates external traffic only toward an admitted dummy peer.
-        for m, node in self.nodes.items():
-            peers = [p for p in self.cfg.members if p != m]
-            node.probe_idx = (node.probe_idx + 1) % len(peers)
+        # Liveness probing between members is not modeled; a round only
+        # probes an admitted dummy peer.
         d = self.dummy
         if d.admitted and d.address and not self.cfg.suppress_keepalives:
             self._emit(Symbol(PREQ, ()), payload={"target": d.address})
@@ -448,7 +442,6 @@ class ClusterHandle:
         except DecodeError as exc:
             self._reject(str(exc))
             return
-        self.delivered += 1
         self.dummy.address = msg.sender
         self._react(msg, sym)
 

@@ -17,15 +17,16 @@ from statefuzz.alphabet import (
 )
 from statefuzz.learner import (
     LearnResult, MembershipOracle, NondeterminismError, ObservationTable,
-    PartialResultError, _BudgetExhausted, distinguishing_suffixes, lstar_learn,
-    transition_cover, wmethod_counterexample, wmethod_suite,
+    PartialResultError, _BudgetExhausted, _identification_sets,
+    distinguishing_suffixes, lstar_learn, transition_cover,
+    wmethod_counterexample, wmethod_suite,
 )
 from statefuzz.mealy import MealyMachine, isomorphic, minimize
 from statefuzz.proxy import ClusterProxy, InProcessTransport
 from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 from helpers import (
-    T0_HEARTBEAT, T0_JOIN, T0_PROBE, build_t0, random_machine,
+    GENERIC_OUTPUTS, T0_HEARTBEAT, T0_JOIN, T0_PROBE, build_t0, random_machine,
 )
 
 
@@ -328,6 +329,69 @@ class TestConformance:
                     _run_from(machine, p, w) != _run_from(machine, q, w)
                     for w in suffixes
                 ), (p, q)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_suite_follows_the_wp_definition(self, seed):
+        # Q.Sigma^{<=k}.W for the state cover Q, plus u.W_s for every word u
+        # of P.Sigma^{<=k} (P the transition cover) and s the state u reaches.
+        machine = minimize(random_machine(random.Random(seed)))
+        depth = 1 + seed % 2
+        ident = _identification_sets(machine)
+        full = set().union(*ident.values())
+        access = {machine.initial: ()}
+        queue = deque([machine.initial])
+        while queue:
+            state = queue.popleft()
+            for a in machine.input_alphabet:
+                nxt = machine.transitions[(state, a)][0]
+                if nxt not in access:
+                    access[nxt] = access[state] + (a,)
+                    queue.append(nxt)
+        middles = [()]
+        for n in range(1, depth + 1):
+            middles += itertools.product(machine.input_alphabet, repeat=n)
+        expected = {q + tuple(m) + w for q in access.values()
+                    for m in middles for w in full}
+        for q in access.values():
+            for a in machine.input_alphabet:
+                for m in middles:
+                    u = q + (a,) + tuple(m)
+                    expected |= {u + w for w in ident[machine.state_after(u)]}
+        expected.discard(())
+        assert set(wmethod_suite(machine, depth=depth)) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_finds_every_target_with_one_extra_state(self, seed):
+        # Clone one state, route one of its incoming edges to the clone and
+        # change one output there: the target has |H| + 1 states and is not
+        # equivalent to H.  A depth-1 suite must expose it.
+        rng = random.Random(seed)
+        hyp = minimize(random_machine(rng))
+        ident = _identification_sets(hyp)
+        for p in hyp.states:
+            for q in hyp.states:
+                assert p == q or any(
+                    _run_from(hyp, p, w) != _run_from(hyp, q, w) for w in ident[p]
+                ), (p, q)
+        incoming = [key for key, (dst, _) in hyp.transitions.items()
+                    if key[0] != dst] or list(hyp.transitions)
+        source, letter = rng.choice(incoming)
+        cloned = hyp.transitions[(source, letter)][0]
+        transitions = dict(hyp.transitions)
+        transitions[(source, letter)] = ("clone", hyp.transitions[(source, letter)][1])
+        changed = rng.choice(hyp.input_alphabet)
+        for a in hyp.input_alphabet:
+            dst, out = hyp.transitions[(cloned, a)]
+            if a == changed:
+                out = rng.choice([o for o in GENERIC_OUTPUTS if o != out])
+            transitions[("clone", a)] = (dst, out)
+        target = MealyMachine(states=hyp.states + ("clone",), initial=hyp.initial,
+                              input_alphabet=hyp.input_alphabet,
+                              transitions=transitions)
+        oracle = MembershipOracle(target.run_outputs, votes=1)
+        word = wmethod_counterexample(hyp, oracle, depth=1)
+        assert word is not None
+        assert target.run_outputs(word) != hyp.run_outputs(word)
 
     def test_transition_cover_reaches_every_edge(self):
         machine = build_t0()

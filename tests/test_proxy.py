@@ -38,6 +38,7 @@ class ScriptedTransport:
 
     def reset(self):
         self.resets += 1
+        return self.term
 
     def exchange(self, msg):
         self.sent.append(msg)
@@ -175,6 +176,12 @@ class TestSessionCoupling:
         proxy.send_symbol(RVREQ_CUR)
         payload = transport.sent[0].payload
         assert payload["term"] == 9 and payload["base_term"] == 9
+
+    def test_session_term_comes_from_reset_without_observe(self):
+        proxy, transport = scripted_proxy([[], []], term=6)
+        transport.observe = None  # calling it would raise TypeError
+        proxy.query([RVREQ_CUR, RVREQ_HI])
+        assert [m.payload["term"] for m in transport.sent] == [6, 7]
 
     def test_higher_votes_escalate_per_session(self):
         proxy, transport = scripted_proxy([[], [], []], term=4)

@@ -12,7 +12,8 @@ import time
 import pytest
 
 from statefuzz.alphabet import (
-    KNOWN, PREQ, ConcreteMessage, NodeRef, Symbol, encode, input_domains,
+    KNOWN, PREQ, RVREQ, TERM_HIGHER, ConcreteMessage, NodeRef, Symbol, encode,
+    input_domains,
 )
 from statefuzz.detector import Baseline, Detector
 from statefuzz.fuzzer import (
@@ -70,6 +71,41 @@ class TestContract:
             assert transport.window_ticks is None
             transport.reset()
             assert transport.window_ticks == cfg.heartbeat_threshold
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_reset_returns_the_same_term_as_in_process(self, seed):
+        cfg = cluster_config(["seize_leader"], seed=seed)
+        local = InProcessTransport(spawn_cluster(cfg))
+        term = local.reset()
+        assert term == local.observe().term
+        with tcp_transport(["seize_leader"], seed=seed) as (transport, _):
+            assert transport.reset() == term
+            # A seized leadership raises the term; the next reset restores it.
+            ClusterProxy(transport, default_alphabet(cfg)).query(
+                [Symbol(RVREQ, (NodeRef("n1", KNOWN), TERM_HIGHER))])
+            assert transport.observe().term > term
+            assert transport.reset() == term
+        assert local.reset() == term
+
+    def test_proxy_session_sends_no_observe_frame(self):
+        with tcp_proxy() as proxy:
+            verbs = []
+            send = proxy.transport._send
+
+            def recording_send(kind, payload):
+                verbs.append(kind)
+                send(kind, payload)
+
+            proxy.transport._send = recording_send
+            proxy.query(LADDER_ALPHABET[:2])
+        assert verbs == ["__reset__", "__deliver__", "__deliver__"]
+
+    def test_refused_connection_raises_transport_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = listener.getsockname()
+        with pytest.raises(TransportError) as info:
+            TcpTransport(address, timeout=1.0)
+        assert isinstance(info.value.__cause__, ConnectionRefusedError)
 
     def test_exchange_before_reset_is_rejected(self):
         with tcp_transport() as (transport, _):
@@ -160,8 +196,7 @@ class TestLatency:
         # client's delayed ACK (Nagle's algorithm): about 40 ms per exchange.
         with tcp_transport() as (transport, cfg):
             assert transport._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-            transport.reset()
-            ctx = SessionContext(cfg.cluster_id, "dummy", transport.observe().term)
+            ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
             probe = Symbol(PREQ, (NodeRef("n1", KNOWN),))
             start = time.perf_counter()
             for _ in range(100):

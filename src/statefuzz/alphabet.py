@@ -13,6 +13,7 @@ JSON (stable key order) with the keys ``cluster_id``, ``sender``, ``ts``,
 """
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -144,7 +145,6 @@ class AlphabetConfig:
     members: tuple
     self_id: str
     cluster_id: str
-    include_keepalive_as_others: bool = True
     unknown_id: str = "nz"
 
     def __post_init__(self):
@@ -231,7 +231,8 @@ def enumerate_input_alphabet(cfg: AlphabetConfig) -> list:
 
 
 def symbol_sort_key(sym: Symbol):
-    return (_TAG_INDEX.get(sym.tag, len(TAG_ORDER)), _param_key(sym.params))
+    """Total order on letters: protocol tag order, then tag, then params."""
+    return (_TAG_INDEX.get(sym.tag, len(TAG_ORDER)), sym.tag, _param_key(sym.params))
 
 
 def _param_key(params) -> tuple:
@@ -271,18 +272,14 @@ def is_keepalive(sym: Symbol, cfg: AlphabetConfig) -> bool:
     return sym.tag == RAREQ
 
 
-def canonical_output(events, cfg: AlphabetConfig | None = None) -> OutputWord:
+def canonical_output(events, cfg: AlphabetConfig) -> OutputWord:
     """Collapse raw (logical_ts, Symbol) events into one canonical word.
 
     Events are ordered by logical timestamp with a stable symbol ordering as
-    the tie-break.  Keep-alive symbols are filtered when the configuration
-    marks them as non-semantic.  An empty collection yields ``(NoResponse,)``.
+    the tie-break.  Keep-alive symbols carry no protocol meaning and are
+    filtered out.  An empty collection yields ``(NoResponse,)``.
     """
-    kept = []
-    for ts, sym in events:
-        if cfg is not None and cfg.include_keepalive_as_others and is_keepalive(sym, cfg):
-            continue
-        kept.append((ts, sym))
+    kept = [(ts, sym) for ts, sym in events if not is_keepalive(sym, cfg)]
     kept.sort(key=lambda e: (e[0], symbol_sort_key(e[1])))
     if not kept:
         return (NO_RESPONSE,)
@@ -423,15 +420,11 @@ def frame_decode(data: bytes) -> ConcreteMessage:
 
 def split_frame(data: bytes):
     """Parse one frame off the front of ``data``; return (message, rest)."""
-    if len(data) < _LEN_PREFIX.size:
-        raise FrameError("frame shorter than length prefix")
-    (length,) = _LEN_PREFIX.unpack_from(data)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"declared frame length {length} exceeds cap")
-    end = _LEN_PREFIX.size + length
-    if len(data) < end:
-        raise FrameError("frame body truncated")
-    return parse_frame_body(data[_LEN_PREFIX.size:end]), data[end:]
+    stream = io.BytesIO(data)
+    msg = read_frame(stream.read)
+    if msg is None:
+        raise FrameError("no frame in empty input")
+    return msg, data[stream.tell():]
 
 
 def parse_frame_body(body: bytes) -> ConcreteMessage:

@@ -32,10 +32,13 @@ import sys
 from pathlib import Path
 
 from .alphabet import (
-    ConfigError, enumerate_input_alphabet, input_domains, word_from_obj,
+    ConfigError, enumerate_input_alphabet, input_domains, symbol_label,
+    word_from_obj,
 )
 from .detector import ALL_CRITERIA, Baseline, Detector, Finding
-from .fuzzer import CampaignReport, FuzzCase, replay_case, run_campaign
+from .fuzzer import (
+    ALL_MUTATIONS, CampaignReport, FuzzCase, replay_case, run_campaign,
+)
 from .learner import (
     MembershipOracle, NondeterminismError, PartialResultError, lstar_learn,
     wmethod_counterexample,
@@ -143,6 +146,45 @@ def alphabet_from(ccfg: ClusterConfig, section: dict):
                             unknown_id=section["unknown_id"])
 
 
+def _require_ints(section: str, doc: dict, keys) -> None:
+    for key in keys:
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ConfigFileError(f"{section}.{key} must be an integer, not {doc[key]!r}")
+
+
+def check_learner_section(lcfg: dict, alphabet: list) -> tuple:
+    """Check the learner section; return the letters to learn over."""
+    _require_ints("learner", lcfg, ("votes", "eq_depth", "max_rounds"))
+    if lcfg["max_queries"] is not None:
+        _require_ints("learner", lcfg, ("max_queries",))
+    if lcfg["eq_depth"] < 1:
+        raise ConfigFileError("learner.eq_depth must be at least 1")
+    if not lcfg["letters"]:
+        return tuple(alphabet)
+    try:
+        letters = tuple(word_from_obj(lcfg["letters"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigFileError(f"bad learner.letters: {exc}") from exc
+    stray = [symbol_label(s) for s in letters if s not in alphabet]
+    if stray:
+        raise ConfigFileError(f"learner.letters outside the input alphabet: {stray}")
+    if len(set(letters)) != len(letters):
+        raise ConfigFileError("learner.letters names a letter twice")
+    return letters
+
+
+def check_fuzz_section(fcfg: dict) -> None:
+    _require_ints("fuzz", fcfg, ("budget", "seed"))
+    weights = fcfg["weights"]
+    if weights is not None and not (
+            isinstance(weights, dict) and set(weights) == set(ALL_MUTATIONS)
+            and all(isinstance(w, (int, float)) and not isinstance(w, bool)
+                    and 0 <= w < float("inf") for w in weights.values())):
+        raise ConfigFileError(
+            f"fuzz.weights must map each of {list(ALL_MUTATIONS)} "
+            "to a non-negative number")
+
+
 def build_proxy(ccfg: ClusterConfig, alphabet_section: dict) -> ClusterProxy:
     acfg = alphabet_from(ccfg, alphabet_section)
     return ClusterProxy(InProcessTransport(spawn_cluster(ccfg)), acfg)
@@ -157,13 +199,7 @@ def cmd_learn(args) -> int:
     lcfg = config["learner"]
     ccfg = cluster_from_config(config, args)
     proxy = build_proxy(ccfg, config["alphabet"])
-    if lcfg["letters"]:
-        try:
-            letters = tuple(word_from_obj(lcfg["letters"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigFileError(f"bad learner.letters: {exc}") from exc
-    else:
-        letters = tuple(enumerate_input_alphabet(proxy.cfg))
+    letters = check_learner_section(lcfg, enumerate_input_alphabet(proxy.cfg))
     budget = args.budget if args.budget is not None else lcfg["max_queries"]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,6 +286,7 @@ def case_document(origin: str, case: FuzzCase, finding: Finding) -> str:
 def cmd_fuzz(args) -> int:
     config = load_config(args.config)
     fcfg = config["fuzz"]
+    check_fuzz_section(fcfg)
     machine = load_machine(args.machine)
     ccfg = cluster_from_config(config, args)
     seed = args.seed if args.seed is not None else fcfg["seed"]

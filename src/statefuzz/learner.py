@@ -1,11 +1,16 @@
 """Active inference of a reactive state machine from query access.
 
 The learner builds an observation table from membership queries (each a
-reset-isolated word sent through the proxy), closes it, keeps it
-consistent, and proposes a hypothesis machine.  A Wp-method conformance
-suite over the hypothesis hunts for counterexamples; every suffix of a
-counterexample becomes a new distinguishing experiment.  The loop ends when
-the suite finds no disagreement.
+reset-isolated word sent through the proxy), closes it, and proposes a
+hypothesis machine.  A Wp-method conformance suite over the hypothesis hunts
+for counterexamples; every suffix of a counterexample becomes a new
+distinguishing experiment (Maler and Pnueli).  The loop ends when the suite
+finds no disagreement.
+
+The table needs no consistency check.  A prefix joins the table only when
+its row differs from every row already there, and experiments are only ever
+appended, so two distinct rows stay distinct.  The rows of the prefixes are
+therefore pairwise distinct, and an inconsistency needs two equal ones.
 
 Noise handling: every distinct word is asked up to ``votes`` times (odd),
 stopping early once one reaction transcript holds a strict majority.  If
@@ -147,37 +152,16 @@ class ObservationTable:
         return tuple(self.cell(prefix, e) for e in self.suffixes)
 
     def stabilize(self):
-        """Extend until the table is closed and consistent."""
-        while True:
-            if self._close_step():
-                continue
-            if self._consistency_step():
-                continue
-            return
-
-    def _close_step(self) -> bool:
+        """Extend until the table is closed: one pass over the growing
+        prefix list, which admits each one-letter extension whose row is new.
+        """
         known = {self.row(s) for s in self.prefixes}
         for s in self.prefixes:
             for a in self.alphabet:
-                candidate = s + (a,)
-                if self.row(candidate) not in known:
-                    self.prefixes.append(candidate)
-                    return True
-        return False
-
-    def _consistency_step(self) -> bool:
-        by_row: dict = {}
-        for s in self.prefixes:
-            by_row.setdefault(self.row(s), []).append(s)
-        for group in by_row.values():
-            for i, s1 in enumerate(group):
-                for s2 in group[i + 1:]:
-                    for a in self.alphabet:
-                        for e in self.suffixes:
-                            if self.cell(s1 + (a,), e) != self.cell(s2 + (a,), e):
-                                self.suffixes.append((a,) + e)
-                                return True
-        return False
+                row = self.row(s + (a,))
+                if row not in known:
+                    known.add(row)
+                    self.prefixes.append(s + (a,))
 
     def add_distinguishing_suffixes(self, word):
         """Install every suffix of a counterexample as an experiment."""
@@ -187,23 +171,17 @@ class ObservationTable:
                 self.suffixes.append(suffix)
 
     def hypothesis(self) -> MealyMachine:
-        row_to_state: dict = {}
-        order = []
-        for s in self.prefixes:
-            r = self.row(s)
-            if r not in row_to_state:
-                row_to_state[r] = f"q{len(order)}"
-                order.append((r, s))
+        """One state per prefix: their rows are pairwise distinct."""
+        state = {self.row(s): f"q{i}" for i, s in enumerate(self.prefixes)}
         transitions = {}
-        for r, s in order:
-            state = row_to_state[r]
+        for name, s in zip(state.values(), self.prefixes):
             for a in self.alphabet:
-                target = row_to_state[self.row(s + (a,))]
+                target = state[self.row(s + (a,))]
                 output = self.oracle.query(s + (a,))[len(s)]
-                transitions[(state, a)] = (target, tuple(output))
+                transitions[(name, a)] = (target, tuple(output))
         return MealyMachine(
-            states=tuple(row_to_state[r] for r, _ in order),
-            initial=row_to_state[self.row(())],
+            states=tuple(state.values()),
+            initial="q0",
             input_alphabet=self.alphabet,
             transitions=transitions,
         )
@@ -303,13 +281,6 @@ def _identification_sets(m: MealyMachine) -> dict:
     return ident
 
 
-def distinguishing_suffixes(machine: MealyMachine) -> tuple:
-    """A characterization set: for every pair of states, some suffix whose
-    reactions differ.  ``((),)`` for machines with fewer than two states."""
-    ident = _identification_sets(minimize(machine))
-    return tuple(sorted(set().union(*ident.values()), key=_word_key))
-
-
 def _state_cover(machine: MealyMachine) -> dict:
     """Shortest access word of every reachable state, breadth first."""
     access = {machine.initial: ()}
@@ -324,16 +295,6 @@ def _state_cover(machine: MealyMachine) -> dict:
                     nxt.append(target)
         frontier = nxt
     return access
-
-
-def transition_cover(machine: MealyMachine) -> tuple:
-    """Shortest access prefix for every state, plus each extended by every
-    input letter."""
-    cover = set(_state_cover(machine).values())
-    for prefix in list(cover):
-        for a in machine.input_alphabet:
-            cover.add(prefix + (a,))
-    return tuple(sorted(cover, key=_word_key))
 
 
 def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .alphabet import (
-    NO_RESPONSE, Symbol, symbol_from_obj, symbol_label, symbol_sort_key,
+    Symbol, symbol_from_obj, symbol_label, symbol_sort_key,
     symbol_to_obj, word_from_obj, word_to_obj,
 )
 
@@ -23,12 +23,6 @@ class ModelError(ValueError):
     """Violation of a machine contract (unknown state, partial table, ...)."""
 
 
-def input_sort_key(letter):
-    if isinstance(letter, Symbol):
-        return (0, symbol_sort_key(letter))
-    return (1, repr(letter))
-
-
 @dataclass(frozen=True)
 class PrunePolicy:
     """What to hide from traversal: self-loops and keep-alive style letters."""
@@ -36,10 +30,8 @@ class PrunePolicy:
     drop_self_loops: bool = True
     others_labels: frozenset = frozenset()
 
-    def is_other(self, letter) -> bool:
-        if letter in self.others_labels:
-            return True
-        return isinstance(letter, Symbol) and letter.tag in self.others_labels
+    def is_other(self, letter: Symbol) -> bool:
+        return letter in self.others_labels or letter.tag in self.others_labels
 
 
 @dataclass
@@ -153,7 +145,7 @@ class MealyMachine:
                 edges.append(
                     {
                         "src": s,
-                        "input": _letter_to_obj(a),
+                        "input": symbol_to_obj(a),
                         "dst": nxt,
                         "output": word_to_obj(out),
                     }
@@ -163,7 +155,7 @@ class MealyMachine:
             "kind": "mealy",
             "states": list(self.states),
             "initial": self.initial,
-            "alphabet": [_letter_to_obj(a) for a in self.input_alphabet],
+            "alphabet": [symbol_to_obj(a) for a in self.input_alphabet],
             "transitions": edges,
         }
         return json.dumps(doc, sort_keys=True, indent=1)
@@ -202,7 +194,7 @@ class MealyMachine:
         for s in self.states:
             for a in self.input_alphabet:
                 nxt, out = self.transitions[(s, a)]
-                label = f"{_letter_label(a)}/{_word_label(out)}"
+                label = f"{symbol_label(a)}/{_word_label(out)}"
                 style = ""
                 if self.traversal_mask is not None and (s, a) not in self.traversal_mask:
                     style = " style=dashed color=gray"
@@ -211,20 +203,10 @@ class MealyMachine:
         return "\n".join(lines) + "\n"
 
 
-def _letter_to_obj(letter):
-    if isinstance(letter, Symbol):
-        return symbol_to_obj(letter)
-    raise ModelError(f"cannot serialize non-symbol input {letter!r}")
-
-
-def _letter_label(letter) -> str:
-    return symbol_label(letter) if isinstance(letter, Symbol) else str(letter)
-
-
 def _word_label(word) -> str:
     if not word:
         return "-"
-    return ",".join(_letter_label(x) for x in word)
+    return ",".join(symbol_label(x) for x in word)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +216,7 @@ def _word_label(word) -> str:
 def minimize(m: MealyMachine) -> MealyMachine:
     """Reachable, merged-equivalent-states machine with canonical q0..qN names
     assigned in breadth-first order over a sorted alphabet."""
-    order = tuple(sorted(m.input_alphabet, key=input_sort_key))
+    order = tuple(sorted(m.input_alphabet, key=symbol_sort_key))
 
     reachable = [m.initial]
     seen = {m.initial}

@@ -17,7 +17,7 @@ A transport is any object with:
     the fixed observation window that follows it.
 ``observe() -> ClusterObservation``
     Read the cluster health snapshot without disturbing it.
-``inject(msg)`` (optional)
+``inject(msg)``
     Deliver a message without opening an observation window; used for
     keeper replies to keep-alive probes.
 """
@@ -115,10 +115,9 @@ class ClusterProxy:
     canonical output word per input position.
     """
 
-    def __init__(self, transport, cfg: AlphabetConfig, auto_keeper: bool = True):
+    def __init__(self, transport, cfg: AlphabetConfig):
         self.transport = transport
         self.cfg = cfg
-        self.auto_keeper = auto_keeper
         self.ctx: SessionContext | None = None
         self.resets = 0
         self.symbols_sent = 0
@@ -138,10 +137,9 @@ class ClusterProxy:
         msg = encode(sym, self.ctx)
         self.symbols_sent += 1
         events = [(ts, decode(m, self.cfg)) for ts, m in self.transport.exchange(msg)]
-        if self.auto_keeper:
-            for _, reply_sym in events:
-                if is_keepalive(reply_sym, self.cfg):
-                    self._answer_keepalive(reply_sym)
+        for _, reply_sym in events:
+            if is_keepalive(reply_sym, self.cfg):
+                self._answer_keepalive(reply_sym)
         return canonical_output(events, self.cfg)
 
     def query(self, word) -> tuple:
@@ -153,16 +151,13 @@ class ClusterProxy:
         return self.transport.observe()
 
     def _answer_keepalive(self, sym: Symbol):
-        inject = getattr(self.transport, "inject", None)
-        if inject is None:
-            return
         if sym.tag == PREQ:
             reply = Symbol(PRES, (self.cfg.self_ref, ALIVE))
         elif sym.tag == RAREQ:
             reply = Symbol(RARES, ())
         else:
             return
-        inject(encode(reply, self.ctx))
+        self.transport.inject(encode(reply, self.ctx))
         self.keepalives_answered += 1
 
 

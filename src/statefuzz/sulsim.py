@@ -68,7 +68,6 @@ class ClusterConfig:
     cluster_id: str = "sdwan"
     heartbeat_threshold: int = 5
     election_timeout_range: tuple = (10, 20)
-    indirect_probe_fanout: int = 3
     vulnerabilities: frozenset = frozenset()
     seed: int = 42
     apps: tuple = ("fwd", "stats", "acl")
@@ -91,8 +90,6 @@ class ClusterConfig:
             raise ConfigError("election timeout range too narrow for distinct deadlines")
         if self.heartbeat_threshold < 2:
             raise ConfigError("heartbeat threshold must be at least 2 ticks")
-        if self.indirect_probe_fanout < 1:
-            raise ConfigError("indirect probe fanout must be positive")
         bad = set(self.vulnerabilities) - ALL_VULNERABILITIES
         if bad:
             raise ConfigError(f"unknown vulnerability flags: {sorted(bad)}")
@@ -120,7 +117,6 @@ class ClusterConfig:
             "cluster_id": self.cluster_id,
             "heartbeat_threshold": self.heartbeat_threshold,
             "election_timeout_range": list(self.election_timeout_range),
-            "indirect_probe_fanout": self.indirect_probe_fanout,
             "vulnerabilities": sorted(self.vulnerabilities),
             "seed": self.seed,
             "apps": list(self.apps),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from statefuzz.alphabet import (
     NodeRef, Symbol, canonical_output, decode, encode,
     enumerate_input_alphabet, frame_decode, frame_encode, input_domains,
     is_keepalive, message_from_wire, read_frame, split_frame, symbol_from_obj,
-    symbol_label, symbol_to_obj, word_from_obj, word_to_obj,
+    symbol_label, symbol_sort_key, symbol_to_obj, word_from_obj, word_to_obj,
 )
 
 CFG = AlphabetConfig(members=("A", "B", "C"), self_id="X", cluster_id="c1", unknown_id="Z")
@@ -98,6 +99,12 @@ class TestEnumeration:
 
     def test_stable_order(self):
         assert enumerate_input_alphabet(CFG) == enumerate_input_alphabet(CFG)
+
+    def test_sort_key_is_total_outside_the_protocol_tags(self):
+        letters = (Symbol("in_c"), Symbol("in_a"), Symbol("in_b"))
+        for order in itertools.permutations(letters):
+            assert sorted(order, key=symbol_sort_key) == [
+                Symbol("in_a"), Symbol("in_b"), Symbol("in_c")]
 
     def test_alphabet_size_cap(self):
         assert len(enumerate_input_alphabet(CFG)) <= 40
@@ -221,14 +228,6 @@ class TestCanonicalOutput:
         probe_me = Symbol(PREQ, (NodeRef("X", UNKNOWN),))
         assert canonical_output([(1, probe_me)], CFG) == (NO_RESPONSE,)
 
-    def test_keepalive_filter_respects_config_flag(self):
-        cfg = AlphabetConfig(
-            members=("A", "B", "C"), self_id="X", cluster_id="c1",
-            unknown_id="Z", include_keepalive_as_others=False,
-        )
-        heartbeat = Symbol(RAREQ)
-        assert canonical_output([(1, heartbeat)], cfg) == (heartbeat,)
-
     def test_probe_of_other_node_is_not_keepalive(self):
         probe_a = Symbol(PREQ, (NodeRef("A", KNOWN),))
         assert not is_keepalive(probe_a, CFG)
@@ -272,6 +271,12 @@ class TestFraming:
     def test_short_prefix_rejected(self):
         with pytest.raises(FrameError):
             frame_decode(b"\x00\x01")
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(FrameError):
+            split_frame(b"")
+        with pytest.raises(FrameError):
+            frame_decode(b"")
 
     def test_split_frame_returns_rest(self):
         msg = self.msg()

@@ -91,6 +91,23 @@ class TestLearn:
         assert main(["learn", "--config", cfg,
                      "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("learner", [
+        {"letters": [{"tag": "Bogus", "params": []}]},
+        {"letters": word_to_obj(LADDER_ALPHABET[:1] * 2)},
+        {"votes": "3"},
+        {"votes": True},
+        {"eq_depth": 0},
+        {"max_rounds": 2.5},
+        {"max_queries": "100"},
+    ])
+    def test_malformed_learner_section_exits_usage_before_any_session(
+            self, tmp_path, capsys, learner):
+        cfg = write_json(tmp_path / "c.json", {"learner": learner})
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "learner." in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exhausted_budget_exits_with_budget_code(self, workspace, tmp_path,
                                                      capsys):
         rc = main(["learn", "--config", config_path(workspace), "--budget", "1",
@@ -191,6 +208,25 @@ class TestFuzz:
                    "--config", config_path(workspace),
                    "--out-dir", str(tmp_path)])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("fuzz", [
+        {"weights": {"duplicate": 1}},
+        {"weights": {**SWAP_HEAVY, "shuffle": 1}},
+        {"weights": {**SWAP_HEAVY, "remove": -1}},
+        {"weights": {**SWAP_HEAVY, "remove": "1"}},
+        {"weights": [1, 1, 1, 1]},
+        {"budget": "5"},
+        {"seed": 1.5},
+    ])
+    def test_malformed_fuzz_section_exits_usage(self, workspace, tmp_path,
+                                                capsys, fuzz):
+        cfg = fuzz_config(workspace, tmp_path, **fuzz)
+        out = tmp_path / "out"
+        rc = main(["fuzz", machine_path(workspace), "--config", cfg,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert "fuzz." in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

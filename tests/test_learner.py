@@ -17,8 +17,7 @@ from statefuzz.alphabet import (
 )
 from statefuzz.learner import (
     LearnResult, MembershipOracle, NondeterminismError, ObservationTable,
-    PartialResultError, _BudgetExhausted, _identification_sets,
-    distinguishing_suffixes, lstar_learn, transition_cover,
+    PartialResultError, _BudgetExhausted, _identification_sets, lstar_learn,
     wmethod_counterexample, wmethod_suite,
 )
 from statefuzz.mealy import MealyMachine, isomorphic, minimize
@@ -197,6 +196,33 @@ class TestObservationTable:
         table.add_distinguishing_suffixes(cex)
         assert len(table.suffixes) == before  # idempotent
 
+    def test_prefix_rows_stay_distinct_so_no_consistency_check_is_needed(self):
+        # A prefix joins only with a new row and columns are only appended,
+        # so the prefix rows stay pairwise distinct through stabilize() and
+        # through counterexample processing: the table is never inconsistent.
+        def check(table, closed):
+            rows = [table.row(s) for s in table.prefixes]
+            assert len(set(rows)) == len(rows)
+            if closed:
+                assert all(table.row(s + (a,)) in set(rows)
+                           for s in table.prefixes for a in table.alphabet)
+
+        counterexamples = 0
+        for seed in range(10):
+            truth = random_machine(random.Random(seed))
+            oracle = MembershipOracle(truth.run_outputs, votes=1)
+            table = ObservationTable(truth.input_alphabet, oracle)
+            while True:
+                table.stabilize()
+                check(table, closed=True)
+                cex = wmethod_counterexample(table.hypothesis(), oracle, depth=1)
+                if cex is None:
+                    break
+                counterexamples += 1
+                table.add_distinguishing_suffixes(cex)
+                check(table, closed=False)
+        assert counterexamples > 0
+
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
             ObservationTable((), MembershipOracle(lambda w: (), votes=1))
@@ -322,7 +348,7 @@ class TestConformance:
     @pytest.mark.parametrize("seed", range(8))
     def test_characterization_separates_all_state_pairs(self, seed):
         machine = minimize(random_machine(random.Random(seed)))
-        suffixes = distinguishing_suffixes(machine)
+        suffixes = set().union(*_identification_sets(machine).values())
         for i, p in enumerate(machine.states):
             for q in machine.states[i + 1:]:
                 assert any(
@@ -392,15 +418,6 @@ class TestConformance:
         word = wmethod_counterexample(hyp, oracle, depth=1)
         assert word is not None
         assert target.run_outputs(word) != hyp.run_outputs(word)
-
-    def test_transition_cover_reaches_every_edge(self):
-        machine = build_t0()
-        cover = set(transition_cover(machine))
-        seen_states = {machine.state_after(p) for p in cover}
-        assert seen_states == set(machine.states)
-        for prefix in list(cover):
-            if prefix:
-                assert prefix[:-1] in cover  # prefix-closed over the tree
 
 
 def _run_from(machine, state, word):

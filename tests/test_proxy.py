@@ -51,9 +51,9 @@ class ScriptedTransport:
         return SimpleNamespace(term=self.term)
 
 
-def scripted_proxy(windows, term=3, **kw):
+def scripted_proxy(windows, term=3):
     transport = ScriptedTransport(windows, term=term)
-    return ClusterProxy(transport, ACFG, **kw), transport
+    return ClusterProxy(transport, ACFG), transport
 
 
 PREQ_N1 = Symbol(PREQ, (NodeRef("n1", KNOWN),))
@@ -153,21 +153,6 @@ class TestKeeper:
         injected_ts = [m.logical_ts for m in transport.injected]
         assert injected_ts == sorted(injected_ts)
         assert all(ts > sent_ts for ts in injected_ts)
-
-    def test_keeper_can_be_disabled(self):
-        proxy, transport = scripted_proxy([list(self.KEEPALIVE_WIN)], auto_keeper=False)
-        out = proxy.send_symbol(RCOM_ADD)
-        assert [s.tag for s in out] == [RCOMRES]  # still filtered from the word
-        assert transport.injected == []
-
-    def test_transport_without_inject_is_fine(self):
-        transport = ScriptedTransport([list(self.KEEPALIVE_WIN)])
-        slim = SimpleNamespace(reset=transport.reset, exchange=transport.exchange,
-                               observe=transport.observe)
-        proxy = ClusterProxy(slim, ACFG)
-        out = proxy.send_symbol(RCOM_ADD)
-        assert [s.tag for s in out] == [RCOMRES]
-        assert proxy.keepalives_answered == 0
 
 
 class TestSessionCoupling:

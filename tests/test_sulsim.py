@@ -123,7 +123,6 @@ class TestConfig:
         {"members": tuple(f"m{i}" for i in range(20))},
         {"vulnerabilities": frozenset({"nosuch"})},
         {"heartbeat_threshold": 1, "election_timeout_range": (2, 20)},
-        {"indirect_probe_fanout": 0},
     ])
     def test_rejects_bad_configs(self, kw):
         with pytest.raises(ConfigError):

@@ -82,11 +82,18 @@ DEFAULT_FUZZ_SECTION = {
     "dedupe": False,
     "prune_others": [],
 }
-_SECTIONS = ("cluster", "alphabet", "learner", "fuzz")
+_DEFAULTS = {"alphabet": DEFAULT_ALPHABET_SECTION,
+             "learner": DEFAULT_LEARNER_SECTION,
+             "fuzz": DEFAULT_FUZZ_SECTION}
+_SECTIONS = ("cluster", *_DEFAULTS)
 
 
 def load_config(path: str | None) -> dict:
-    """Parse the run configuration, filling defaults section by section."""
+    """Parse the run configuration, filling defaults section by section.
+
+    A key that a section does not define is an error, so a misspelt setting
+    cannot silently fall back to its default; ``cluster`` keys are checked by
+    ``ClusterConfig.from_dict``."""
     if path is None:
         doc = {}
     else:
@@ -104,12 +111,13 @@ def load_config(path: str | None) -> dict:
     for section in _SECTIONS:
         if not isinstance(doc.get(section, {}), dict):
             raise ConfigFileError(f"config section {section!r} must be an object")
-    return {
-        "cluster": doc.get("cluster", {}),
-        "alphabet": {**DEFAULT_ALPHABET_SECTION, **doc.get("alphabet", {})},
-        "learner": {**DEFAULT_LEARNER_SECTION, **doc.get("learner", {})},
-        "fuzz": {**DEFAULT_FUZZ_SECTION, **doc.get("fuzz", {})},
-    }
+    for section, defaults in _DEFAULTS.items():
+        unknown = set(doc.get(section, {})) - set(defaults)
+        if unknown:
+            raise ConfigFileError(f"unknown {section} settings: {sorted(unknown)}")
+    return {"cluster": doc.get("cluster", {}),
+            **{section: {**defaults, **doc.get(section, {})}
+               for section, defaults in _DEFAULTS.items()}}
 
 
 def parse_vulns(text: str) -> frozenset:
@@ -139,9 +147,6 @@ def cluster_from_config(config: dict, args) -> ClusterConfig:
 
 
 def alphabet_from(ccfg: ClusterConfig, section: dict):
-    unknown = set(section) - set(DEFAULT_ALPHABET_SECTION)
-    if unknown:
-        raise ConfigFileError(f"unknown alphabet settings: {sorted(unknown)}")
     return default_alphabet(ccfg, self_id=section["self_id"],
                             unknown_id=section["unknown_id"])
 

@@ -2,10 +2,18 @@
 
 The learner builds an observation table from membership queries (each a
 reset-isolated word sent through the proxy), closes it, and proposes a
-hypothesis machine.  A Wp-method conformance suite over the hypothesis hunts
-for counterexamples; every suffix of a counterexample becomes a new
+hypothesis machine.  An HSI-method conformance suite over the hypothesis
+hunts for counterexamples; every suffix of a counterexample becomes a new
 distinguishing experiment (Maler and Pnueli).  The loop ends when the suite
-finds no disagreement.
+finds no disagreement, and the result is the minimized hypothesis, so state
+names do not depend on which counterexamples led to it.
+
+The suite identifies the state each test word reaches with one word: the
+state's path through a greedy adaptive distinguishing sequence (ADS) of the
+hypothesis.  Where the ADS gets stuck, the states it has not told apart
+fall back to separating suffixes, which is the identification sets when it
+gets stuck at once.  Either way the identifiers are harmonized, which keeps
+the suite complete for targets with up to ``depth`` extra states.
 
 The table needs no consistency check.  A prefix joins the table only when
 its row differs from every row already there, and experiments are only ever
@@ -20,6 +28,7 @@ learning a wrong machine.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -223,8 +232,8 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
             if cex is None:
                 _emit(transcript, {"event": "done", "rounds": rounds,
                                    "states": len(hypothesis.states)})
-                return LearnResult(machine=hypothesis, rounds=rounds,
-                                   stats=oracle.stats)
+                return LearnResult(machine=minimize(hypothesis),
+                                   rounds=rounds, stats=oracle.stats)
             cex = tuple(cex)
             _emit(transcript, {"event": "counterexample", "round": rounds,
                                "word": word_to_obj(cex)})
@@ -243,13 +252,10 @@ def _word_key(word) -> tuple:
     return (len(word), tuple(symbol_sort_key(s) for s in word))
 
 
-def _identification_sets(m: MealyMachine) -> dict:
-    """For every state of the minimal machine ``m``, its identification set:
-    one separating suffix against each other state.  A single-state
-    machine's only state gets ``{()}``."""
+def _separating_suffixes(m: MealyMachine) -> dict:
+    """For every pair of states of the minimal machine ``m``, a shortest
+    suffix on which they answer differently, keyed by the pair's frozenset."""
     states = list(m.states)
-    if len(states) < 2:
-        return {s: {()} for s in states}
     sep: dict = {}
     pending = {frozenset((p, q)) for i, p in enumerate(states)
                for q in states[i + 1:]}
@@ -271,11 +277,19 @@ def _identification_sets(m: MealyMachine) -> dict:
                     sep[pair] = (a,) + sep[follow]
                     changed = True
                     break
-    missing = pending - set(sep)
-    if missing:
+    if len(sep) < len(pending):
         raise ValueError("machine has equivalent states after minimization")
-    ident = {s: set() for s in states}
-    for pair, suffix in sep.items():
+    return sep
+
+
+def _identification_sets(m: MealyMachine) -> dict:
+    """For every state of the minimal machine ``m``, its identification set:
+    one separating suffix against each other state.  A single-state
+    machine's only state gets ``{()}``."""
+    if len(m.states) < 2:
+        return {s: {()} for s in m.states}
+    ident = {s: set() for s in m.states}
+    for pair, suffix in _separating_suffixes(m).items():
         for s in pair:
             ident[s].add(suffix)
     return ident
@@ -297,30 +311,99 @@ def _state_cover(machine: MealyMachine) -> dict:
     return access
 
 
+def _splitting_word(m: MealyMachine, block: frozenset):
+    """Shortest input word, first in canonical letter order, on which the
+    states of ``block`` do not all answer alike while no two that answer
+    alike end in the same state; ``None`` if no such word exists.
+
+    Until a word splits the block every state answers alike, so a prefix is
+    useless once two states merge, and a prefix that reaches a set of states
+    an earlier prefix reached cannot lead to an earlier word."""
+    frontier = [((), block)]
+    seen = {block}
+    while frontier:
+        nxt = []
+        for word, current in frontier:
+            for a in m.input_alphabet:
+                ends: dict = {}
+                for s in current:
+                    dst, out = m.transitions[(s, a)]
+                    ends.setdefault(out, set()).add(dst)
+                if sum(map(len, ends.values())) < len(current):
+                    continue  # two states that answer alike merge
+                if len(ends) > 1:
+                    return word + (a,)
+                targets = frozenset(*ends.values())
+                if targets not in seen:
+                    seen.add(targets)
+                    nxt.append((word + (a,), targets))
+        frontier = nxt
+    return None
+
+
+def _harmonized_identifiers(m: MealyMachine) -> dict:
+    """Harmonized state identifiers of the minimal machine ``m``: any two
+    states have words in their identifiers whose common prefix separates
+    them.
+
+    The identifiers come from a greedy adaptive distinguishing sequence (ADS;
+    Lee and Yannakakis, IEEE Trans. Computers 1994).  Starting from all
+    states, each block of states that no output has told apart yet applies
+    its :func:`_splitting_word` and falls apart into one block per output
+    class, each state moving to where the word took it.  A state alone in
+    its block is identified by the one word that led it there; two such
+    words agree up to the split that separated their states.  A block with
+    no splitting word falls back to separating suffixes: each pair of its
+    states shares the block's word followed by a suffix that separates the
+    states they reached.  When that happens to the block of all states, the
+    identifiers are the identification sets."""
+    ident = {s: set() for s in m.states}
+    separators = None
+    blocks = [({s: s for s in m.states}, ())]  # (origin -> reached, word)
+    while blocks:
+        block, word = blocks.pop()
+        if len(block) == 1:
+            ident[next(iter(block))].add(word)
+            continue
+        split = _splitting_word(m, frozenset(block.values()))
+        if split is None:
+            if separators is None:
+                separators = _separating_suffixes(m)
+            for (p, p_now), (q, q_now) in itertools.combinations(block.items(), 2):
+                test = word + separators[frozenset((p_now, q_now))]
+                ident[p].add(test)
+                ident[q].add(test)
+            continue
+        classes: dict = {}
+        for origin, current in block.items():
+            classes.setdefault(m.run_outputs(split, current), {})[origin] = (
+                m.state_after(split, current))
+        blocks.extend((cls, word + split) for cls in classes.values())
+    return ident
+
+
 def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:
-    """Deterministically ordered conformance test words, built by the Wp
-    refinement of the W-method (Fujiwara et al., IEEE TSE 1991).
+    """Deterministically ordered conformance test words, built by the HSI
+    method (harmonized state identifiers; Dorofeeva et al., IST 2010).
 
     ``depth`` bounds how many extra states the real system may hide beyond
     the hypothesis.  Each word of the state cover extended by up to
-    ``depth`` letters gets the whole characterization set W.  Every other
-    word of the transition cover extended by up to ``depth`` letters (the
-    state cover extended by ``depth + 1``) gets only the identification set
-    of the state it reaches, a subset of W.  The suite is therefore a
-    subset of the W-method's, and it is complete for the same targets: any
+    ``depth + 1`` letters gets the harmonized identifier of the state it
+    reaches in the minimized hypothesis (:func:`_harmonized_identifiers`):
+    one adaptive-distinguishing-sequence word per state where the greedy ADS
+    tells the states apart, separating suffixes where it gets stuck.  Any
     target with at most ``depth`` extra states that disagrees with the
     hypothesis disagrees on some suite word.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     m = minimize(machine)
-    ident = _identification_sets(m)
-    full = set().union(*ident.values())
-    layer = {q: m.state_after(q) for q in _state_cover(machine).values()}
+    ident = _harmonized_identifiers(m)
+    layer = {q: m.state_after(q) for q in _state_cover(m).values()}
     words = set()
     for extra in range(depth + 2):
         for head, state in layer.items():
-            for suffix in (full if extra <= depth else ident[state]):
+            for suffix in ident[state]:
                 if head or suffix:
                     words.add(head + suffix)
         if extra <= depth:
@@ -331,7 +414,7 @@ def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
                            depth: int = 2):
-    """First word of the Wp-method suite (:func:`wmethod_suite`) on which the
+    """First word of the HSI-method suite (:func:`wmethod_suite`) on which the
     target and the hypothesis disagree, or ``None`` if the whole suite
     matches position by position."""
     for word in wmethod_suite(machine, depth):

@@ -9,7 +9,8 @@ Guarantees covered, one test each:
 1.  Model learning on the reference cluster is exact: the learned machine
     is isomorphic to an independently product-constructed ground truth, in
     under 60 seconds.  So is learning with each of the vulnerability flags
-    session_flood, clear_store, fake_link and fake_member on its own.
+    session_flood, clear_store, fake_link, fake_member and unauth_join on
+    its own.
 2.  Seed extraction agrees with a brute-force first-visit walk on 1,000
     random pruned machines, yields exactly (reachable states - 1) seeds,
     and its instrumented cost grows linearly in |V|+|E| (R^2 > 0.99).
@@ -133,14 +134,13 @@ def test_learner_exactness_on_reference_cluster(reference_learn):
 
 
 @pytest.mark.parametrize("vuln", ["session_flood", "clear_store", "fake_link",
-                                  "fake_member"])
+                                  "fake_member", "unauth_join"])
 def test_learner_exactness_on_single_vulnerability_clusters(vuln):
     """Exactness beyond the reference: one vulnerability flag at a time.
 
-    ``unauth_join`` is left out because its learn alone takes about 19 s;
-    ``seize_leader`` because it has no ground truth yet (its fingerprint
-    embeds the unbounded cluster term, so the product construction does not
-    terminate).
+    ``seize_leader`` is left out because it has no ground truth yet (its
+    fingerprint embeds the unbounded cluster term, so the product
+    construction does not terminate).
     """
     started = time.monotonic()
     learned, oracle = learn_machine((vuln,))

@@ -108,6 +108,36 @@ class TestLearn:
         assert "learner." in capsys.readouterr().err
         assert not out.exists()
 
+    def test_misspelt_learner_setting_exits_usage_before_any_session(
+            self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json",
+                         {"learner": {"eq_dept": 3, "max_querie": 5}})
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown learner settings" in err
+        assert "eq_dept" in err and "max_querie" in err
+        assert not out.exists()
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Sets of states and words must never decide an order: two
+        # interpreters with different string hashing learn the same bytes.
+        cfg = write_json(tmp_path / "c.json",
+                         {"learner": {"letters": word_to_obj(LADDER_ALPHABET)}})
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"out-{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "statefuzz.cli", "learn",
+                 "--config", cfg, "--out-dir", str(out)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("machine.json", "transcript.jsonl")})
+        assert outputs[0] == outputs[1]
+
     def test_exhausted_budget_exits_with_budget_code(self, workspace, tmp_path,
                                                      capsys):
         rc = main(["learn", "--config", config_path(workspace), "--budget", "1",
@@ -226,6 +256,15 @@ class TestFuzz:
                    "--out-dir", str(out)])
         assert rc == EXIT_USAGE
         assert "fuzz." in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_misspelt_fuzz_setting_exits_usage(self, workspace, tmp_path, capsys):
+        cfg = fuzz_config(workspace, tmp_path, budgte=5)
+        out = tmp_path / "out"
+        rc = main(["fuzz", machine_path(workspace), "--config", cfg,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert "unknown fuzz settings: ['budgte']" in capsys.readouterr().err
         assert not out.exists()
 
 

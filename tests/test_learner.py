@@ -17,15 +17,17 @@ from statefuzz.alphabet import (
 )
 from statefuzz.learner import (
     LearnResult, MembershipOracle, NondeterminismError, ObservationTable,
-    PartialResultError, _BudgetExhausted, _identification_sets, lstar_learn,
-    wmethod_counterexample, wmethod_suite,
+    PartialResultError, _BudgetExhausted, _harmonized_identifiers,
+    _identification_sets, _splitting_word, lstar_learn, wmethod_counterexample,
+    wmethod_suite,
 )
 from statefuzz.mealy import MealyMachine, isomorphic, minimize
 from statefuzz.proxy import ClusterProxy, InProcessTransport
 from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 from helpers import (
-    GENERIC_OUTPUTS, T0_HEARTBEAT, T0_JOIN, T0_PROBE, build_t0, random_machine,
+    GENERIC_OUTPUTS, T0_HEARTBEAT, T0_JOIN, T0_JOIN_ACK, T0_PROBE, build_t0,
+    random_machine,
 )
 
 
@@ -357,13 +359,13 @@ class TestConformance:
                 ), (p, q)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_suite_follows_the_wp_definition(self, seed):
-        # Q.Sigma^{<=k}.W for the state cover Q, plus u.W_s for every word u
-        # of P.Sigma^{<=k} (P the transition cover) and s the state u reaches.
+    def test_suite_follows_the_hsi_definition(self, seed):
+        # Q.Sigma^{<=k+1} (x) H: every word u of the state cover Q extended by
+        # up to k + 1 letters, followed by each word of the identifier of the
+        # state u reaches.
         machine = minimize(random_machine(random.Random(seed)))
         depth = 1 + seed % 2
-        ident = _identification_sets(machine)
-        full = set().union(*ident.values())
+        ident = _harmonized_identifiers(machine)
         access = {machine.initial: ()}
         queue = deque([machine.initial])
         while queue:
@@ -374,17 +376,91 @@ class TestConformance:
                     access[nxt] = access[state] + (a,)
                     queue.append(nxt)
         middles = [()]
-        for n in range(1, depth + 1):
+        for n in range(1, depth + 2):
             middles += itertools.product(machine.input_alphabet, repeat=n)
-        expected = {q + tuple(m) + w for q in access.values()
-                    for m in middles for w in full}
+        expected = set()
         for q in access.values():
-            for a in machine.input_alphabet:
-                for m in middles:
-                    u = q + (a,) + tuple(m)
-                    expected |= {u + w for w in ident[machine.state_after(u)]}
+            for m in middles:
+                u = q + tuple(m)
+                expected |= {u + w for w in ident[machine.state_after(u)]}
         expected.discard(())
         assert set(wmethod_suite(machine, depth=depth)) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_identifiers_are_harmonized(self, seed):
+        machine = minimize(random_machine(random.Random(seed)))
+        _assert_harmonized(machine, _harmonized_identifiers(machine))
+
+    def test_seeds_exercise_the_ads_and_the_fallback(self):
+        # Among the random machines of the tests above, some have a complete
+        # greedy ADS (one word per state) and some get stuck on the block of
+        # all states, which falls back to the identification sets.
+        kinds = set()
+        for seed in range(20):
+            machine = minimize(random_machine(random.Random(seed)))
+            ident = _harmonized_identifiers(machine)
+            if all(len(words) == 1 for words in ident.values()):
+                kinds.add("ads")
+            else:
+                assert ident == _identification_sets(machine), seed
+                kinds.add("identification sets")
+        assert kinds == {"ads", "identification sets"}
+
+    def test_splitting_word_never_merges_states_that_answer_alike(self):
+        # x comes first and splits r off, but sends p and q, which answer it
+        # alike, to the same state; y splits p off and keeps q and r apart.
+        x, y = Symbol("in_a"), Symbol("in_b")
+        quiet, loud = (NO_RESPONSE,), (T0_JOIN_ACK,)
+        machine = minimize(MealyMachine(
+            states=("p", "q", "r"), initial="p", input_alphabet=(x, y),
+            transitions={
+                ("p", x): ("p", quiet), ("p", y): ("q", loud),
+                ("q", x): ("p", quiet), ("q", y): ("r", quiet),
+                ("r", x): ("r", loud), ("r", y): ("p", quiet),
+            }))
+        assert len(machine.states) == 3
+        assert _splitting_word(machine, frozenset(machine.states)) == (y,)
+        assert sorted(_harmonized_identifiers(machine).values()) == [
+            {(y,)}, {(y, x)}, {(y, x)}]
+
+    def test_machine_without_ads_falls_back_to_identification_sets(self):
+        # x splits r off but sends p and q, which answer it alike, to the same
+        # state; y answers alike everywhere and only permutes the states.  So
+        # every word that splits {p, q, r} merges p and q: no ADS exists.
+        x, y = Symbol("in_a"), Symbol("in_b")
+        out = (NO_RESPONSE,)
+        machine = minimize(MealyMachine(
+            states=("p", "q", "r"), initial="p", input_alphabet=(x, y),
+            transitions={
+                ("p", x): ("p", out), ("p", y): ("q", out),
+                ("q", x): ("p", out), ("q", y): ("r", out),
+                ("r", x): ("r", (T0_JOIN_ACK,)), ("r", y): ("p", out),
+            }))
+        assert _splitting_word(machine, frozenset(machine.states)) is None
+        assert _harmonized_identifiers(machine) == _identification_sets(machine)
+
+    def test_ads_stuck_below_the_root_falls_back_to_separating_suffixes(self):
+        # The no-ADS gadget of the test above behind one splitting letter: y
+        # tells t apart and permutes p, q and r, which no word then splits
+        # without merging two of them.  t keeps its ADS word y; each pair of
+        # the others shares y followed by a suffix that separates the states
+        # y took them to.
+        x, y, z = Symbol("in_a"), Symbol("in_b"), Symbol("in_c")
+        out, ack = (NO_RESPONSE,), (T0_JOIN_ACK,)
+        machine = minimize(MealyMachine(
+            states=("p", "q", "r", "t"), initial="p", input_alphabet=(x, y, z),
+            transitions={
+                ("p", x): ("p", out), ("p", y): ("q", out), ("p", z): ("t", out),
+                ("q", x): ("p", out), ("q", y): ("r", out), ("q", z): ("t", out),
+                ("r", x): ("r", ack), ("r", y): ("p", out), ("r", z): ("t", out),
+                ("t", x): ("t", out), ("t", y): ("t", ack), ("t", z): ("t", out),
+            }))
+        assert len(machine.states) == 4
+        ident = _harmonized_identifiers(machine)
+        _assert_harmonized(machine, ident)
+        assert list(ident.values()).count({(y,)}) == 1
+        assert max(map(len, ident.values())) == 2
+        assert all(w[0] == y for words in ident.values() for w in words)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_finds_every_target_with_one_extra_state(self, seed):
@@ -418,6 +494,27 @@ class TestConformance:
         word = wmethod_counterexample(hyp, oracle, depth=1)
         assert word is not None
         assert target.run_outputs(word) != hyp.run_outputs(word)
+
+
+def _assert_harmonized(machine, ident):
+    """Any two states have identifier words whose common prefix tells them
+    apart.  Where every identifier is one word, these words form an adaptive
+    distinguishing sequence."""
+    assert set(ident) == set(machine.states)
+    for i, p in enumerate(machine.states):
+        for q in machine.states[i + 1:]:
+            assert any(
+                _run_from(machine, p, c) != _run_from(machine, q, c)
+                for u in ident[p] for v in ident[q]
+                for c in [_common_prefix(u, v)]
+            ), (p, q)
+
+
+def _common_prefix(u, v):
+    n = 0
+    while n < min(len(u), len(v)) and u[n] == v[n]:
+        n += 1
+    return u[:n]
 
 
 def _run_from(machine, state, word):

@@ -19,7 +19,7 @@ writes back into an input file.  The ``STATEFUZZ_LOG`` environment variable
 
 Exit codes: 0 success; 1 replay verdict mismatch or --fail-on-finding
 triggered; 2 bad usage, configuration, or input files; 3 learning budget
-exhausted; 4 nondeterministic target.
+exhausted; 4 nondeterministic target; 5 transport failure while learning.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .learner import (
     wmethod_counterexample,
 )
 from .mealy import MealyMachine, PrunePolicy
-from .proxy import ClusterProxy, InProcessTransport
+from .proxy import ClusterProxy, InProcessTransport, TransportError
 from .sulsim import (
     ALL_VULNERABILITIES, ClusterConfig, default_alphabet, spawn_cluster,
 )
@@ -54,6 +54,7 @@ EXIT_VERDICT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET_EXHAUSTED = 3
 EXIT_NONDETERMINISM = 4
+EXIT_TRANSPORT = 5
 
 log = logging.getLogger("statefuzz")
 
@@ -227,6 +228,8 @@ def cmd_learn(args) -> int:
                 (out_dir / "machine-partial.json").write_text(
                     exc.hypothesis.to_json(), encoding="utf-8")
             print(f"learning stopped early: {exc}", file=sys.stderr)
+            if isinstance(exc.__cause__, TransportError):
+                return EXIT_TRANSPORT
             return EXIT_BUDGET_EXHAUSTED
         except NondeterminismError as exc:
             print(f"target answered nondeterministically: {exc}", file=sys.stderr)

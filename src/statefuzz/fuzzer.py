@@ -24,7 +24,6 @@ from .alphabet import (
     word_to_obj,
 )
 from .detector import Detector, dedupe_findings
-from .learner import NondeterminismError
 from .mealy import MealyMachine
 
 MUT_DUPLICATE = "duplicate"
@@ -267,8 +266,8 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
     Seeds are extracted from ``machine``; case scheduling favors seeds whose
     traversal end state has been exercised least.  Stops after ``max_cases``
     or once ``until_criteria`` (a set of criterion names) have all been
-    witnessed.  A case whose execution errors out (nondeterminism, decode
-    failure) is recorded and skipped; the campaign always continues.
+    witnessed.  A case whose reply does not decode is recorded and skipped;
+    the campaign continues.
     """
     if max_cases < 1:
         raise ValueError("max_cases must be positive")
@@ -306,7 +305,7 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
         try:
             outputs = proxy.query(case.word)
             finding = detector.evaluate(proxy.observe(), received=outputs)
-        except (NondeterminismError, DecodeError) as exc:
+        except DecodeError as exc:
             errors.append((case_id, str(exc)))
             continue
         if finding is not None:

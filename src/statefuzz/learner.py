@@ -1,24 +1,40 @@
 """Active inference of a reactive state machine from query access.
 
-The learner builds an observation table from membership queries (each a
-reset-isolated word sent through the proxy), closes it, and proposes a
-hypothesis machine.  An HSI-method conformance suite over the hypothesis
-hunts for counterexamples; every suffix of a counterexample becomes a new
-distinguishing experiment (Maler and Pnueli).  The loop ends when the suite
-finds no disagreement, and the result is the minimized hypothesis, so state
-names do not depend on which counterexamples led to it.
+The learner is L# (Vaandrager, Garhewal, Rot and Wissmann, TACAS 2022).
+Every answered word lives in one observation tree: a prefix trie whose nodes
+hold the output of their incoming letter.  Two nodes are *apart* when some
+word answered from both gets different outputs; answers are never withdrawn,
+so apartness is final.  The learner keeps a *basis* of pairwise apart nodes,
+starting with the root, and its *frontier*: the one-letter extensions of the
+basis outside it.  Each frontier node keeps its candidates, the basis nodes
+it is not apart from.  The rules:
+
+- extension asks every one-letter extension of a node that joins the basis;
+- promotion moves a frontier node that is apart from the whole basis into it;
+- separation asks a frontier node with two candidates for a word that tells
+  the two apart, which rules out at least one of them;
+- once every frontier node has exactly one candidate, the hypothesis has one
+  state per basis node and sends each frontier node to its candidate.
+
+Candidates are kept incrementally: a frontier node is re-tested after a
+separation query extended it, every frontier node is tested against a node
+promoted into the basis, and once per hypothesis every frontier node is
+re-tested against its candidate, because basis subtrees grow too.  Before
+the conformance suite sees a hypothesis, the learner walks the tree along it
+once: a disagreement there is a counterexample for free.  Each counterexample is
+processed by binary search (Rivest and Schapire, Inf. & Comp. 1993, in the
+form L# gives it), one session per halving, down to a frontier node that is
+apart from its candidate.  The loop ends when the suite finds no
+disagreement, and the result is the minimized hypothesis, so state names do
+not depend on which counterexamples led to it.
 
 The suite identifies the state each test word reaches with one word: the
 state's path through a greedy adaptive distinguishing sequence (ADS) of the
 hypothesis.  Where the ADS gets stuck, the states it has not told apart
 fall back to separating suffixes, which is the identification sets when it
 gets stuck at once.  Either way the identifiers are harmonized, which keeps
-the suite complete for targets with up to ``depth`` extra states.
-
-The table needs no consistency check.  A prefix joins the table only when
-its row differs from every row already there, and experiments are only ever
-appended, so two distinct rows stay distinct.  The rows of the prefixes are
-therefore pairwise distinct, and an inconsistency needs two equal ones.
+the suite complete for targets with up to ``depth`` extra states.  Suite
+words the tree already holds cost no session.
 
 Noise handling: every distinct word is asked up to ``votes`` times (odd),
 stopping early once one reaction transcript holds a strict majority.  If
@@ -34,6 +50,7 @@ from dataclasses import dataclass, field
 
 from .alphabet import symbol_sort_key, word_to_obj
 from .mealy import MealyMachine, minimize
+from .proxy import TransportError
 
 
 class NondeterminismError(RuntimeError):
@@ -66,13 +83,131 @@ def _emit(sink, obj):
         sink.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+class ObservationTree:
+    """Every resolved word, prefix-shared.
+
+    Node 0 is the empty word; every other node holds the output of the letter
+    that leads to it, so each distinct prefix is stored once.  Letters are
+    interned to small ints and outputs to one object per distinct value: a
+    walk looks children up by int and compares outputs by identity.
+    """
+
+    def __init__(self):
+        self._letter_ids: dict = {}
+        self._letters: list = []
+        self._kids: list = [None]  # node -> {letter id: child} or None
+        self._out: list = [None]   # node -> output of its incoming letter
+        self._outputs: dict = {}
+
+    def __len__(self):
+        return len(self._out)
+
+    def _letter(self, letter) -> int:
+        lid = self._letter_ids.get(letter)
+        if lid is None:
+            lid = self._letter_ids[letter] = len(self._letters)
+            self._letters.append(letter)
+        return lid
+
+    def _ids(self, word) -> list:
+        ids = [self._letter_ids.get(a) for a in word]
+        return [self._letter(a) for a in word] if None in ids else ids
+
+    def _lookup(self, ids):
+        """The word's outputs, or ``None`` unless the tree holds all of it."""
+        kids, out = self._kids, self._out
+        node = 0
+        outputs = []
+        for a in ids:
+            children = kids[node]
+            node = None if children is None else children.get(a)
+            if node is None:
+                return None
+            outputs.append(out[node])
+        return tuple(outputs)
+
+    def _insert(self, word, ids, outcome):
+        """Store a resolved word, or raise ``NondeterminismError`` if it
+        contradicts a stored prefix; nothing is stored then."""
+        kids, out = self._kids, self._out
+        node = depth = 0
+        while depth < len(ids):
+            children = kids[node]
+            child = None if children is None else children.get(ids[depth])
+            if child is None:
+                break
+            if out[child] != outcome[depth]:
+                depth += 1
+                raise NondeterminismError(word[:depth], (
+                    self._lookup(ids[:depth]), tuple(outcome[:depth])))
+            node = child
+            depth += 1
+        intern = self._outputs.setdefault
+        for a, output in zip(ids[depth:], outcome[depth:]):
+            if kids[node] is None:
+                kids[node] = {}
+            kids[node][a] = child = len(out)
+            out.append(intern(output, output))
+            kids.append(None)
+            node = child
+
+    def _node(self, ids):
+        kids, node = self._kids, 0
+        for a in ids:
+            node = kids[node][a]
+        return node
+
+    def _apart(self, p, q) -> bool:
+        """Whether some word answered from both nodes gets different outputs."""
+        kids, out = self._kids, self._out
+        if kids[p] is None or kids[q] is None:
+            return False
+        stack = [(p, q)]
+        while stack:
+            p, q = stack.pop()
+            pk, qk = kids[p], kids[q]
+            if len(pk) > len(qk):
+                pk, qk = qk, pk
+            for a, pc in pk.items():
+                qc = qk.get(a)
+                if qc is None:
+                    continue
+                if out[pc] is not out[qc]:
+                    return True
+                if kids[pc] is not None and kids[qc] is not None:
+                    stack.append((pc, qc))
+        return False
+
+    def _witness(self, p, q):
+        """A shortest word on which the two nodes answer differently, as
+        letter ids, or ``None`` if they are not apart."""
+        kids, out = self._kids, self._out
+        level = [(p, q, ())]
+        while level:
+            deeper = []
+            for p, q, word in level:
+                pk, qk = kids[p], kids[q]
+                if pk is None or qk is None:
+                    continue
+                for a, pc in pk.items():
+                    qc = qk.get(a)
+                    if qc is None:
+                        continue
+                    if out[pc] is not out[qc]:
+                        return word + (a,)
+                    deeper.append((pc, qc, word + (a,)))
+            level = deeper
+        return None
+
+
 class MembershipOracle:
-    """Caching, majority-voting frontend over ``query_fn(word) -> outputs``.
+    """Majority-voting frontend over ``query_fn(word) -> outputs``.
 
     ``query_fn`` must answer with one reaction word per input position from
-    a fresh session.  Results are cached per word, and every prefix of a
-    resolved word is filled in for free.  ``max_trials`` bounds the total
-    number of reset-isolated sessions spent.
+    a fresh session.  Resolved words go into an :class:`ObservationTree`,
+    the oracle's only store, which answers every prefix of a resolved word
+    for free.  ``max_trials`` bounds the total number of reset-isolated
+    sessions spent.
     """
 
     def __init__(self, query_fn, votes: int = 3, max_trials: int | None = None,
@@ -83,16 +218,18 @@ class MembershipOracle:
         self.votes = votes
         self.max_trials = max_trials
         self.transcript = transcript
-        self.cache: dict = {(): ()}
+        self.tree = ObservationTree()
         self.trials = 0
         self.resolved = 0
         self.cache_hits = 0
 
     def query(self, word) -> tuple:
         word = tuple(word)
-        if word in self.cache:
+        ids = self.tree._ids(word)
+        known = self.tree._lookup(ids)
+        if known is not None:
             self.cache_hits += 1
-            return self.cache[word]
+            return known
         counts: dict = {}
         needed = self.votes // 2 + 1
         outcome = None
@@ -114,7 +251,7 @@ class MembershipOracle:
                 break
         if outcome is None:
             raise NondeterminismError(word, tuple(counts))
-        self._store(word, outcome)
+        self.tree._insert(word, ids, outcome)
         self.resolved += 1
         _emit(self.transcript, {
             "event": "query",
@@ -123,15 +260,6 @@ class MembershipOracle:
             "trials": attempts,
         })
         return outcome
-
-    def _store(self, word, outcome):
-        for i in range(len(word), 0, -1):
-            prefix = word[:i]
-            known = self.cache.get(prefix)
-            if known is None:
-                self.cache[prefix] = outcome[:i]
-            elif known != outcome[:i]:
-                raise NondeterminismError(prefix, (known, outcome[:i]))
 
     @property
     def stats(self) -> dict:
@@ -142,58 +270,163 @@ class MembershipOracle:
         }
 
 
-class ObservationTable:
-    """Classic prefix/suffix table with reaction-word cells."""
+class _LSharp:
+    """Basis, frontier and hypothesis over the oracle's observation tree.
 
-    def __init__(self, alphabet, oracle: MembershipOracle):
+    Words are tuples of the tree's letter ids.  ``frontier`` maps each
+    frontier node to its candidates in basis order; the root starts there
+    with none, so the first promotion makes it the basis.
+    """
+
+    def __init__(self, oracle: MembershipOracle, alphabet):
         self.alphabet = tuple(sorted(alphabet, key=symbol_sort_key))
         if not self.alphabet:
             raise ValueError("alphabet must not be empty")
         self.oracle = oracle
-        self.prefixes = [()]
-        self.suffixes = [(a,) for a in self.alphabet]
+        self.tree = oracle.tree
+        self.letters = tuple(self.tree._letter(a) for a in self.alphabet)
+        self.basis: dict = {}      # basis node -> state name, in promotion order
+        self.frontier: dict = {0: []}
+        self.access: dict = {0: ()}  # basis or frontier node -> its word
+        self.separators: dict = {}
+        self.rows: dict = {}       # basis node -> {letter: (basis node, output)}
 
-    def cell(self, prefix, suffix) -> tuple:
-        outputs = self.oracle.query(prefix + suffix)
-        return tuple(outputs[len(prefix):])
+    def _ask(self, ids):
+        letters = self.tree._letters
+        self.oracle.query(tuple(letters[a] for a in ids))
 
-    def row(self, prefix) -> tuple:
-        return tuple(self.cell(prefix, e) for e in self.suffixes)
+    def _refresh(self, node):
+        """Drop the candidates the frontier node has become apart from."""
+        apart = self.tree._apart
+        self.frontier[node] = [b for b in self.frontier[node] if not apart(node, b)]
 
-    def stabilize(self):
-        """Extend until the table is closed: one pass over the growing
-        prefix list, which admits each one-letter extension whose row is new.
-        """
-        known = {self.row(s) for s in self.prefixes}
-        for s in self.prefixes:
-            for a in self.alphabet:
-                row = self.row(s + (a,))
-                if row not in known:
-                    known.add(row)
-                    self.prefixes.append(s + (a,))
+    def _promote(self, node):
+        """Move a frontier node into the basis and ask its extensions."""
+        tree = self.tree
+        del self.frontier[node]
+        self.basis[node] = f"q{len(self.basis)}"
+        for other, candidates in self.frontier.items():
+            if not tree._apart(other, node):
+                candidates.append(node)
+        head = self.access[node]
+        for a in self.letters:
+            children = tree._kids[node]
+            if children is None or a not in children:
+                self._ask(head + (a,))
+            child = tree._kids[node][a]
+            self.access[child] = head + (a,)
+            self.frontier[child] = [b for b in self.basis if not tree._apart(child, b)]
 
-    def add_distinguishing_suffixes(self, word):
-        """Install every suffix of a counterexample as an experiment."""
-        for i in range(len(word)):
-            suffix = tuple(word[i:])
-            if suffix and suffix not in self.suffixes:
-                self.suffixes.append(suffix)
+    def _separate(self, node):
+        """Ask the frontier node for a word that tells its first two
+        candidates apart."""
+        pair = tuple(self.frontier[node][:2])
+        if pair not in self.separators:
+            self.separators[pair] = self.tree._witness(*pair)
+        self._ask(self.access[node] + self.separators[pair])
+        self._refresh(node)
 
-    def hypothesis(self) -> MealyMachine:
-        """One state per prefix: their rows are pairwise distinct."""
-        state = {self.row(s): f"q{i}" for i, s in enumerate(self.prefixes)}
+    def _settle(self):
+        """Promote, extend and separate until every frontier node has exactly
+        one candidate, re-testing all of them against the whole tree last."""
+        while True:
+            unsettled = [n for n, c in self.frontier.items() if len(c) != 1]
+            if not unsettled:
+                for node in self.frontier:
+                    self._refresh(node)
+                if all(self.frontier.values()):
+                    return
+                continue
+            for node in sorted(unsettled, key=lambda n: bool(self.frontier[n])):
+                self._refresh(node)
+                while len(self.frontier[node]) > 1:
+                    self._separate(node)
+                if not self.frontier[node]:
+                    self._promote(node)
+                    break
+
+    def _hypothesis(self) -> MealyMachine:
+        kids, out = self.tree._kids, self.tree._out
         transitions = {}
-        for name, s in zip(state.values(), self.prefixes):
-            for a in self.alphabet:
-                target = state[self.row(s + (a,))]
-                output = self.oracle.query(s + (a,))[len(s)]
-                transitions[(name, a)] = (target, tuple(output))
-        return MealyMachine(
-            states=tuple(state.values()),
-            initial="q0",
-            input_alphabet=self.alphabet,
-            transitions=transitions,
-        )
+        for b, name in self.basis.items():
+            row = self.rows[b] = {}
+            for a, letter in zip(self.letters, self.alphabet):
+                child = kids[b][a]
+                target = child if child in self.basis else self.frontier[child][0]
+                row[a] = (target, out[child])
+                transitions[(name, letter)] = (self.basis[target], out[child])
+        return MealyMachine(states=tuple(self.basis.values()), initial="q0",
+                            input_alphabet=self.alphabet, transitions=transitions)
+
+    def _inconsistency(self):
+        """A shortest word on which the tree and the hypothesis disagree, as
+        ``(prefix, (letter,))``, or ``None``: one breadth-first walk."""
+        kids, out, rows = self.tree._kids, self.tree._out, self.rows
+        level = [(0, 0, None)]  # (node, state, (letter, parent's path))
+        while level:
+            deeper = []
+            for node, state, path in level:
+                children = kids[node]
+                if children is None:
+                    continue
+                row = rows[state]
+                for a, child in children.items():
+                    step = row.get(a)
+                    if step is None:
+                        continue  # a letter outside the learner's alphabet
+                    if out[child] is not step[1]:
+                        prefix = []
+                        while path is not None:
+                            prefix.append(path[0])
+                            path = path[1]
+                        return tuple(reversed(prefix)), (a,)
+                    deeper.append((child, step[0], (a, path)))
+            level = deeper
+        return None
+
+    def _disagreement(self, ids):
+        """Where the tree, which holds ``ids``, and the hypothesis first
+        disagree along it, as ``(prefix, (letter,))``, or ``None``."""
+        kids, out, rows = self.tree._kids, self.tree._out, self.rows
+        node = state = 0
+        for i, a in enumerate(ids):
+            node = kids[node][a]
+            state, output = rows[state][a]
+            if out[node] is not output:
+                return tuple(ids[:i]), (a,)
+        return None
+
+    def _process(self, word, witness):
+        """Counterexample processing by binary search.
+
+        Invariant: the node of ``word`` is apart from its hypothesis state,
+        which ``witness`` shows.  Each step asks one word: the hypothesis
+        state ``r`` of the first half, then the rest and the witness.  If the
+        first half's node is now apart from ``r`` it is the shorter
+        counterexample; otherwise the node of ``access(r)`` and the rest is
+        apart from the old state, and shorter past the basis.  It ends at a
+        frontier node apart from its candidate.
+        """
+        tree, rows = self.tree, self.rows
+        while True:
+            node = depth = 0
+            while depth < len(word) and node in self.basis:
+                node = tree._kids[node][word[depth]]
+                depth += 1
+            if depth == len(word):
+                break
+            half = (depth + len(word)) // 2
+            head, tail = word[:half], word[half:]
+            state = 0
+            for a in head:
+                state = rows[state][a][0]
+            self._ask(self.access[state] + tail + witness)
+            shorter = tree._witness(tree._node(head), state)
+            if shorter is not None:
+                word, witness = head, shorter
+            else:
+                word = self.access[state] + tail
+        self._refresh(node)
 
 
 @dataclass
@@ -205,27 +438,31 @@ class LearnResult:
 
 def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
                 max_rounds: int = 100, transcript=None) -> LearnResult:
-    """Refine hypotheses until ``find_counterexample`` comes up empty.
+    """Refine L# hypotheses until ``find_counterexample`` comes up empty.
 
     ``find_counterexample(machine)`` returns a disagreeing input word or
-    ``None``.  On budget exhaustion or round overrun the best hypothesis is
-    attached to a ``PartialResultError``.
+    ``None``.  On budget exhaustion, round overrun or a failed transport the
+    best hypothesis is attached to a ``PartialResultError``.
     """
-    table = ObservationTable(alphabet, oracle)
+    learner = _LSharp(oracle, alphabet)
     _emit(transcript, {"event": "start",
-                       "alphabet": word_to_obj(table.alphabet),
+                       "alphabet": word_to_obj(learner.alphabet),
                        "votes": oracle.votes})
     hypothesis = None
     rounds = 0
     try:
         while True:
+            learner._settle()
+            hypothesis = learner._hypothesis()
+            split = learner._inconsistency()
+            if split is not None:
+                learner._process(*split)
+                continue
             if rounds >= max_rounds:
                 raise PartialResultError(
                     f"no stable model after {max_rounds} refinement rounds",
                     hypothesis, oracle.stats)
             rounds += 1
-            table.stabilize()
-            hypothesis = table.hypothesis()
             _emit(transcript, {"event": "hypothesis", "round": rounds,
                                "states": len(hypothesis.states)})
             cex = find_counterexample(hypothesis)
@@ -237,20 +474,22 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
             cex = tuple(cex)
             _emit(transcript, {"event": "counterexample", "round": rounds,
                                "word": word_to_obj(cex)})
-            table.add_distinguishing_suffixes(cex)
+            oracle.query(cex)
+            split = learner._disagreement(learner.tree._ids(cex))
+            if split is not None:
+                learner._process(*split)
     except _BudgetExhausted:
         raise PartialResultError(
             f"query budget of {oracle.max_trials} trials exhausted",
             hypothesis, oracle.stats) from None
+    except TransportError as exc:
+        raise PartialResultError(f"transport failed: {exc}",
+                                 hypothesis, oracle.stats) from exc
 
 
 # ---------------------------------------------------------------------------
 # Conformance suite
 # ---------------------------------------------------------------------------
-
-def _word_key(word) -> tuple:
-    return (len(word), tuple(symbol_sort_key(s) for s in word))
-
 
 def _separating_suffixes(m: MealyMachine) -> dict:
     """For every pair of states of the minimal machine ``m``, a shortest
@@ -409,7 +648,8 @@ def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:
         if extra <= depth:
             layer = {head + (a,): m.transitions[(state, a)][0]
                      for head, state in layer.items() for a in m.input_alphabet}
-    return tuple(sorted(words, key=_word_key))
+    rank = {a: i for i, a in enumerate(sorted(m.input_alphabet, key=symbol_sort_key))}
+    return tuple(sorted(words, key=lambda w: (len(w), [rank[a] for a in w])))
 
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,

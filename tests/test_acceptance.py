@@ -8,7 +8,7 @@ Guarantees covered, one test each:
 
 1.  Model learning on the reference cluster is exact: the learned machine
     is isomorphic to an independently product-constructed ground truth, in
-    under 60 seconds.  So is learning with each of the vulnerability flags
+    under 60 seconds and at most 12,000 sessions.  So is learning with each of the vulnerability flags
     session_flood, clear_store, fake_link, fake_member and unauth_join on
     its own.
 2.  Seed extraction agrees with a brute-force first-visit walk on 1,000
@@ -124,13 +124,17 @@ def reference_learn():
 # ---------------------------------------------------------------------------
 
 def test_learner_exactness_on_reference_cluster(reference_learn):
-    learned, _oracle, elapsed = reference_learn
+    learned, oracle, elapsed = reference_learn
     truth = minimize(ground_truth_machine())
     assert isomorphic(learned, truth)
     assert len(learned.states) == len(truth.states) == 6
     assert elapsed < 60.0
+    # The L# observation tree learns it in 11,026 sessions; the L* table it
+    # replaced took 16,156 with the same conformance suite.
+    assert oracle.trials <= 12_000
     print(f"PASS learner exactness: {len(learned.states)} states isomorphic "
-          f"to product-constructed ground truth in {elapsed:.1f}s", flush=True)
+          f"to product-constructed ground truth in {oracle.trials} sessions, "
+          f"{elapsed:.1f}s", flush=True)
 
 
 @pytest.mark.parametrize("vuln", ["session_flood", "clear_store", "fake_link",

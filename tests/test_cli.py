@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from statefuzz.alphabet import word_to_obj
+from statefuzz import cli
 from statefuzz.cli import (
-    EXIT_BUDGET_EXHAUSTED, EXIT_NONDETERMINISM, EXIT_OK, EXIT_USAGE,
-    EXIT_VERDICT_MISMATCH, main,
+    EXIT_BUDGET_EXHAUSTED, EXIT_NONDETERMINISM, EXIT_OK, EXIT_TRANSPORT,
+    EXIT_USAGE, EXIT_VERDICT_MISMATCH, main,
 )
 from statefuzz.mealy import MealyMachine
+from statefuzz.proxy import TransportError
 
 from test_learner import LADDER_ALPHABET
 
@@ -145,6 +147,33 @@ class TestLearn:
         assert rc == EXIT_BUDGET_EXHAUSTED
         assert "stopped early" in capsys.readouterr().err
         assert not (tmp_path / "b" / "machine.json").exists()
+
+    @pytest.mark.parametrize("sessions", [0, 100])
+    def test_transport_failure_exits_transport_with_partial_model(
+            self, workspace, tmp_path, monkeypatch, capsys, sessions):
+        # The transport drops after the given number of sessions: before the
+        # first hypothesis (nothing to save) or after a few of them.
+        class DroppingTransport(cli.InProcessTransport):
+            resets = 0
+
+            def reset(self):
+                if DroppingTransport.resets == sessions:
+                    raise TransportError("connection lost")
+                DroppingTransport.resets += 1
+                return super().reset()
+
+        monkeypatch.setattr(cli, "InProcessTransport", DroppingTransport)
+        out = tmp_path / "t"
+        rc = main(["learn", "--config", config_path(workspace),
+                   "--out-dir", str(out)])
+        assert rc == EXIT_TRANSPORT
+        assert "connection lost" in capsys.readouterr().err
+        assert not (out / "machine.json").exists()
+        partial = out / "machine-partial.json"
+        assert partial.exists() == (sessions > 0)
+        if sessions:
+            machine = MealyMachine.from_json(partial.read_text())
+            assert 1 < len(machine.states) < 6
 
     def test_unknown_vulnerability_flag_exits_usage(self, workspace, tmp_path,
                                                     capsys):

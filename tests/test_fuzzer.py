@@ -9,7 +9,8 @@ import pytest
 
 from statefuzz.alphabet import (
     DEAD, KNOWN, NO_RESPONSE, UNKNOWN, BREQ, PRES, RCONREQ, RCOMREQ, RJREQ,
-    DATA_APP, OP_ADD, AlphabetConfig, NodeRef, Symbol, input_domains,
+    DATA_APP, OP_ADD, AlphabetConfig, DecodeError, NodeRef, Symbol,
+    input_domains,
 )
 from statefuzz.detector import (
     ALL_CRITERIA, Baseline, Detector, CRIT_APP_CHANGE, CRIT_CONFIG_LEAK,
@@ -20,7 +21,6 @@ from statefuzz.fuzzer import (
     MUT_SWAP_ARG, CampaignReport, FuzzCase, MutationRecord, apply_mutation,
     mutate, replay_case, run_campaign, sdfs_extract,
 )
-from statefuzz.learner import NondeterminismError
 from statefuzz.mealy import MealyMachine, PrunePolicy
 from statefuzz.proxy import ClusterProxy, InProcessTransport
 from statefuzz.sulsim import (
@@ -310,11 +310,12 @@ class TestCampaign:
             transport = None
 
             def query(self, word):
-                raise NondeterminismError(word, ())
+                raise DecodeError("bad probe status: 'maybe'")
 
         report = run_campaign(Exploding(), machine, detector, rng_seed=1,
                               max_cases=5, domains=DOMAINS)
-        assert len(report.errors) == 5
+        assert report.errors == tuple(
+            (case_id, "bad probe status: 'maybe'") for case_id in range(5))
         assert report.findings == ()
         assert report.cases_run == 5
 

@@ -1,10 +1,11 @@
 """Tests for active model inference: the voting membership oracle, the
-observation table loop, conformance search, and an end-to-end learn of the
-simulated cluster on a restricted alphabet."""
+observation tree and the L# loop, conformance search, and an end-to-end
+learn of the simulated cluster on a restricted alphabet."""
 from __future__ import annotations
 
 import io
 import itertools
+import math
 import random
 from collections import deque
 
@@ -16,13 +17,13 @@ from statefuzz.alphabet import (
     DATA_APP, OP_ADD, NodeRef, Symbol,
 )
 from statefuzz.learner import (
-    LearnResult, MembershipOracle, NondeterminismError, ObservationTable,
-    PartialResultError, _BudgetExhausted, _harmonized_identifiers,
-    _identification_sets, _splitting_word, lstar_learn, wmethod_counterexample,
+    LearnResult, MembershipOracle, NondeterminismError, PartialResultError,
+    _BudgetExhausted, _LSharp, _harmonized_identifiers, _identification_sets,
+    _splitting_word, lstar_learn, wmethod_counterexample,
     wmethod_suite,
 )
 from statefuzz.mealy import MealyMachine, isomorphic, minimize
-from statefuzz.proxy import ClusterProxy, InProcessTransport
+from statefuzz.proxy import ClusterProxy, InProcessTransport, TransportError
 from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 from helpers import (
@@ -182,52 +183,164 @@ class TestMembershipOracle:
 
 
 # ---------------------------------------------------------------------------
-# Observation table mechanics
+# Observation tree mechanics
 # ---------------------------------------------------------------------------
 
-class TestObservationTable:
-    def test_counterexample_installs_all_suffixes(self):
-        t0 = build_t0()
-        table = ObservationTable(t0.input_alphabet,
-                                 MembershipOracle(t0.run_outputs, votes=1))
-        cex = (T0_PROBE, T0_JOIN, T0_HEARTBEAT)
-        table.add_distinguishing_suffixes(cex)
-        for i in range(len(cex)):
-            assert cex[i:] in table.suffixes
-        before = len(table.suffixes)
-        table.add_distinguishing_suffixes(cex)
-        assert len(table.suffixes) == before  # idempotent
+def recording_backend(machine, answers):
+    """``machine.run_outputs`` that also records the answer of every prefix
+    of every asked word: an independent copy of what the tree holds."""
 
-    def test_prefix_rows_stay_distinct_so_no_consistency_check_is_needed(self):
-        # A prefix joins only with a new row and columns are only appended,
-        # so the prefix rows stay pairwise distinct through stabilize() and
-        # through counterexample processing: the table is never inconsistent.
-        def check(table, closed):
-            rows = [table.row(s) for s in table.prefixes]
-            assert len(set(rows)) == len(rows)
-            if closed:
-                assert all(table.row(s + (a,)) in set(rows)
-                           for s in table.prefixes for a in table.alphabet)
+    def query(word):
+        outputs = machine.run_outputs(word)
+        for i in range(len(word) + 1):
+            answers[tuple(word[:i])] = outputs[:i]
+        return outputs
 
-        counterexamples = 0
+    return query
+
+
+def apart_in(answers, u, v):
+    """Some suffix answered after both words gets different last outputs."""
+    n = len(u)
+    return any(w[:n] == u and v + w[n:] in answers
+               and answers[w][-1] != answers[v + w[n:]][-1]
+               for w in answers if len(w) > n)
+
+
+def lock_machine(n):
+    """An n-state combination lock: ``in_a`` advances, ``in_b`` resets, and
+    only the n-th ``in_a`` in a row answers."""
+    a, b = Symbol("in_a"), Symbol("in_b")
+    quiet, open_ = (NO_RESPONSE,), (Symbol("out_x"),)
+    transitions = {}
+    for i in range(n):
+        transitions[(f"l{i}", a)] = (f"l{(i + 1) % n}", open_ if i == n - 1 else quiet)
+        transitions[(f"l{i}", b)] = ("l0", quiet)
+    return MealyMachine(states=tuple(f"l{i}" for i in range(n)), initial="l0",
+                        input_alphabet=(a, b), transitions=transitions)
+
+
+class TestObservationTree:
+    def test_basis_apart_and_frontier_one_candidate_at_every_hypothesis(
+            self, monkeypatch):
+        checked = []
+        build = _LSharp._hypothesis
+
+        def checking_build(learner):
+            letters = learner.tree._letters
+            access = {node: tuple(letters[a] for a in word)
+                      for node, word in learner.access.items()}
+            basis = [access[b] for b in learner.basis]
+            for u, v in itertools.combinations(basis, 2):
+                assert apart_in(answers, u, v)
+            for node, candidates in learner.frontier.items():
+                compatible = [b for b in learner.basis
+                              if not apart_in(answers, access[node], access[b])]
+                assert compatible == candidates
+                assert len(compatible) == 1
+            checked.append(len(basis))
+            return build(learner)
+
+        monkeypatch.setattr(_LSharp, "_hypothesis", checking_build)
         for seed in range(10):
             truth = random_machine(random.Random(seed))
+            answers = {}
+            oracle = MembershipOracle(recording_backend(truth, answers), votes=1)
+            result = lstar_learn(
+                oracle, truth.input_alphabet,
+                lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
+            assert isomorphic(result.machine, minimize(truth)), seed
+        assert len(checked) > 10 and max(checked) > 4
+
+    def test_counterexample_costs_logarithmic_sessions(self, monkeypatch):
+        # From the moment the equivalence check returns a counterexample of
+        # length m until binary search ends at a frontier node apart from its
+        # candidate, which leaves that node without candidates: one session
+        # for the counterexample itself, then one per halving.  Where a
+        # random 20-letter prefix keeps the counterexample one, the padded
+        # word is returned; on the locks a linear search pays for the pad.
+        costs, pending = [], []
+        process = _LSharp._process
+
+        def timed_process(learner, word, witness):
+            process(learner, word, witness)
+            if pending:
+                start, m = pending.pop()
+                costs.append((learner.oracle.trials - start, m))
+            assert not all(learner.frontier.values())
+
+        monkeypatch.setattr(_LSharp, "_process", timed_process)
+        targets = [random_machine(random.Random(seed)) for seed in range(12)]
+        targets += [lock_machine(n) for n in range(3, 10)]
+        for seed, truth in enumerate(targets):
             oracle = MembershipOracle(truth.run_outputs, votes=1)
-            table = ObservationTable(truth.input_alphabet, oracle)
-            while True:
-                table.stabilize()
-                check(table, closed=True)
-                cex = wmethod_counterexample(table.hypothesis(), oracle, depth=1)
-                if cex is None:
-                    break
-                counterexamples += 1
-                table.add_distinguishing_suffixes(cex)
-                check(table, closed=False)
-        assert counterexamples > 0
+            exact = perfect_counterexample(truth)
+            rng = random.Random(seed)
+
+            def find(hyp):
+                cex = exact(hyp)
+                if cex is not None:
+                    padded = tuple(rng.choice(truth.input_alphabet)
+                                   for _ in range(20)) + cex
+                    if truth.run_outputs(padded) != hyp.run_outputs(padded):
+                        cex = padded
+                    pending.append((oracle.trials, len(cex)))
+                return cex
+
+            result = lstar_learn(oracle, truth.input_alphabet, find)
+            assert isomorphic(result.machine, minimize(truth)), seed
+            assert not pending
+        assert len(costs) >= 20 and max(m for _, m in costs) >= 24
+        for spent, m in costs:
+            assert spent <= math.ceil(math.log2(m)) + 1, (spent, m)
+
+    def test_tree_stores_each_distinct_prefix_once(self):
+        for seed in range(10):
+            truth = random_machine(random.Random(seed))
+            query, calls = counting_backend(truth)
+            oracle = MembershipOracle(query, votes=1)
+            lstar_learn(oracle, truth.input_alphabet,
+                        lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
+            assert len(calls) == len(set(calls))
+            prefixes = {word[:i] for word in calls for i in range(len(word) + 1)}
+            assert len(oracle.tree) == len(prefixes)
+            for prefix in prefixes:
+                assert oracle.query(prefix) == truth.run_outputs(prefix)
+            assert oracle.trials == len(calls)
+
+    def test_conflicting_answer_stores_nothing(self):
+        good = build_t0().run_outputs
+
+        def backend(word):
+            out = list(good(word))
+            if len(word) == 3:
+                out[1] = (NO_RESPONSE,)  # contradicts the answer for word[:2]
+            return tuple(out)
+
+        oracle = MembershipOracle(backend, votes=1)
+        oracle.query((T0_PROBE, T0_JOIN))
+        size = len(oracle.tree)
+        with pytest.raises(NondeterminismError) as err:
+            oracle.query((T0_PROBE, T0_JOIN, T0_HEARTBEAT))
+        assert err.value.word == (T0_PROBE, T0_JOIN)
+        assert len(oracle.tree) == size
+        assert oracle.query((T0_PROBE, T0_JOIN)) == good((T0_PROBE, T0_JOIN))
+
+    def test_rerunning_a_passed_suite_sends_no_session(self):
+        for seed in range(5):
+            truth = random_machine(random.Random(seed))
+            oracle = MembershipOracle(truth.run_outputs, votes=1)
+            result = lstar_learn(
+                oracle, truth.input_alphabet,
+                lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
+            trials = oracle.trials
+            assert wmethod_counterexample(result.machine, oracle, depth=1) is None
+            assert oracle.trials == trials
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
-            ObservationTable((), MembershipOracle(lambda w: (), votes=1))
+            lstar_learn(MembershipOracle(lambda w: (), votes=1), (),
+                        lambda hyp: None)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +377,24 @@ class TestLStar:
                         lambda hyp: (T0_PROBE,) * 3, max_rounds=2)
         assert err.value.hypothesis is not None
         assert "2" in str(err.value)
+
+    def test_transport_failure_carries_partial_result(self):
+        truth = build_t0()
+        calls = itertools.count()
+
+        def dropping(word):
+            if next(calls) == 20:
+                raise TransportError("link down")
+            return truth.run_outputs(word)
+
+        oracle = MembershipOracle(dropping, votes=1)
+        with pytest.raises(PartialResultError) as err:
+            lstar_learn(oracle, truth.input_alphabet,
+                        lambda hyp: wmethod_counterexample(hyp, oracle, depth=2))
+        assert isinstance(err.value.__cause__, TransportError)
+        assert "link down" in str(err.value)
+        assert err.value.hypothesis is not None
+        assert err.value.stats["resolved_queries"] == 20
 
     def test_nondeterministic_target_raises(self):
         rng = random.Random(1)

@@ -165,6 +165,8 @@ def check_learner_section(lcfg: dict, alphabet: list) -> tuple:
         _require_ints("learner", lcfg, ("max_queries",))
     if lcfg["eq_depth"] < 1:
         raise ConfigFileError("learner.eq_depth must be at least 1")
+    if lcfg["max_rounds"] < 1:
+        raise ConfigFileError("learner.max_rounds must be at least 1")
     if not lcfg["letters"]:
         return tuple(alphabet)
     try:
@@ -181,6 +183,15 @@ def check_learner_section(lcfg: dict, alphabet: list) -> tuple:
 
 def check_fuzz_section(fcfg: dict) -> None:
     _require_ints("fuzz", fcfg, ("budget", "seed"))
+    bounds = fcfg["mutations"]
+    if not (isinstance(bounds, list) and len(bounds) == 2
+            and all(isinstance(n, int) and not isinstance(n, bool) for n in bounds)
+            and 1 <= bounds[0] <= bounds[1]):
+        raise ConfigFileError(
+            f"fuzz.mutations must be two integers 1 <= low <= high, not {bounds!r}")
+    if not isinstance(fcfg["dedupe"], bool):
+        raise ConfigFileError(
+            f"fuzz.dedupe must be true or false, not {fcfg['dedupe']!r}")
     weights = fcfg["weights"]
     if weights is not None and not (
             isinstance(weights, dict) and set(weights) == set(ALL_MUTATIONS)
@@ -304,7 +315,6 @@ def cmd_fuzz(args) -> int:
     if args.shards < 1:
         raise ConfigFileError("shards must be positive")
     try:
-        mutations_range = tuple(fcfg["mutations"])
         pruned = machine.prune(
             PrunePolicy(others_labels=frozenset(fcfg["prune_others"])))
     except (TypeError, ValueError) as exc:
@@ -327,8 +337,8 @@ def cmd_fuzz(args) -> int:
             reports.append(run_campaign(
                 proxy, pruned, detector, rng_seed=shard_seed,
                 max_cases=shard_budget, domains=domains,
-                weights=fcfg["weights"], dedupe=bool(fcfg["dedupe"]),
-                mutations_range=mutations_range))
+                weights=fcfg["weights"], dedupe=fcfg["dedupe"],
+                mutations_range=tuple(fcfg["mutations"])))
         except ValueError as exc:
             raise ConfigFileError(f"campaign cannot run: {exc}") from exc
 

@@ -19,14 +19,16 @@ it is not apart from.  The rules:
 Candidates are kept incrementally: a frontier node is re-tested after a
 separation query extended it, every frontier node is tested against a node
 promoted into the basis, and once per hypothesis every frontier node is
-re-tested against its candidate, because basis subtrees grow too.  Before
-the conformance suite sees a hypothesis, the learner walks the tree along it
-once: a disagreement there is a counterexample for free.  Each counterexample is
-processed by binary search (Rivest and Schapire, Inf. & Comp. 1993, in the
-form L# gives it), one session per halving, down to a frontier node that is
-apart from its candidate.  The loop ends when the suite finds no
-disagreement, and the result is the minimized hypothesis, so state names do
-not depend on which counterexamples led to it.
+re-tested against its candidate, because basis subtrees grow too.  Every
+hypothesis is checked against the whole tree by one breadth-first walk
+before the conformance suite sees it.  A counterexample from the suite is
+only asked: it joins the tree, the rules run on it, and the walk finds the
+shortest disagreement left, so each disagreement is found in one place.  A
+disagreement is processed by binary search (Rivest and Schapire, Inf. &
+Comp. 1993, in the form L# gives it), one session per halving, down to a
+frontier node that is apart from its candidate.  The loop ends when the
+suite finds no disagreement, and the result is the minimized hypothesis, so
+state names do not depend on which counterexamples led to it.
 
 The suite identifies the state each test word reaches with one word: the
 state's path through a greedy adaptive distinguishing sequence (ADS) of the
@@ -159,24 +161,7 @@ class ObservationTree:
 
     def _apart(self, p, q) -> bool:
         """Whether some word answered from both nodes gets different outputs."""
-        kids, out = self._kids, self._out
-        if kids[p] is None or kids[q] is None:
-            return False
-        stack = [(p, q)]
-        while stack:
-            p, q = stack.pop()
-            pk, qk = kids[p], kids[q]
-            if len(pk) > len(qk):
-                pk, qk = qk, pk
-            for a, pc in pk.items():
-                qc = qk.get(a)
-                if qc is None:
-                    continue
-                if out[pc] is not out[qc]:
-                    return True
-                if kids[pc] is not None and kids[qc] is not None:
-                    stack.append((pc, qc))
-        return False
+        return self._witness(p, q) is not None
 
     def _witness(self, p, q):
         """A shortest word on which the two nodes answer differently, as
@@ -242,8 +227,8 @@ class MembershipOracle:
             result = tuple(self.query_fn(word))
             if len(result) != len(word):
                 raise ValueError("query backend returned wrong number of reactions")
-            counts[result] = counts.get(result, 0) + 1
-            if counts[result] >= needed:
+            count = counts[result] = counts.get(result, 0) + 1
+            if count >= needed:
                 outcome = result
                 break
             remaining = self.votes - attempts
@@ -384,18 +369,6 @@ class _LSharp:
             level = deeper
         return None
 
-    def _disagreement(self, ids):
-        """Where the tree, which holds ``ids``, and the hypothesis first
-        disagree along it, as ``(prefix, (letter,))``, or ``None``."""
-        kids, out, rows = self.tree._kids, self.tree._out, self.rows
-        node = state = 0
-        for i, a in enumerate(ids):
-            node = kids[node][a]
-            state, output = rows[state][a]
-            if out[node] is not output:
-                return tuple(ids[:i]), (a,)
-        return None
-
     def _process(self, word, witness):
         """Counterexample processing by binary search.
 
@@ -475,9 +448,6 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
             _emit(transcript, {"event": "counterexample", "round": rounds,
                                "word": word_to_obj(cex)})
             oracle.query(cex)
-            split = learner._disagreement(learner.tree._ids(cex))
-            if split is not None:
-                learner._process(*split)
     except _BudgetExhausted:
         raise PartialResultError(
             f"query budget of {oracle.max_trials} trials exhausted",
@@ -648,7 +618,7 @@ def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:
         if extra <= depth:
             layer = {head + (a,): m.transitions[(state, a)][0]
                      for head, state in layer.items() for a in m.input_alphabet}
-    rank = {a: i for i, a in enumerate(sorted(m.input_alphabet, key=symbol_sort_key))}
+    rank = {a: i for i, a in enumerate(m.input_alphabet)}
     return tuple(sorted(words, key=lambda w: (len(w), [rank[a] for a in w])))
 
 

@@ -25,9 +25,9 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class PrunePolicy:
-    """What to hide from traversal: self-loops and keep-alive style letters."""
+    """Keep-alive style letters to hide from traversal; self-loops are
+    always hidden."""
 
-    drop_self_loops: bool = True
     others_labels: frozenset = frozenset()
 
     def is_other(self, letter: Symbol) -> bool:
@@ -117,7 +117,7 @@ class MealyMachine:
         mask = frozenset(
             (s, a)
             for (s, a), (nxt, _) in self.transitions.items()
-            if not (policy.drop_self_loops and nxt == s) and not policy.is_other(a)
+            if nxt != s and not policy.is_other(a)
         )
         return replace(self, traversal_mask=mask)
 

@@ -24,7 +24,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 from .alphabet import (
@@ -216,37 +216,14 @@ class ClusterHandle:
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
         self._switches, self._real_links, self._mastership = _topology(cfg)
-        self._decode_cfg = AlphabetConfig(
-            members=tuple(sorted(cfg.members)),
-            self_id="__sim_peer__",
-            cluster_id=cfg.cluster_id,
-            unknown_id="__sim_nz__",
-        )
-        self._steady_snapshot = None
-        self.reset()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def reset(self):
-        """Back to the initial configuration at tick 0, same seed."""
-        cfg = self.cfg
-        self.now = 0
-        self._seq = 0
-        self._events = []
-        self._emissions = []
-        self._emit_ts = 0
-        self._last_in_ts = {}
-        self.nodes = {m: _Node() for m in cfg.members}
-        self.leader_id = None
-        self.cluster_term = 0
-        self.leaders_by_term = {}
-        self.apps = list(cfg.apps)
-        self.fake_links = set()
-        self.sessions = []
-        self.dead_marks = {}
-        self.flap_count = 0
-        self.dummy = _DummyPeer()
-        self.rejected_frames = 0
+        self._decode_cfg = default_alphabet(cfg, self_id="__sim_peer__",
+                                            unknown_id="__sim_nz__")
+        self._restore({
+            "now": 0, "seq": 0, "events": [], "emit_ts": 0,
+            "nodes": {m: astuple(_Node()) for m in cfg.members},
+            "leader_id": None, "cluster_term": 0, "leaders_by_term": {},
+            "apps": cfg.apps,
+        })
         rng = random.Random(cfg.seed)
         lo, hi = cfg.election_timeout_range
         deadlines = rng.sample(range(lo, hi + 1), len(cfg.members))
@@ -254,6 +231,15 @@ class ClusterHandle:
             self._schedule(deadline, "election_check", member)
         self._schedule(cfg.heartbeat_threshold, "swim_round", None)
         self._schedule(cfg.reap_interval, "session_reap", None)
+        self._initial_snapshot = self._snapshot()
+        self._steady_snapshot = None
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def reset(self):
+        """Back to the initial configuration at tick 0, same seed: restores
+        the snapshot taken when the handle was built."""
+        self._restore(self._initial_snapshot)
 
     def run_until_steady(self) -> int:
         """Put the cluster into its converged baseline state; return the
@@ -261,9 +247,9 @@ class ClusterHandle:
 
         The baseline is what the seed reaches from tick 0 once one leader
         exists and liveness rounds are underway.  The first call simulates
-        it from a fresh :meth:`reset` and caches a snapshot; every later call
-        restores that snapshot in one step, whatever happened in between.
-        Both paths give the same state (asserted by tests).
+        it from :meth:`reset` and caches a snapshot; every later call restores
+        that snapshot in one step, whatever happened in between.  Both paths
+        give the same state (asserted by tests).
         """
         if self._steady_snapshot is not None:
             self._restore(self._steady_snapshot)
@@ -296,6 +282,7 @@ class ClusterHandle:
         }
 
     def _restore(self, snap):
+        """Set every state field: those of ``snap``, and empty session state."""
         self.now = snap["now"]
         self._seq = snap["seq"]
         self._events = list(snap["events"])
@@ -395,6 +382,7 @@ class ClusterHandle:
         self.leaders_by_term[term] = leader
         self.leader_id = leader
         self.cluster_term = term
+        self.dummy.is_leader = leader not in self.nodes
         for m, node in self.nodes.items():
             node.term = term
             node.role = "leader" if m == leader else "follower"
@@ -491,7 +479,7 @@ class ClusterHandle:
                 content = sorted(members) if VULN_UNAUTH_JOIN in vulns else []
                 self._emit(Symbol(BRES, ()), payload={"nodes": content})
             elif VULN_UNAUTH_JOIN in vulns and d.configured and d.join_wait and not d.admitted:
-                self._admit_dummy()
+                d.admitted = True
                 self._emit(Symbol(RJRES, ()), payload={})
             return
 
@@ -502,7 +490,7 @@ class ClusterHandle:
                 if d.admitted:
                     self._emit(Symbol(RJRES, ()), payload={})
                 elif d.configured:
-                    self._admit_dummy()
+                    d.admitted = True
                     self._emit(Symbol(RJRES, ()), payload={})
                 else:
                     d.join_wait = True
@@ -524,7 +512,7 @@ class ClusterHandle:
             candidate = sym.params[0].id
             if VULN_SEIZE_LEADER in vulns and isinstance(term, int) and term > self.cluster_term:
                 new_leader = candidate if candidate in members else msg.sender
-                self._set_leader_external(new_leader, term)
+                self._set_leader(new_leader, term)
                 self._emit(Symbol(RVRES, ()), payload={"verdict": APPROVED})
             elif d.join_wait and not d.vote_seen:
                 d.vote_seen = True
@@ -568,27 +556,6 @@ class ClusterHandle:
 
         # Response-type letters (RJRes, RConRes, RVRes, RComRes, RARes) and
         # alive gossip arriving unsolicited are ignored.
-
-    def _admit_dummy(self):
-        self.dummy.admitted = True
-
-    def _set_leader_external(self, leader, term):
-        if leader in self.cfg.members:
-            self._set_leader(leader, term)
-            self.dummy.is_leader = False
-        else:
-            if term < self.cluster_term:
-                raise SimulationError("term went backwards")
-            prior = self.leaders_by_term.get(term)
-            if prior is not None and prior != leader:
-                raise SimulationError(f"two leaders in term {term}")
-            self.leaders_by_term[term] = leader
-            self.cluster_term = term
-            self.leader_id = leader
-            self.dummy.is_leader = True
-            for node in self.nodes.values():
-                node.term = term
-                node.role = "follower"
 
     # -- emission ----------------------------------------------------------
 

@@ -100,6 +100,7 @@ class TestLearn:
         {"votes": True},
         {"eq_depth": 0},
         {"max_rounds": 2.5},
+        {"max_rounds": 0},
         {"max_queries": "100"},
     ])
     def test_malformed_learner_section_exits_usage_before_any_session(
@@ -276,6 +277,14 @@ class TestFuzz:
         {"weights": [1, 1, 1, 1]},
         {"budget": "5"},
         {"seed": 1.5},
+        {"mutations": ["a", "b"]},
+        {"mutations": [1, 2, 3]},
+        {"mutations": [0, 2]},
+        {"mutations": [3, 1]},
+        {"mutations": [True, 2]},
+        {"mutations": 2},
+        {"dedupe": "no"},
+        {"dedupe": 1},
     ])
     def test_malformed_fuzz_section_exits_usage(self, workspace, tmp_path,
                                                 capsys, fuzz):

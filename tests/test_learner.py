@@ -253,23 +253,28 @@ class TestObservationTree:
         assert len(checked) > 10 and max(checked) > 4
 
     def test_counterexample_costs_logarithmic_sessions(self, monkeypatch):
-        # From the moment the equivalence check returns a counterexample of
-        # length m until binary search ends at a frontier node apart from its
-        # candidate, which leaves that node without candidates: one session
-        # for the counterexample itself, then one per halving.  Where a
-        # random 20-letter prefix keeps the counterexample one, the padded
-        # word is returned; on the locks a linear search pays for the pad.
-        costs, pending = [], []
-        process = _LSharp._process
+        # A counterexample costs one session to ask; the rules then run on it
+        # and the tree walk hands the disagreement (word, witness) to binary
+        # search, which asks one session per halving and ends at a frontier
+        # node apart from its candidate, so that node has no candidates left.
+        # Where a random 20-letter prefix keeps the counterexample one, the
+        # padded word is returned; on the locks a linear search pays for it.
+        costs, asked = [], []
+        process, settle = _LSharp._process, _LSharp._settle
 
         def timed_process(learner, word, witness):
+            start = learner.oracle.trials
             process(learner, word, witness)
-            if pending:
-                start, m = pending.pop()
-                costs.append((learner.oracle.trials - start, m))
+            costs.append((learner.oracle.trials - start, len(word)))
             assert not all(learner.frontier.values())
 
+        def timed_settle(learner):
+            if asked:
+                assert learner.oracle.trials - asked.pop() <= 1
+            settle(learner)
+
         monkeypatch.setattr(_LSharp, "_process", timed_process)
+        monkeypatch.setattr(_LSharp, "_settle", timed_settle)
         targets = [random_machine(random.Random(seed)) for seed in range(12)]
         targets += [lock_machine(n) for n in range(3, 10)]
         for seed, truth in enumerate(targets):
@@ -284,15 +289,15 @@ class TestObservationTree:
                                    for _ in range(20)) + cex
                     if truth.run_outputs(padded) != hyp.run_outputs(padded):
                         cex = padded
-                    pending.append((oracle.trials, len(cex)))
+                    asked.append(oracle.trials)
                 return cex
 
             result = lstar_learn(oracle, truth.input_alphabet, find)
             assert isomorphic(result.machine, minimize(truth)), seed
-            assert not pending
-        assert len(costs) >= 20 and max(m for _, m in costs) >= 24
-        for spent, m in costs:
-            assert spent <= math.ceil(math.log2(m)) + 1, (spent, m)
+            assert not asked
+        assert len(costs) >= 20 and max(n for _, n in costs) >= 24
+        for spent, n in costs:
+            assert spent <= math.ceil(math.log2(n + 1)), (spent, n)
 
     def test_tree_stores_each_distinct_prefix_once(self):
         for seed in range(10):

@@ -191,6 +191,15 @@ class TestConvergence:
         assert (a.now, a.leader_id, a.cluster_term, a.observe().to_dict()) == fingerprint
         assert a._snapshot() == b._snapshot()
 
+    def test_reset_returns_to_a_fresh_tick_zero(self):
+        a = steady(ALL_VULNERABILITIES, seed=3)
+        send_word(a, Ctx(), [BREQ_FULL, RJREQ_SELF, RCOM_CLEAR, PRES_DEAD])
+        a.reset()
+        b = spawn_cluster(a.cfg)
+        assert (a.now, a._snapshot()) == (0, b._snapshot())
+        assert a.session_fingerprint() == b.session_fingerprint()
+        assert a.observe().to_dict() == b.observe().to_dict()
+
     def test_reset_replays_identical_reply_stream(self):
         word = [PREQ_SELF, BREQ_FULL, RJREQ_SELF, RVREQ_CUR, PREQ_N1]
         handle = steady()
@@ -406,6 +415,17 @@ class TestSeizeLeader:
         send(handle, ctx, RVREQ_SELF_HI)
         out = send(handle, ctx, RAREQ_S)
         assert [s.tag for s in out] == ["RARes"]
+
+    def test_member_takes_leadership_back_from_the_dummy(self):
+        handle = steady([VULN_SEIZE_LEADER])
+        ctx = Ctx(base_term=handle.cluster_term)
+        send(handle, ctx, RVREQ_SELF_HI)
+        send(handle, ctx, RVREQ_HI)
+        assert not handle.dummy.is_leader
+        assert [m for m, n in handle.nodes.items() if n.role == "leader"] == ["n1"]
+        assert list(handle.leaders_by_term.values())[-2:] == ["dummy", "n1"]
+        assert send(handle, ctx, RAREQ_S) == []
+        assert handle.dummy.locked
 
     def test_current_term_vote_still_refused(self):
         handle = steady([VULN_SEIZE_LEADER])

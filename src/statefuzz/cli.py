@@ -32,8 +32,8 @@ import sys
 from pathlib import Path
 
 from .alphabet import (
-    ConfigError, enumerate_input_alphabet, input_domains, symbol_label,
-    word_from_obj,
+    NORESPONSE, TAG_ORDER, ConfigError, enumerate_input_alphabet,
+    input_domains, symbol_label, word_from_obj,
 )
 from .detector import ALL_CRITERIA, Baseline, Detector, Finding
 from .fuzzer import (
@@ -44,7 +44,7 @@ from .learner import (
     wmethod_counterexample,
 )
 from .mealy import MealyMachine, PrunePolicy
-from .proxy import ClusterProxy, InProcessTransport, TransportError
+from .proxy import ClusterProxy, TransportError
 from .sulsim import (
     ALL_VULNERABILITIES, ClusterConfig, default_alphabet, spawn_cluster,
 )
@@ -93,8 +93,8 @@ def load_config(path: str | None) -> dict:
     """Parse the run configuration, filling defaults section by section.
 
     A key that a section does not define is an error, so a misspelt setting
-    cannot silently fall back to its default; ``cluster`` keys are checked by
-    ``ClusterConfig.from_dict``."""
+    cannot silently fall back to its default; ``cluster`` keys and values
+    are checked by ``ClusterConfig.from_dict``."""
     if path is None:
         doc = {}
     else:
@@ -138,18 +138,25 @@ def parse_vulns(text: str) -> frozenset:
 def cluster_from_config(config: dict, args) -> ClusterConfig:
     try:
         ccfg = ClusterConfig.from_dict(config["cluster"])
-    except (TypeError, ConfigError) as exc:
+    except ValueError as exc:
         raise ConfigFileError(f"bad cluster section: {exc}") from exc
-    if getattr(args, "vulns", None) is not None:
+    if args.vulns is not None:
         ccfg = dataclasses.replace(ccfg, vulnerabilities=parse_vulns(args.vulns))
-    if getattr(args, "seed", None) is not None and args.command == "learn":
+    if args.command == "learn" and args.seed is not None:
         ccfg = dataclasses.replace(ccfg, seed=args.seed)
     return ccfg
 
 
 def alphabet_from(ccfg: ClusterConfig, section: dict):
-    return default_alphabet(ccfg, self_id=section["self_id"],
-                            unknown_id=section["unknown_id"])
+    for key in ("self_id", "unknown_id"):
+        if not (isinstance(section[key], str) and section[key]):
+            raise ConfigFileError(
+                f"alphabet.{key} must be a non-empty string, not {section[key]!r}")
+    try:
+        return default_alphabet(ccfg, self_id=section["self_id"],
+                                unknown_id=section["unknown_id"])
+    except ConfigError as exc:
+        raise ConfigFileError(f"bad alphabet section: {exc}") from exc
 
 
 def _require_ints(section: str, doc: dict, keys) -> None:
@@ -163,6 +170,8 @@ def check_learner_section(lcfg: dict, alphabet: list) -> tuple:
     _require_ints("learner", lcfg, ("votes", "eq_depth", "max_rounds"))
     if lcfg["max_queries"] is not None:
         _require_ints("learner", lcfg, ("max_queries",))
+    if lcfg["votes"] < 1 or lcfg["votes"] % 2 == 0:
+        raise ConfigFileError("learner.votes must be a positive odd number")
     if lcfg["eq_depth"] < 1:
         raise ConfigFileError("learner.eq_depth must be at least 1")
     if lcfg["max_rounds"] < 1:
@@ -179,6 +188,9 @@ def check_learner_section(lcfg: dict, alphabet: list) -> tuple:
     if len(set(letters)) != len(letters):
         raise ConfigFileError("learner.letters names a letter twice")
     return letters
+
+
+_INPUT_TAGS = tuple(tag for tag in TAG_ORDER if tag != NORESPONSE)
 
 
 def check_fuzz_section(fcfg: dict) -> None:
@@ -200,11 +212,15 @@ def check_fuzz_section(fcfg: dict) -> None:
         raise ConfigFileError(
             f"fuzz.weights must map each of {list(ALL_MUTATIONS)} "
             "to a non-negative number")
+    others = fcfg["prune_others"]
+    if not (isinstance(others, list) and all(tag in _INPUT_TAGS for tag in others)):
+        raise ConfigFileError(
+            f"fuzz.prune_others must be a list of input tags from {list(_INPUT_TAGS)}, "
+            f"not {others!r}")
 
 
 def build_proxy(ccfg: ClusterConfig, alphabet_section: dict) -> ClusterProxy:
-    acfg = alphabet_from(ccfg, alphabet_section)
-    return ClusterProxy(InProcessTransport(spawn_cluster(ccfg)), acfg)
+    return ClusterProxy(spawn_cluster(ccfg), alphabet_from(ccfg, alphabet_section))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +239,8 @@ def cmd_learn(args) -> int:
     log.info("learning over %d letters (votes=%s, depth=%s, budget=%s)",
              len(letters), lcfg["votes"], lcfg["eq_depth"], budget)
     with open(out_dir / "transcript.jsonl", "w", encoding="utf-8") as transcript:
-        try:
-            oracle = MembershipOracle(proxy.query, votes=lcfg["votes"],
-                                      max_trials=budget, transcript=transcript)
-        except ValueError as exc:
-            raise ConfigFileError(f"bad learner section: {exc}") from exc
+        oracle = MembershipOracle(proxy.query, votes=lcfg["votes"],
+                                  max_trials=budget, transcript=transcript)
         try:
             result = lstar_learn(
                 oracle, letters,
@@ -314,11 +327,7 @@ def cmd_fuzz(args) -> int:
         raise ConfigFileError("budget must be positive")
     if args.shards < 1:
         raise ConfigFileError("shards must be positive")
-    try:
-        pruned = machine.prune(
-            PrunePolicy(others_labels=frozenset(fcfg["prune_others"])))
-    except (TypeError, ValueError) as exc:
-        raise ConfigFileError(f"bad fuzz section: {exc}") from exc
+    pruned = machine.prune(PrunePolicy(others_labels=frozenset(fcfg["prune_others"])))
     domains = input_domains(alphabet_from(ccfg, config["alphabet"]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -373,10 +382,9 @@ def cmd_replay(args) -> int:
         raise ConfigFileError(f"case {args.case} is not valid JSON: {exc}") from exc
     try:
         case = FuzzCase.from_obj(doc)
+        stored = Finding.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigFileError(f"case {args.case} is malformed: {exc}") from exc
-    stored = Finding(criteria=tuple(doc.get("criteria", ())),
-                     evidence=dict(doc.get("evidence", {})))
 
     ccfg = cluster_from_config(config, args)
     proxy = build_proxy(ccfg, config["alphabet"])
@@ -418,15 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", metavar="PATH",
                        help="JSON run configuration; defaults apply when omitted")
-        p.add_argument("--seed", type=int,
-                       help="override the run seed (cluster seed for learn, "
-                            "campaign seed for fuzz)")
         p.add_argument("--vulns", metavar="LIST",
                        help="override seeded vulnerability flags: comma list, "
                             "'all', or 'none'")
 
     learn = sub.add_parser("learn", help="infer the protocol state machine")
     common(learn)
+    learn.add_argument("--seed", type=int, help="override the cluster seed")
     learn.add_argument("--budget", type=int,
                        help="maximum number of query sessions")
     learn.add_argument("--out-dir", default="out", metavar="DIR")
@@ -434,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser("fuzz", help="mutation campaign against a machine")
     fuzz.add_argument("machine", help="machine JSON written by learn")
     common(fuzz)
+    fuzz.add_argument("--seed", type=int, help="override the campaign seed")
     fuzz.add_argument("--budget", type=int, help="total campaign cases")
     fuzz.add_argument("--out-dir", default="out", metavar="DIR")
     fuzz.add_argument("--shards", type=int, default=1,

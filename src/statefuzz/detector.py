@@ -86,7 +86,14 @@ class Finding:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Finding":
-        return cls(criteria=tuple(doc["criteria"]), evidence=dict(doc["evidence"]))
+        criteria, evidence = doc["criteria"], doc["evidence"]
+        if not (isinstance(criteria, list)
+                and all(isinstance(c, str) and c in ALL_CRITERIA for c in criteria)):
+            raise ValueError(f"criteria must be a list of {list(ALL_CRITERIA)}, "
+                             f"not {criteria!r}")
+        if not isinstance(evidence, dict):
+            raise ValueError(f"evidence must be an object, not {evidence!r}")
+        return cls(criteria=tuple(criteria), evidence=dict(evidence))
 
     def signature(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

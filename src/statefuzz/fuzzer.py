@@ -319,10 +319,9 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
         "cases": cases_run,
         "findings": len(findings),
         "errors": len(errors),
-        "symbols_sent": getattr(proxy, "symbols_sent", 0),
-        "resets": getattr(proxy, "resets", 0),
-        "virtual_ticks": getattr(getattr(proxy, "transport", None),
-                                 "ticks_advanced", 0),
+        "symbols_sent": proxy.symbols_sent,
+        "resets": proxy.resets,
+        "virtual_ticks": proxy.ticks_advanced,
     }
     return CampaignReport(origin=detector.baseline.origin, rng_seed=rng_seed,
                           cases_run=cases_run, findings=tuple(findings),

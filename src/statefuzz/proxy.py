@@ -9,10 +9,13 @@ query results depend only on protocol-relevant reactions.
 
 A transport is any object with:
 
+``window_ticks``
+    Length, in virtual ticks, of the observation window that each
+    ``exchange`` runs.  Read after ``reset()``.
 ``reset() -> int``
     Put the cluster back into its converged baseline state and return the
     leader term of that fresh session.
-``exchange(msg) -> list[(logical_ts, ConcreteMessage)]``
+``exchange(msg) -> list[(tick, ConcreteMessage)]``
     Deliver one message and return everything the cluster emitted during
     the fixed observation window that follows it.
 ``observe() -> ClusterObservation``
@@ -20,10 +23,13 @@ A transport is any object with:
 ``inject(msg)``
     Deliver a message without opening an observation window; used for
     keeper replies to keep-alive probes.
+
+A simulated cluster handle (:class:`~statefuzz.sulsim.ClusterHandle`) is
+the in-process transport; :class:`TcpTransport` reaches one served by a
+:class:`ClusterServer`.
 """
 from __future__ import annotations
 
-import itertools
 import socket
 import socketserver
 import threading
@@ -67,46 +73,6 @@ class SessionContext:
         return self._last_sent_term
 
 
-class InProcessTransport:
-    """Drive a simulated cluster handle directly, no sockets involved.
-
-    When ``frame_log`` is a list, every protocol message crossing the
-    transport is appended as ``(direction, frame_bytes)`` with direction
-    "send" or "recv", so in-process runs leave the same wire-level record a
-    socket run would.
-    """
-
-    def __init__(self, handle: ClusterHandle, frame_log: list | None = None):
-        self.handle = handle
-        self.window_ticks = handle.cfg.heartbeat_threshold
-        self.ticks_advanced = 0
-        self.frame_log = frame_log
-
-    def reset(self) -> int:
-        return self.handle.run_until_steady()
-
-    def exchange(self, msg):
-        _log_frame(self.frame_log, "send", msg)
-        self.handle.deliver(msg)
-        self.ticks_advanced += self.window_ticks
-        events = self.handle.tick(self.window_ticks)
-        for _, reply in events:
-            _log_frame(self.frame_log, "recv", reply)
-        return events
-
-    def inject(self, msg):
-        _log_frame(self.frame_log, "send", msg)
-        self.handle.deliver(msg)
-
-    def observe(self):
-        return self.handle.observe()
-
-
-def _log_frame(frame_log: list | None, direction: str, msg: ConcreteMessage):
-    if frame_log is not None:
-        frame_log.append((direction, frame_encode(msg)))
-
-
 class ClusterProxy:
     """Symbolic query frontend over a transport.
 
@@ -122,6 +88,7 @@ class ClusterProxy:
         self.resets = 0
         self.symbols_sent = 0
         self.keepalives_answered = 0
+        self.ticks_advanced = 0
 
     def reset_session(self):
         """Fresh converged cluster, fresh session identity."""
@@ -136,7 +103,9 @@ class ClusterProxy:
             self.reset_session()
         msg = encode(sym, self.ctx)
         self.symbols_sent += 1
-        events = [(ts, decode(m, self.cfg)) for ts, m in self.transport.exchange(msg)]
+        window = self.transport.exchange(msg)
+        self.ticks_advanced += self.transport.window_ticks
+        events = [(ts, decode(m, self.cfg)) for ts, m in window]
         for _, reply_sym in events:
             if is_keepalive(reply_sym, self.cfg):
                 self._answer_keepalive(reply_sym)
@@ -173,7 +142,6 @@ CTRL_RESET = "__reset__"
 CTRL_DELIVER = "__deliver__"
 CTRL_INJECT = "__inject__"
 CTRL_OBSERVE = "__observe__"
-CTRL_REPLY = "__reply__"
 CTRL_DONE = "__done__"
 CTRL_ERROR = "__error__"
 
@@ -182,38 +150,37 @@ class TransportError(RuntimeError):
     """Transport-level failure reported by, or while talking to, the far end."""
 
 
-def _serve_request(local: InProcessTransport, msg: ConcreteMessage, seq) -> list:
-    """Run one control frame on ``local``; return its replies, errors included."""
+def _control(msg_type: str, payload: dict) -> ConcreteMessage:
+    """One control frame; requests and replies alike."""
+    return ConcreteMessage(cluster_id="__transport__", sender="__control__",
+                           logical_ts=0, msg_type=msg_type, payload=payload)
 
-    def ctrl(msg_type: str, payload: dict) -> ConcreteMessage:
-        return ConcreteMessage(
-            cluster_id=local.handle.cfg.cluster_id, sender="__server__",
-            logical_ts=next(seq), msg_type=msg_type, payload=payload)
 
+def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage) -> ConcreteMessage:
+    """Run one control request on ``cluster``; return its one reply frame,
+    ``__done__`` or ``__error__``."""
     try:
         kind = msg.msg_type
         if kind == CTRL_RESET:
-            term = local.reset()
-            return [ctrl(CTRL_DONE, {"window_ticks": local.window_ticks, "term": term})]
+            term = cluster.reset()
+            return _control(CTRL_DONE, {"window_ticks": cluster.window_ticks, "term": term})
         if kind == CTRL_DELIVER:
-            events = local.exchange(message_from_wire(msg.payload.get("frame")))
-            return [ctrl(CTRL_REPLY, {"tick": t, "frame": m.to_wire()})
-                    for t, m in events] + [ctrl(CTRL_DONE, {"count": len(events)})]
+            events = cluster.exchange(message_from_wire(msg.payload.get("frame")))
+            return _control(CTRL_DONE, {"events": [[t, m.to_wire()] for t, m in events]})
         if kind == CTRL_INJECT:
-            local.inject(message_from_wire(msg.payload.get("frame")))
-            return [ctrl(CTRL_DONE, {})]
+            cluster.inject(message_from_wire(msg.payload.get("frame")))
+            return _control(CTRL_DONE, {})
         if kind == CTRL_OBSERVE:
-            return [ctrl(CTRL_DONE, {"observation": local.observe().to_dict()})]
-        return [ctrl(CTRL_ERROR, {"reason": f"unknown control type: {kind!r}"})]
+            return _control(CTRL_DONE, {"observation": cluster.observe().to_dict()})
+        return _control(CTRL_ERROR, {"reason": f"unknown control type: {kind!r}"})
     except Exception as exc:  # reported in-band; the connection stays usable
-        return [ctrl(CTRL_ERROR, {"reason": str(exc)})]
+        return _control(CTRL_ERROR, {"reason": str(exc)})
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True  # each reply is one write; send it at once
 
     def handle(self):
-        seq = itertools.count(1)
         with self.server.session_lock:  # one owner session at a time
             while True:
                 try:
@@ -222,9 +189,9 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     return  # malformed stream: drop this client, accept the next
                 if msg is None:
                     return
-                replies = _serve_request(self.server.local, msg, seq)
+                reply = _serve_request(self.server.cluster, msg)
                 try:
-                    self.wfile.write(b"".join(map(frame_encode, replies)))
+                    self.wfile.write(frame_encode(reply))
                 except (BrokenPipeError, ConnectionResetError):
                     return
 
@@ -253,7 +220,7 @@ class ClusterServer:
                  port: int = 0):
         self.cluster = cluster
         self._server = _Server((host, port), _RequestHandler)
-        self._server.local = InProcessTransport(cluster)
+        self._server.cluster = cluster
         self._server.session_lock = threading.Lock()
         self._thread: threading.Thread | None = None
 
@@ -283,25 +250,22 @@ class ClusterServer:
 
 
 class TcpTransport:
-    """Socket-backed counterpart of InProcessTransport.
+    """The transport contract over a socket to a :class:`ClusterServer`.
 
     The server owns the virtual clock and runs the observation window; this
-    side only frames messages and orders replies.  ``reset()`` must be
-    called before the first ``exchange()`` (the proxy always does).
+    side only frames messages.  Each request gets exactly one reply frame.
+    ``reset()`` must be called before the first ``exchange()`` (the proxy
+    always does).
     """
 
-    def __init__(self, address, timeout: float = 30.0,
-                 frame_log: list | None = None):
+    def __init__(self, address, timeout: float = 30.0):
         try:
             self._sock = socket.create_connection(address, timeout=timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {address}: {exc}") from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
-        self._seq = itertools.count(1)
         self.window_ticks: int | None = None
-        self.ticks_advanced = 0
-        self.frame_log = frame_log
 
     def close(self):
         self._rfile.close()
@@ -316,50 +280,38 @@ class TcpTransport:
     def reset(self) -> int:
         self._send(CTRL_RESET, {})
         done = self._read()
-        self.window_ticks = done.payload["window_ticks"]
-        return done.payload["term"]
+        self.window_ticks = done["window_ticks"]
+        return done["term"]
 
     def exchange(self, msg: ConcreteMessage) -> list:
         if self.window_ticks is None:
             raise TransportError("exchange before the first reset")
-        _log_frame(self.frame_log, "send", msg)
         self._send(CTRL_DELIVER, {"frame": msg.to_wire()})
-        events = []
-        while True:
-            reply = self._read()
-            if reply.msg_type == CTRL_DONE:
-                break
-            if reply.msg_type != CTRL_REPLY:
-                raise TransportError(f"unexpected frame type {reply.msg_type!r}")
-            tick = reply.payload.get("tick")
-            if not isinstance(tick, int) or isinstance(tick, bool):
-                raise TransportError("reply frame carries no integer tick")
-            inner = message_from_wire(reply.payload.get("frame"))
-            _log_frame(self.frame_log, "recv", inner)
-            events.append((tick, inner))
-        self.ticks_advanced += self.window_ticks
-        return events
+        events = self._read().get("events")
+        if not isinstance(events, list):
+            raise TransportError("reply carries no event list")
+        if not all(isinstance(event, list) and len(event) == 2 for event in events):
+            raise TransportError("reply event is not a [tick, frame] pair")
+        if not all(isinstance(tick, int) and not isinstance(tick, bool) for tick, _ in events):
+            raise TransportError("reply event carries no integer tick")
+        return [(tick, message_from_wire(frame)) for tick, frame in events]
 
     def inject(self, msg: ConcreteMessage):
-        _log_frame(self.frame_log, "send", msg)
         self._send(CTRL_INJECT, {"frame": msg.to_wire()})
         self._read()
 
     def observe(self) -> ClusterObservation:
         self._send(CTRL_OBSERVE, {})
-        done = self._read()
-        return ClusterObservation.from_dict(done.payload["observation"])
+        return ClusterObservation.from_dict(self._read()["observation"])
 
     def _send(self, msg_type: str, payload: dict):
-        frame = ConcreteMessage(
-            cluster_id="__transport__", sender="__client__",
-            logical_ts=next(self._seq), msg_type=msg_type, payload=payload)
         try:
-            self._sock.sendall(frame_encode(frame))
+            self._sock.sendall(frame_encode(_control(msg_type, payload)))
         except OSError as exc:
             raise TransportError(f"send to the server failed: {exc}") from exc
 
-    def _read(self) -> ConcreteMessage:
+    def _read(self) -> dict:
+        """The payload of the server's one ``__done__`` reply."""
         try:
             msg = read_frame(self._rfile.read)
         except OSError as exc:
@@ -368,4 +320,6 @@ class TcpTransport:
             raise TransportError("server closed the connection")
         if msg.msg_type == CTRL_ERROR:
             raise TransportError(msg.payload.get("reason", "unspecified failure"))
-        return msg
+        if msg.msg_type != CTRL_DONE:
+            raise TransportError(f"unexpected frame type {msg.msg_type!r}")
+        return msg.payload

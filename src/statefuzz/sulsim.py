@@ -128,13 +128,43 @@ class ClusterConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterConfig":
-        kw = dict(doc)
-        for key in ("members", "apps", "election_timeout_range", "fake_link_pair"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
+        """Build from a JSON object; an unknown key or a value of the wrong
+        type is a :class:`ConfigError`."""
+        unknown = set(doc) - set(_FIELD_TYPES)
+        if unknown:
+            raise ConfigError(f"unknown cluster settings: {sorted(unknown)}")
+        for key, value in doc.items():
+            what, ok = _FIELD_TYPES[key]
+            if not ok(value):
+                raise ConfigError(f"cluster.{key} must be {what}, not {value!r}")
+        kw = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
         if "vulnerabilities" in kw:
             kw["vulnerabilities"] = frozenset(kw["vulnerabilities"])
         return cls(**kw)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, kind, length=None) -> bool:
+    return (isinstance(value, (list, tuple)) and length in (None, len(value))
+            and all(isinstance(x, kind) and not isinstance(x, bool) for x in value))
+
+
+# What ``ClusterConfig.from_dict`` accepts for each field.
+_STRINGS = ("a list of strings", lambda v: _is_list(v, str))
+_INT = ("an integer", _is_int)
+_COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_FIELD_TYPES = {
+    "members": _STRINGS, "apps": _STRINGS, "vulnerabilities": _STRINGS,
+    "cluster_id": ("a string", lambda v: isinstance(v, str)),
+    "heartbeat_threshold": _INT, "seed": _INT,
+    "session_ttl": _COUNT, "session_reap_interval": _COUNT,
+    "election_timeout_range": ("two integers", lambda v: _is_list(v, int, 2)),
+    "fake_link_pair": ("two strings", lambda v: _is_list(v, str, 2)),
+    "suppress_keepalives": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 def default_alphabet(cfg: ClusterConfig, self_id: str = "dummy",
@@ -215,6 +245,7 @@ class ClusterHandle:
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
+        self.window_ticks = cfg.heartbeat_threshold
         self._switches, self._real_links, self._mastership = _topology(cfg)
         self._decode_cfg = default_alphabet(cfg, self_id="__sim_peer__",
                                             unknown_id="__sim_nz__")
@@ -231,39 +262,36 @@ class ClusterHandle:
             self._schedule(deadline, "election_check", member)
         self._schedule(cfg.heartbeat_threshold, "swim_round", None)
         self._schedule(cfg.reap_interval, "session_reap", None)
-        self._initial_snapshot = self._snapshot()
-        self._steady_snapshot = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def reset(self):
-        """Back to the initial configuration at tick 0, same seed: restores
-        the snapshot taken when the handle was built."""
-        self._restore(self._initial_snapshot)
-
-    def run_until_steady(self) -> int:
-        """Put the cluster into its converged baseline state; return the
-        leader term.
-
-        The baseline is what the seed reaches from tick 0 once one leader
-        exists and liveness rounds are underway.  The first call simulates
-        it from :meth:`reset` and caches a snapshot; every later call restores
-        that snapshot in one step, whatever happened in between.  Both paths
-        give the same state (asserted by tests).
-        """
-        if self._steady_snapshot is not None:
-            self._restore(self._steady_snapshot)
-            return self.cluster_term
-        self.reset()
-        limit = 3 * self.cfg.election_timeout_range[1]
+        tick_zero = self._snapshot()
+        limit = 3 * cfg.election_timeout_range[1]
         while self.leader_id is None:
             if self.now > limit:
                 raise SimulationError("cluster failed to elect a leader in time")
             self.tick(1)
         self.tick(2)  # let vote traffic drain
-        self._emissions.clear()
         self._steady_snapshot = self._snapshot()
+        self._restore(tick_zero)
+
+    # -- transport contract (see proxy.py) ---------------------------------
+
+    def reset(self) -> int:
+        """Restore the converged baseline, simulated once in ``__init__``:
+        what the seed reaches from tick 0 once one leader exists and
+        liveness rounds are underway.  Returns the leader term."""
+        self._restore(self._steady_snapshot)
         return self.cluster_term
+
+    def exchange(self, msg: ConcreteMessage) -> list:
+        """Deliver ``msg``; return [(tick, message)] emitted to the external
+        peer during the ``window_ticks`` that follow."""
+        self.deliver(msg)
+        return self.tick(self.window_ticks)
+
+    def inject(self, msg: ConcreteMessage):
+        """Deliver ``msg`` without opening an observation window."""
+        self.deliver(msg)
+
+    # -- snapshots ---------------------------------------------------------
 
     def _snapshot(self):
         return {
@@ -669,6 +697,6 @@ def _bfs_dist(links, start, goal) -> int:
 
 
 def spawn_cluster(cfg: ClusterConfig) -> ClusterHandle:
-    """Create a cluster at virtual tick 0.  Tick it (or call
-    ``run_until_steady``) to elect a leader."""
+    """Create a cluster at virtual tick 0.  Tick it to elect a leader, or
+    call ``reset()`` to jump to the converged baseline."""
     return ClusterHandle(cfg)

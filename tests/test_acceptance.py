@@ -53,7 +53,7 @@ from statefuzz.detector import (
 from statefuzz.fuzzer import FuzzCase, replay_case, run_campaign, sdfs_extract
 from statefuzz.learner import MembershipOracle, lstar_learn, wmethod_counterexample
 from statefuzz.mealy import MealyMachine, PrunePolicy, isomorphic, minimize
-from statefuzz.proxy import ClusterProxy, InProcessTransport, SessionContext
+from statefuzz.proxy import ClusterProxy, SessionContext
 from statefuzz.sulsim import (
     ALL_VULNERABILITIES, ClusterConfig, default_alphabet, spawn_cluster,
 )
@@ -70,7 +70,7 @@ DOMAINS = input_domains(ALPHABET_CFG)
 def fresh_proxy(vulns=(), **kw):
     ccfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset(vulns), **kw)
     handle = spawn_cluster(ccfg)
-    return ClusterProxy(InProcessTransport(handle), default_alphabet(ccfg)), handle
+    return ClusterProxy(handle, default_alphabet(ccfg)), handle
 
 
 def learn_machine(vulns=()):
@@ -330,6 +330,8 @@ def test_end_to_end_determinism(tmp_path, capsys):
 
 class WindowStub:
     """Transport stub replaying one prepared reply window per exchange."""
+
+    window_ticks = 5
 
     def __init__(self, windows):
         self.windows = list(windows)

@@ -19,6 +19,7 @@ from statefuzz.cli import (
 )
 from statefuzz.mealy import MealyMachine
 from statefuzz.proxy import TransportError
+from statefuzz.sulsim import ClusterHandle
 
 from test_learner import LADDER_ALPHABET
 
@@ -102,6 +103,7 @@ class TestLearn:
         {"max_rounds": 2.5},
         {"max_rounds": 0},
         {"max_queries": "100"},
+        {"votes": 2},
     ])
     def test_malformed_learner_section_exits_usage_before_any_session(
             self, tmp_path, capsys, learner):
@@ -109,6 +111,45 @@ class TestLearn:
         out = tmp_path / "out"
         assert main(["learn", "--config", cfg, "--out-dir", str(out)]) == EXIT_USAGE
         assert "learner." in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cluster", [
+        {"members": ["n1", "n2", "n3", 4]},
+        {"members": "abcd"},
+        {"election_timeout_range": [10]},
+        {"apps": "fwd"},
+        {"cluster_id": 7},
+        {"suppress_keepalives": "no"},
+        {"fake_link_pair": ["a1"]},
+        {"session_ttl": -5},
+        {"session_reap_interval": True},
+        {"heartbeat_threshold": 5.0},
+        {"seed": "x"},
+    ])
+    def test_malformed_cluster_section_exits_usage_before_any_session(
+            self, tmp_path, capsys, cluster):
+        cfg = write_json(tmp_path / "c.json", {"cluster": cluster})
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--budget", "40",
+                     "--out-dir", str(out)]) == EXIT_USAGE
+        assert "bad cluster section" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["learn", "fuzz"])
+    @pytest.mark.parametrize("alphabet", [
+        {"self_id": "n1"},
+        {"self_id": 5},
+        {"self_id": ""},
+        {"unknown_id": "dummy"},
+        {"unknown_id": None},
+    ])
+    def test_malformed_alphabet_section_exits_usage_before_any_session(
+            self, workspace, tmp_path, capsys, command, alphabet):
+        cfg = write_json(tmp_path / "c.json", {"alphabet": alphabet})
+        out = tmp_path / "out"
+        argv = ["learn"] if command == "learn" else ["fuzz", machine_path(workspace)]
+        assert main([*argv, "--config", cfg, "--out-dir", str(out)]) == EXIT_USAGE
+        assert "alphabet" in capsys.readouterr().err
         assert not out.exists()
 
     def test_misspelt_learner_setting_exits_usage_before_any_session(
@@ -154,16 +195,16 @@ class TestLearn:
             self, workspace, tmp_path, monkeypatch, capsys, sessions):
         # The transport drops after the given number of sessions: before the
         # first hypothesis (nothing to save) or after a few of them.
-        class DroppingTransport(cli.InProcessTransport):
+        class DroppingCluster(ClusterHandle):
             resets = 0
 
             def reset(self):
-                if DroppingTransport.resets == sessions:
+                if DroppingCluster.resets == sessions:
                     raise TransportError("connection lost")
-                DroppingTransport.resets += 1
+                DroppingCluster.resets += 1
                 return super().reset()
 
-        monkeypatch.setattr(cli, "InProcessTransport", DroppingTransport)
+        monkeypatch.setattr(cli, "spawn_cluster", DroppingCluster)
         out = tmp_path / "t"
         rc = main(["learn", "--config", config_path(workspace),
                    "--out-dir", str(out)])
@@ -285,6 +326,9 @@ class TestFuzz:
         {"mutations": 2},
         {"dedupe": "no"},
         {"dedupe": 1},
+        {"prune_others": "RAReq"},
+        {"prune_others": ["Bogus"]},
+        {"prune_others": ["NoResponse"]},
     ])
     def test_malformed_fuzz_section_exits_usage(self, workspace, tmp_path,
                                                 capsys, fuzz):
@@ -355,6 +399,29 @@ class TestReplay:
         rc = main(["replay", edited, "--config", cfg, "--vulns", "clear_store"])
         assert rc == EXIT_USAGE
         assert "cannot be replayed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verdict", [
+        {"criteria": "ab"},
+        {"criteria": ["no-such-criterion"]},
+        {"evidence": "x"},
+        {"evidence": None},
+    ])
+    def test_malformed_stored_verdict_exits_usage(self, finding_case, tmp_path,
+                                                  capsys, verdict):
+        cfg, case_file = finding_case
+        doc = {**json.loads(case_file.read_text()), **verdict}
+        edited = write_json(tmp_path / "verdict.json", doc)
+        rc = main(["replay", edited, "--config", cfg, "--vulns", "clear_store"])
+        assert rc == EXIT_USAGE
+        assert "is malformed" in capsys.readouterr().err
+
+    def test_seed_option_is_not_accepted(self, finding_case, capsys):
+        # A replay runs on the recorded cluster; a seed would be ignored.
+        cfg, case_file = finding_case
+        with pytest.raises(SystemExit) as info:
+            main(["replay", str(case_file), "--config", cfg, "--seed", "123456"])
+        assert info.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_case_file_exits_usage(self, finding_case, tmp_path):
         cfg, _ = finding_case

@@ -17,7 +17,7 @@ from statefuzz.detector import (
     CRIT_CONFIG_LEAK, CRIT_EXHAUSTION, CRIT_REACH_CHANGE, CRIT_STATE_CHANGE,
     Detector, Finding, dedupe_findings,
 )
-from statefuzz.proxy import ClusterProxy, InProcessTransport
+from statefuzz.proxy import ClusterProxy
 from statefuzz.sulsim import (
     ClusterConfig, VULN_CLEAR_STORE, VULN_FAKE_LINK, VULN_FAKE_MEMBER,
     VULN_SEIZE_LEADER, VULN_SESSION_FLOOD, VULN_UNAUTH_JOIN,
@@ -30,7 +30,7 @@ MEMBERS = ("n1", "n2", "n3", "n4")
 def fresh_baseline(**kw):
     cfg = ClusterConfig(members=MEMBERS, **kw)
     handle = spawn_cluster(cfg)
-    handle.run_until_steady()
+    handle.reset()
     return Baseline.capture(handle), handle
 
 
@@ -161,6 +161,16 @@ class TestCriteria:
         again = Finding.from_dict(finding.to_dict())
         assert again.signature() == finding.signature()
 
+    @pytest.mark.parametrize("doc", [
+        {"criteria": "ab", "evidence": {}},
+        {"criteria": ["no-such-criterion"], "evidence": {}},
+        {"criteria": [CRIT_APP_CHANGE], "evidence": ["ab"]},
+        {"criteria": [CRIT_APP_CHANGE], "evidence": None},
+    ])
+    def test_finding_from_dict_rejects_malformed_verdicts(self, doc):
+        with pytest.raises(ValueError):
+            Finding.from_dict(doc)
+
 
 class TestDedupe:
     def test_duplicates_collapse_first_wins(self):
@@ -199,7 +209,7 @@ DIRECT_TRACES = {
 
 def run_trace(vulns, word):
     cfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset(vulns))
-    proxy = ClusterProxy(InProcessTransport(spawn_cluster(cfg)), default_alphabet(cfg))
+    proxy = ClusterProxy(spawn_cluster(cfg), default_alphabet(cfg))
     proxy.reset_session()
     baseline = Baseline.capture(proxy)
     outputs = proxy.query(word)

@@ -22,7 +22,7 @@ from statefuzz.fuzzer import (
     mutate, replay_case, run_campaign, sdfs_extract,
 )
 from statefuzz.mealy import MealyMachine, PrunePolicy
-from statefuzz.proxy import ClusterProxy, InProcessTransport
+from statefuzz.proxy import ClusterProxy
 from statefuzz.sulsim import (
     ALL_VULNERABILITIES, ClusterConfig, default_alphabet, spawn_cluster,
 )
@@ -268,7 +268,7 @@ class TestMutate:
 
 def campaign_fixture(vulns=(), seed=42):
     cfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset(vulns))
-    proxy = ClusterProxy(InProcessTransport(spawn_cluster(cfg)), default_alphabet(cfg))
+    proxy = ClusterProxy(spawn_cluster(cfg), default_alphabet(cfg))
     proxy.reset_session()
     detector = Detector(Baseline.capture(proxy))
     machine = expected_ladder_machine().prune(PrunePolicy())
@@ -307,7 +307,7 @@ class TestCampaign:
         class Exploding:
             symbols_sent = 0
             resets = 0
-            transport = None
+            ticks_advanced = 0
 
             def query(self, word):
                 raise DecodeError("bad probe status: 'maybe'")

@@ -23,7 +23,7 @@ from statefuzz.learner import (
     wmethod_suite,
 )
 from statefuzz.mealy import MealyMachine, isomorphic, minimize
-from statefuzz.proxy import ClusterProxy, InProcessTransport, TransportError
+from statefuzz.proxy import ClusterProxy, TransportError
 from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 from helpers import (
@@ -715,7 +715,7 @@ def expected_ladder_machine() -> MealyMachine:
 
 def sim_query_fn():
     cfg = ClusterConfig(members=MEMBERS)
-    proxy = ClusterProxy(InProcessTransport(spawn_cluster(cfg)), default_alphabet(cfg))
+    proxy = ClusterProxy(spawn_cluster(cfg), default_alphabet(cfg))
     return proxy.query
 
 

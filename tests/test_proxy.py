@@ -14,7 +14,7 @@ from statefuzz.alphabet import (
     DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD,
     enumerate_input_alphabet, symbol_label,
 )
-from statefuzz.proxy import ClusterProxy, InProcessTransport, SessionContext
+from statefuzz.proxy import ClusterProxy, SessionContext
 from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 MEMBERS = ("n1", "n2", "n3", "n4")
@@ -28,6 +28,8 @@ def wire(msg_type, payload, ts):
 
 class ScriptedTransport:
     """Canned reply windows, recorded traffic.  No clock, no cluster."""
+
+    window_ticks = 5
 
     def __init__(self, windows, term=3):
         self.windows = list(windows)
@@ -191,7 +193,7 @@ class TestSessionCoupling:
 def sim_proxy(vulns=(), seed=42, **kw):
     cfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset(vulns), seed=seed, **kw)
     handle = spawn_cluster(cfg)
-    return ClusterProxy(InProcessTransport(handle), default_alphabet(cfg))
+    return ClusterProxy(handle, default_alphabet(cfg))
 
 
 class TestAgainstSimulator:
@@ -250,4 +252,4 @@ class TestAgainstSimulator:
         proxy.query([PREQ_N1])
         assert proxy.resets == 2
         assert proxy.symbols_sent == 3
-        assert proxy.transport.ticks_advanced == 3 * 5
+        assert proxy.ticks_advanced == 3 * 5

@@ -48,7 +48,7 @@ class Ctx:
 def steady(vulns=(), **kw):
     cfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset(vulns), **kw)
     handle = spawn_cluster(cfg)
-    handle.run_until_steady()
+    handle.reset()
     return handle
 
 
@@ -144,6 +144,17 @@ class TestConfig:
         cfg = ClusterConfig(vulnerabilities=frozenset({VULN_FAKE_LINK}), seed=9)
         assert ClusterConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("doc", [
+        {"election_timeout_range": [10, "20"]},
+        {"vulnerabilities": "unauth_join"},
+        {"members": ("n1", "n2", None)},
+        {"seed": False},
+        {"member": ["n1", "n2", "n3"]},
+    ])
+    def test_from_dict_rejects_wrong_types_and_unknown_keys(self, doc):
+        with pytest.raises(ConfigError, match="must be|unknown cluster settings"):
+            ClusterConfig.from_dict(doc)
+
     def test_all_vulnerabilities_accepted(self):
         cfg = ClusterConfig(vulnerabilities=ALL_VULNERABILITIES)
         assert cfg.vulnerabilities == ALL_VULNERABILITIES
@@ -185,27 +196,17 @@ class TestConvergence:
         fingerprint = (a.now, a.leader_id, a.cluster_term, a.observe().to_dict())
         ctx = Ctx()
         send_word(a, ctx, [BREQ_FULL, RJREQ_SELF, PRES_DEAD])
-        a.reset()
-        a.run_until_steady()  # snapshot restore path
-        b = steady(seed=3)    # fresh simulation path
+        a.reset()  # snapshot restore path
+        b = spawn_cluster(a.cfg)
+        b.tick(a.now)  # fresh simulation path
         assert (a.now, a.leader_id, a.cluster_term, a.observe().to_dict()) == fingerprint
         assert a._snapshot() == b._snapshot()
-
-    def test_reset_returns_to_a_fresh_tick_zero(self):
-        a = steady(ALL_VULNERABILITIES, seed=3)
-        send_word(a, Ctx(), [BREQ_FULL, RJREQ_SELF, RCOM_CLEAR, PRES_DEAD])
-        a.reset()
-        b = spawn_cluster(a.cfg)
-        assert (a.now, a._snapshot()) == (0, b._snapshot())
-        assert a.session_fingerprint() == b.session_fingerprint()
-        assert a.observe().to_dict() == b.observe().to_dict()
 
     def test_reset_replays_identical_reply_stream(self):
         word = [PREQ_SELF, BREQ_FULL, RJREQ_SELF, RVREQ_CUR, PREQ_N1]
         handle = steady()
         first = [[(s.tag, s.params) for s in w] for w in send_word(handle, Ctx(), word)]
         handle.reset()
-        handle.run_until_steady()
         second = [[(s.tag, s.params) for s in w] for w in send_word(handle, Ctx(), word)]
         assert first == second
 

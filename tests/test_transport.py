@@ -1,5 +1,6 @@
-"""Socket transport: contract parity with the in-process transport, control
-protocol error handling, and campaign reproducibility across the wire."""
+"""Socket transport: contract parity with an in-process cluster handle,
+control protocol error handling, and campaign reproducibility across the
+wire."""
 from __future__ import annotations
 
 import contextlib
@@ -13,7 +14,7 @@ import pytest
 
 from statefuzz.alphabet import (
     KNOWN, PREQ, RVREQ, TERM_HIGHER, ConcreteMessage, NodeRef, Symbol, encode,
-    input_domains,
+    frame_encode, input_domains, read_frame,
 )
 from statefuzz.detector import Baseline, Detector
 from statefuzz.fuzzer import (
@@ -21,8 +22,7 @@ from statefuzz.fuzzer import (
 )
 from statefuzz.mealy import PrunePolicy
 from statefuzz.proxy import (
-    ClusterProxy, ClusterServer, InProcessTransport, SessionContext,
-    TcpTransport, TransportError,
+    ClusterProxy, ClusterServer, SessionContext, TcpTransport, TransportError,
 )
 from statefuzz.sulsim import (
     ERROR_TYPE, ClusterConfig, default_alphabet, spawn_cluster,
@@ -39,23 +39,44 @@ def cluster_config(vulns=(), **kw):
 
 
 @contextlib.contextmanager
-def tcp_transport(vulns=(), frame_log=None, **kw):
+def tcp_transport(vulns=(), **kw):
     cfg = cluster_config(vulns, **kw)
     with ClusterServer(spawn_cluster(cfg)) as srv:
-        with TcpTransport(srv.address, frame_log=frame_log) as transport:
+        with TcpTransport(srv.address) as transport:
             yield transport, cfg
 
 
 @contextlib.contextmanager
-def tcp_proxy(vulns=(), frame_log=None, **kw):
-    with tcp_transport(vulns, frame_log=frame_log, **kw) as (transport, cfg):
+def tcp_proxy(vulns=(), **kw):
+    with tcp_transport(vulns, **kw) as (transport, cfg):
         yield ClusterProxy(transport, default_alphabet(cfg))
 
 
-def inproc_proxy(vulns=(), frame_log=None, **kw):
+def inproc_proxy(vulns=(), **kw):
     cfg = cluster_config(vulns, **kw)
-    transport = InProcessTransport(spawn_cluster(cfg), frame_log=frame_log)
-    return ClusterProxy(transport, default_alphabet(cfg))
+    return ClusterProxy(spawn_cluster(cfg), default_alphabet(cfg))
+
+
+@contextlib.contextmanager
+def scripted_server(*replies):
+    """A peer that answers each request with the next ``(type, payload)``
+    control frame of ``replies``; yields a transport connected to it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                for msg_type, payload in replies:
+                    if read_frame(rfile.read) is None:
+                        return
+                    conn.sendall(frame_encode(ConcreteMessage(
+                        "__transport__", "__control__", 0, msg_type, payload)))
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        with TcpTransport(listener.getsockname(), timeout=5.0) as transport:
+            yield transport
+        server.join(timeout=5.0)
+        assert not server.is_alive()
 
 
 def random_words(rng, count, max_len=5):
@@ -75,7 +96,7 @@ class TestContract:
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_reset_returns_the_same_term_as_in_process(self, seed):
         cfg = cluster_config(["seize_leader"], seed=seed)
-        local = InProcessTransport(spawn_cluster(cfg))
+        local = spawn_cluster(cfg)
         term = local.reset()
         assert term == local.observe().term
         with tcp_transport(["seize_leader"], seed=seed) as (transport, _):
@@ -135,6 +156,26 @@ class TestContract:
             transport._send("__deliver__", {"frame": {"nope": 1}})
             with pytest.raises(TransportError, match="missing keys"):
                 transport._read()
+
+    @pytest.mark.parametrize("done, reason", [
+        ({}, "no event list"),
+        ({"events": {"1": []}}, "no event list"),
+        ({"events": [[1]]}, "not a \\[tick, frame\\] pair"),
+        ({"events": [[True, {}]]}, "no integer tick"),
+        ({"events": [["1", {}]]}, "no integer tick"),
+    ])
+    def test_malformed_exchange_reply_raises_transport_error(self, done, reason):
+        reset = ("__done__", {"window_ticks": 5, "term": 1})
+        with scripted_server(reset, ("__done__", done)) as transport:
+            transport.reset()
+            msg = ConcreteMessage("sdwan", "dummy", 1, "RaftConfigureRequest", {})
+            with pytest.raises(TransportError, match=reason):
+                transport.exchange(msg)
+
+    def test_reply_of_unknown_type_raises_transport_error(self):
+        with scripted_server(("__bogus__", {})) as transport:
+            with pytest.raises(TransportError, match="unexpected frame type"):
+                transport.reset()
 
     def test_sequential_clients_share_the_cluster(self):
         cfg = cluster_config()
@@ -212,7 +253,7 @@ class TestParity:
             assert remote.query(word) == local.query(word)
             assert remote.symbols_sent == local.symbols_sent
             assert remote.keepalives_answered == local.keepalives_answered
-            assert remote.transport.ticks_advanced == local.transport.ticks_advanced
+            assert remote.ticks_advanced == local.ticks_advanced
 
     def test_random_words_match_in_process(self):
         rng = random.Random(99)
@@ -233,16 +274,20 @@ class TestParity:
             assert outputs_remote == outputs_local
             assert remote.keepalives_answered == local.keepalives_answered
 
-    def test_frame_logs_are_byte_identical(self):
-        word = LADDER_ALPHABET
-        log_local: list = []
-        log_remote: list = []
-        local = inproc_proxy(frame_log=log_local)
-        local.query(word)
-        with tcp_proxy(frame_log=log_remote) as remote:
-            remote.query(word)
-        assert log_remote == log_local
-        assert any(direction == "recv" for direction, _ in log_local)
+    def test_exchange_windows_match_in_process(self):
+        # The same messages, sent to a served handle and to a local one,
+        # come back as equal (tick, message) windows.
+        local = spawn_cluster(cluster_config())
+        ctx = SessionContext("sdwan", "dummy", local.reset())
+        windows = []
+        with tcp_transport() as (transport, _):
+            assert transport.reset() == ctx.observed_leader_term
+            for sym in LADDER_ALPHABET:
+                msg = encode(sym, ctx)
+                window = transport.exchange(msg)
+                assert window == local.exchange(msg), sym
+                windows.append(window)
+        assert any(windows)
 
 
 class TestCampaignOverSocket:

@@ -24,7 +24,6 @@ exhausted; 4 nondeterministic target; 5 transport failure while learning.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -67,34 +66,85 @@ class ConfigFileError(ValueError):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-DEFAULT_ALPHABET_SECTION = {"self_id": "dummy", "unknown_id": "nz"}
-DEFAULT_LEARNER_SECTION = {
-    "votes": 1,
-    "eq_depth": 1,
-    "max_rounds": 100,
-    "max_queries": None,
-    "letters": None,
+_INPUT_TAGS = tuple(tag for tag in TAG_ORDER if tag != NORESPONSE)
+
+
+def _int(value, low=None) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (low is None or value >= low))
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _int_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(_int(x) for x in value)
+
+
+def _weights(value) -> bool:
+    return (isinstance(value, dict) and set(value) == set(ALL_MUTATIONS)
+            and all(isinstance(w, (int, float)) and not isinstance(w, bool)
+                    and 0 <= w < float("inf") for w in value.values()))
+
+
+_NAME = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_AT_LEAST_1 = ("an integer >= 1", lambda v: _int(v, 1))
+_INT = ("an integer", _int)
+
+# section -> key -> (what the value must be, check) for every setting of the
+# run configuration.
+SETTINGS = {
+    "cluster": {
+        "members": ("a list of strings", _strings),
+        "cluster_id": ("a string", lambda v: isinstance(v, str)),
+        "heartbeat_threshold": _INT,
+        "election_timeout_range": ("two integers", _int_pair),
+        "vulnerabilities": (
+            f"a list of names from {sorted(ALL_VULNERABILITIES)}",
+            lambda v: _strings(v) and set(v) <= ALL_VULNERABILITIES),
+        "seed": _INT,
+        "apps": ("a list of strings", _strings),
+    },
+    "alphabet": {"self_id": _NAME, "unknown_id": _NAME},
+    "learner": {
+        "votes": ("a positive odd integer", lambda v: _int(v, 1) and v % 2 == 1),
+        "eq_depth": _AT_LEAST_1,
+        "max_rounds": _AT_LEAST_1,
+        "max_queries": ("an integer >= 0 or null", lambda v: v is None or _int(v, 0)),
+        "letters": ("a list of letters or null",
+                    lambda v: v is None or isinstance(v, list)),
+    },
+    "fuzz": {
+        "budget": _INT,
+        "seed": _INT,
+        "mutations": ("two integers 1 <= low <= high",
+                      lambda v: _int_pair(v) and 1 <= v[0] <= v[1]),
+        "weights": (f"null or an object giving each of {list(ALL_MUTATIONS)} "
+                    "a non-negative number", lambda v: v is None or _weights(v)),
+        "dedupe": ("true or false", lambda v: isinstance(v, bool)),
+        "prune_others": (f"a list of input tags from {list(_INPUT_TAGS)}",
+                         lambda v: isinstance(v, list)
+                         and all(tag in _INPUT_TAGS for tag in v)),
+    },
 }
-DEFAULT_FUZZ_SECTION = {
-    "budget": 2000,
-    "seed": 42,
-    "mutations": [1, 3],
-    "weights": None,
-    "dedupe": False,
-    "prune_others": [],
+
+DEFAULTS = {
+    "cluster": ClusterConfig().to_dict(),
+    "alphabet": {"self_id": "dummy", "unknown_id": "nz"},
+    "learner": {"votes": 1, "eq_depth": 1, "max_rounds": 100,
+                "max_queries": None, "letters": None},
+    "fuzz": {"budget": 2000, "seed": 42, "mutations": [1, 3], "weights": None,
+             "dedupe": False, "prune_others": []},
 }
-_DEFAULTS = {"alphabet": DEFAULT_ALPHABET_SECTION,
-             "learner": DEFAULT_LEARNER_SECTION,
-             "fuzz": DEFAULT_FUZZ_SECTION}
-_SECTIONS = ("cluster", *_DEFAULTS)
 
 
 def load_config(path: str | None) -> dict:
-    """Parse the run configuration, filling defaults section by section.
+    """Parse the run configuration: check every given setting against
+    :data:`SETTINGS` and fill the rest from :data:`DEFAULTS`.
 
     A key that a section does not define is an error, so a misspelt setting
-    cannot silently fall back to its default; ``cluster`` keys and values
-    are checked by ``ClusterConfig.from_dict``."""
+    cannot silently fall back to its default."""
     if path is None:
         doc = {}
     else:
@@ -106,19 +156,25 @@ def load_config(path: str | None) -> dict:
             raise ConfigFileError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigFileError("config root must be a JSON object")
-    unknown = set(doc) - {"schema_version", *_SECTIONS}
+    unknown = set(doc) - {"schema_version", *SETTINGS}
     if unknown:
         raise ConfigFileError(f"unknown config sections: {sorted(unknown)}")
-    for section in _SECTIONS:
-        if not isinstance(doc.get(section, {}), dict):
+    config = {}
+    for section, rules in SETTINGS.items():
+        given = doc.get(section, {})
+        if not isinstance(given, dict):
             raise ConfigFileError(f"config section {section!r} must be an object")
-    for section, defaults in _DEFAULTS.items():
-        unknown = set(doc.get(section, {})) - set(defaults)
+        unknown = set(given) - set(rules)
         if unknown:
-            raise ConfigFileError(f"unknown {section} settings: {sorted(unknown)}")
-    return {"cluster": doc.get("cluster", {}),
-            **{section: {**defaults, **doc.get(section, {})}
-               for section, defaults in _DEFAULTS.items()}}
+            raise ConfigFileError(f"bad {section} section: "
+                                  f"unknown {section} settings: {sorted(unknown)}")
+        for key, value in given.items():
+            what, ok = rules[key]
+            if not ok(value):
+                raise ConfigFileError(f"bad {section} section: "
+                                      f"{section}.{key} must be {what}, not {value!r}")
+        config[section] = {**DEFAULTS[section], **given}
+    return config
 
 
 def parse_vulns(text: str) -> frozenset:
@@ -136,22 +192,19 @@ def parse_vulns(text: str) -> frozenset:
 
 
 def cluster_from_config(config: dict, args) -> ClusterConfig:
-    try:
-        ccfg = ClusterConfig.from_dict(config["cluster"])
-    except ValueError as exc:
-        raise ConfigFileError(f"bad cluster section: {exc}") from exc
-    if args.vulns is not None:
-        ccfg = dataclasses.replace(ccfg, vulnerabilities=parse_vulns(args.vulns))
+    kw = {key: tuple(value) if isinstance(value, list) else value
+          for key, value in config["cluster"].items()}
+    kw["vulnerabilities"] = (frozenset(kw["vulnerabilities"]) if args.vulns is None
+                             else parse_vulns(args.vulns))
     if args.command == "learn" and args.seed is not None:
-        ccfg = dataclasses.replace(ccfg, seed=args.seed)
-    return ccfg
+        kw["seed"] = args.seed
+    try:
+        return ClusterConfig(**kw)
+    except ConfigError as exc:
+        raise ConfigFileError(f"bad cluster section: {exc}") from exc
 
 
 def alphabet_from(ccfg: ClusterConfig, section: dict):
-    for key in ("self_id", "unknown_id"):
-        if not (isinstance(section[key], str) and section[key]):
-            raise ConfigFileError(
-                f"alphabet.{key} must be a non-empty string, not {section[key]!r}")
     try:
         return default_alphabet(ccfg, self_id=section["self_id"],
                                 unknown_id=section["unknown_id"])
@@ -159,68 +212,27 @@ def alphabet_from(ccfg: ClusterConfig, section: dict):
         raise ConfigFileError(f"bad alphabet section: {exc}") from exc
 
 
-def _require_ints(section: str, doc: dict, keys) -> None:
-    for key in keys:
-        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-            raise ConfigFileError(f"{section}.{key} must be an integer, not {doc[key]!r}")
+def outside_alphabet(letters, acfg) -> list:
+    """Labels of the ``letters`` that are not input letters of ``acfg``."""
+    alphabet = set(enumerate_input_alphabet(acfg))
+    return sorted({symbol_label(s) for s in letters if s not in alphabet})
 
 
-def check_learner_section(lcfg: dict, alphabet: list) -> tuple:
-    """Check the learner section; return the letters to learn over."""
-    _require_ints("learner", lcfg, ("votes", "eq_depth", "max_rounds"))
-    if lcfg["max_queries"] is not None:
-        _require_ints("learner", lcfg, ("max_queries",))
-    if lcfg["votes"] < 1 or lcfg["votes"] % 2 == 0:
-        raise ConfigFileError("learner.votes must be a positive odd number")
-    if lcfg["eq_depth"] < 1:
-        raise ConfigFileError("learner.eq_depth must be at least 1")
-    if lcfg["max_rounds"] < 1:
-        raise ConfigFileError("learner.max_rounds must be at least 1")
+def learner_letters(lcfg: dict, acfg) -> tuple:
+    """The letters to learn over: ``learner.letters``, or the whole input
+    alphabet when it is empty."""
     if not lcfg["letters"]:
-        return tuple(alphabet)
+        return tuple(enumerate_input_alphabet(acfg))
     try:
         letters = tuple(word_from_obj(lcfg["letters"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigFileError(f"bad learner.letters: {exc}") from exc
-    stray = [symbol_label(s) for s in letters if s not in alphabet]
+    stray = outside_alphabet(letters, acfg)
     if stray:
         raise ConfigFileError(f"learner.letters outside the input alphabet: {stray}")
     if len(set(letters)) != len(letters):
         raise ConfigFileError("learner.letters names a letter twice")
     return letters
-
-
-_INPUT_TAGS = tuple(tag for tag in TAG_ORDER if tag != NORESPONSE)
-
-
-def check_fuzz_section(fcfg: dict) -> None:
-    _require_ints("fuzz", fcfg, ("budget", "seed"))
-    bounds = fcfg["mutations"]
-    if not (isinstance(bounds, list) and len(bounds) == 2
-            and all(isinstance(n, int) and not isinstance(n, bool) for n in bounds)
-            and 1 <= bounds[0] <= bounds[1]):
-        raise ConfigFileError(
-            f"fuzz.mutations must be two integers 1 <= low <= high, not {bounds!r}")
-    if not isinstance(fcfg["dedupe"], bool):
-        raise ConfigFileError(
-            f"fuzz.dedupe must be true or false, not {fcfg['dedupe']!r}")
-    weights = fcfg["weights"]
-    if weights is not None and not (
-            isinstance(weights, dict) and set(weights) == set(ALL_MUTATIONS)
-            and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                    and 0 <= w < float("inf") for w in weights.values())):
-        raise ConfigFileError(
-            f"fuzz.weights must map each of {list(ALL_MUTATIONS)} "
-            "to a non-negative number")
-    others = fcfg["prune_others"]
-    if not (isinstance(others, list) and all(tag in _INPUT_TAGS for tag in others)):
-        raise ConfigFileError(
-            f"fuzz.prune_others must be a list of input tags from {list(_INPUT_TAGS)}, "
-            f"not {others!r}")
-
-
-def build_proxy(ccfg: ClusterConfig, alphabet_section: dict) -> ClusterProxy:
-    return ClusterProxy(spawn_cluster(ccfg), alphabet_from(ccfg, alphabet_section))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +243,12 @@ def cmd_learn(args) -> int:
     config = load_config(args.config)
     lcfg = config["learner"]
     ccfg = cluster_from_config(config, args)
-    proxy = build_proxy(ccfg, config["alphabet"])
-    letters = check_learner_section(lcfg, enumerate_input_alphabet(proxy.cfg))
+    acfg = alphabet_from(ccfg, config["alphabet"])
+    letters = learner_letters(lcfg, acfg)
+    if args.budget is not None and args.budget < 0:
+        raise ConfigFileError(f"--budget must be >= 0, not {args.budget}")
     budget = args.budget if args.budget is not None else lcfg["max_queries"]
+    proxy = ClusterProxy(spawn_cluster(ccfg), acfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log.info("learning over %d letters (votes=%s, depth=%s, budget=%s)",
@@ -318,9 +333,14 @@ def case_document(origin: str, case: FuzzCase, finding: Finding) -> str:
 def cmd_fuzz(args) -> int:
     config = load_config(args.config)
     fcfg = config["fuzz"]
-    check_fuzz_section(fcfg)
     machine = load_machine(args.machine)
     ccfg = cluster_from_config(config, args)
+    acfg = alphabet_from(ccfg, config["alphabet"])
+    stray = outside_alphabet(machine.input_alphabet, acfg)
+    if stray:
+        raise ConfigFileError(
+            f"machine {args.machine} has letters outside the input alphabet of "
+            f"this configuration: {stray}")
     seed = args.seed if args.seed is not None else fcfg["seed"]
     budget = args.budget if args.budget is not None else fcfg["budget"]
     if budget < 1:
@@ -328,7 +348,7 @@ def cmd_fuzz(args) -> int:
     if args.shards < 1:
         raise ConfigFileError("shards must be positive")
     pruned = machine.prune(PrunePolicy(others_labels=frozenset(fcfg["prune_others"])))
-    domains = input_domains(alphabet_from(ccfg, config["alphabet"]))
+    domains = input_domains(acfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -338,7 +358,7 @@ def cmd_fuzz(args) -> int:
         if shard_budget == 0:
             continue
         shard_seed = seed if args.shards == 1 else (seed << 16) | shard
-        proxy = build_proxy(ccfg, config["alphabet"])
+        proxy = ClusterProxy(spawn_cluster(ccfg), acfg)
         proxy.reset_session()
         detector = Detector(Baseline.capture(proxy))
         log.info("shard %d: %d cases, seed %d", shard, shard_budget, shard_seed)
@@ -387,7 +407,13 @@ def cmd_replay(args) -> int:
         raise ConfigFileError(f"case {args.case} is malformed: {exc}") from exc
 
     ccfg = cluster_from_config(config, args)
-    proxy = build_proxy(ccfg, config["alphabet"])
+    acfg = alphabet_from(ccfg, config["alphabet"])
+    swapped = [m.symbol for m in case.mutations if m.symbol is not None]
+    stray = outside_alphabet((*case.base, *case.word, *swapped), acfg)
+    if stray:
+        raise ConfigFileError(
+            f"case {args.case} has letters outside the input alphabet: {stray}")
+    proxy = ClusterProxy(spawn_cluster(ccfg), acfg)
     proxy.reset_session()
     detector = Detector(Baseline.capture(proxy))
     if "origin" in doc and doc["origin"] != detector.baseline.origin:

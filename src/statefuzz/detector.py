@@ -42,8 +42,8 @@ ALL_CRITERIA = (
     CRIT_EXHAUSTION,
 )
 
-DEFAULT_SESSION_FACTOR = 4
-DEFAULT_LOAD_FACTOR = 3
+SESSION_FACTOR = 4
+LOAD_FACTOR = 3
 
 
 class BaselineMismatchError(RuntimeError):
@@ -102,14 +102,8 @@ class Finding:
 class Detector:
     """Evaluate post-sequence snapshots against a fixed baseline."""
 
-    def __init__(self, baseline: Baseline,
-                 session_factor: int = DEFAULT_SESSION_FACTOR,
-                 load_factor: int = DEFAULT_LOAD_FACTOR):
-        if session_factor < 1 or load_factor < 1:
-            raise ValueError("threshold factors must be at least 1")
+    def __init__(self, baseline: Baseline):
         self.baseline = baseline
-        self.session_factor = session_factor
-        self.load_factor = load_factor
 
     def evaluate(self, observation: ClusterObservation, received=()) -> Finding | None:
         """``received`` is every output word the peer collected while the
@@ -198,15 +192,14 @@ class Detector:
     def _exhaustion(self, base, obs):
         problems = {}
         member_count = len(base.membership)
-        session_limit = self.session_factor * member_count
+        session_limit = SESSION_FACTOR * member_count
         if obs.sessions_open > session_limit:
             problems["sessions"] = {"open": obs.sessions_open, "limit": session_limit}
         overloaded = {}
         for node, load in sorted(obs.resource_load.items()):
             base_load = base.resource_load.get(node, 1)
-            if load > self.load_factor * base_load:
-                overloaded[node] = {"load": load,
-                                    "limit": self.load_factor * base_load}
+            if load > LOAD_FACTOR * base_load:
+                overloaded[node] = {"load": load, "limit": LOAD_FACTOR * base_load}
         if overloaded:
             problems["load"] = overloaded
         return problems or None

@@ -117,13 +117,19 @@ class MutationRecord:
 
     @classmethod
     def from_obj(cls, doc: dict) -> "MutationRecord":
-        return cls(
-            position=doc["position"],
-            action=doc["action"],
-            copies=doc.get("copies", 0),
-            source=doc.get("source", 0),
-            symbol=symbol_from_obj(doc["symbol"]) if "symbol" in doc else None,
-        )
+        """Parse a stored record; a field of the wrong type, an unknown
+        action or an argument swap without a symbol is a ``ValueError``."""
+        if doc["action"] not in ALL_MUTATIONS:
+            raise ValueError(f"unknown mutation action: {doc['action']!r}")
+        counts = {"position": doc["position"], "copies": doc.get("copies", 0),
+                  "source": doc.get("source", 0)}
+        for key, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"mutation {key} must be an integer, not {value!r}")
+        if doc["action"] == MUT_SWAP_ARG and "symbol" not in doc:
+            raise ValueError("swap-arg record carries no symbol")
+        return cls(action=doc["action"], **counts,
+                   symbol=symbol_from_obj(doc["symbol"]) if "symbol" in doc else None)
 
 
 def apply_mutation(seq, record: MutationRecord) -> tuple:
@@ -150,11 +156,12 @@ def apply_mutation(seq, record: MutationRecord) -> tuple:
     raise ValueError(f"unknown mutation action: {record.action!r}")
 
 
-def mutate(seq, rng: random.Random, domains: dict, weights: dict | None = None):
+def mutate(seq, rng: random.Random, domains: dict,
+           weights: dict = DEFAULT_CAMPAIGN_WEIGHTS):
     """One random mutation of ``seq``; returns ``(new_seq, record)``.
 
     Draws, in order: the position (uniform over the sequence), the action
-    (uniform over available actions, or per ``weights``), then any
+    (per ``weights``, over the available actions), then any
     action-specific values.  ``domains`` maps a letter tag to its parameter
     tuples and decides whether an argument swap is possible at the chosen
     position.
@@ -170,10 +177,7 @@ def mutate(seq, rng: random.Random, domains: dict, weights: dict | None = None):
         available.append(MUT_REPLACE)
     if alternatives:
         available.append(MUT_SWAP_ARG)
-    if weights is None:
-        action = available[rng.randrange(len(available))]
-    else:
-        action = rng.choices(available, weights=[weights[a] for a in available])[0]
+    action = rng.choices(available, weights=[weights[a] for a in available])[0]
     if action == MUT_DUPLICATE:
         record = MutationRecord(position, action, copies=rng.randint(MIN_COPIES, MAX_COPIES))
     elif action == MUT_REMOVE:

@@ -54,6 +54,8 @@ ALL_VULNERABILITIES = frozenset(
 
 BASE_NODE_LOAD = 2
 ERROR_TYPE = "__error__"
+# The link a forged topology add fabricates under ``fake_link``.
+FAKE_LINK = ("a2", "b2")
 
 
 class SimulationError(RuntimeError):
@@ -71,10 +73,6 @@ class ClusterConfig:
     vulnerabilities: frozenset = frozenset()
     seed: int = 42
     apps: tuple = ("fwd", "stats", "acl")
-    session_ttl: int = 0          # 0 means 4 x heartbeat_threshold
-    session_reap_interval: int = 0  # 0 means 2 x heartbeat_threshold
-    fake_link_pair: tuple = ("a2", "b2")
-    suppress_keepalives: bool = False  # test support: keep-alive transparency
 
     def __post_init__(self):
         if len(self.members) < 3:
@@ -96,11 +94,11 @@ class ClusterConfig:
 
     @property
     def ttl(self) -> int:
-        return self.session_ttl or 4 * self.heartbeat_threshold
+        return 4 * self.heartbeat_threshold
 
     @property
     def reap_interval(self) -> int:
-        return self.session_reap_interval or 2 * self.heartbeat_threshold
+        return 2 * self.heartbeat_threshold
 
     def digest(self) -> str:
         """Short identity of the whole configuration, every field included."""
@@ -120,51 +118,7 @@ class ClusterConfig:
             "vulnerabilities": sorted(self.vulnerabilities),
             "seed": self.seed,
             "apps": list(self.apps),
-            "session_ttl": self.session_ttl,
-            "session_reap_interval": self.session_reap_interval,
-            "fake_link_pair": list(self.fake_link_pair),
-            "suppress_keepalives": self.suppress_keepalives,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ClusterConfig":
-        """Build from a JSON object; an unknown key or a value of the wrong
-        type is a :class:`ConfigError`."""
-        unknown = set(doc) - set(_FIELD_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown cluster settings: {sorted(unknown)}")
-        for key, value in doc.items():
-            what, ok = _FIELD_TYPES[key]
-            if not ok(value):
-                raise ConfigError(f"cluster.{key} must be {what}, not {value!r}")
-        kw = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        if "vulnerabilities" in kw:
-            kw["vulnerabilities"] = frozenset(kw["vulnerabilities"])
-        return cls(**kw)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list(value, kind, length=None) -> bool:
-    return (isinstance(value, (list, tuple)) and length in (None, len(value))
-            and all(isinstance(x, kind) and not isinstance(x, bool) for x in value))
-
-
-# What ``ClusterConfig.from_dict`` accepts for each field.
-_STRINGS = ("a list of strings", lambda v: _is_list(v, str))
-_INT = ("an integer", _is_int)
-_COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
-_FIELD_TYPES = {
-    "members": _STRINGS, "apps": _STRINGS, "vulnerabilities": _STRINGS,
-    "cluster_id": ("a string", lambda v: isinstance(v, str)),
-    "heartbeat_threshold": _INT, "seed": _INT,
-    "session_ttl": _COUNT, "session_reap_interval": _COUNT,
-    "election_timeout_range": ("two integers", lambda v: _is_list(v, int, 2)),
-    "fake_link_pair": ("two strings", lambda v: _is_list(v, str, 2)),
-    "suppress_keepalives": ("true or false", lambda v: isinstance(v, bool)),
-}
 
 
 def default_alphabet(cfg: ClusterConfig, self_id: str = "dummy",
@@ -420,7 +374,7 @@ class ClusterHandle:
         # Liveness probing between members is not modeled; a round only
         # probes an admitted dummy peer.
         d = self.dummy
-        if d.admitted and d.address and not self.cfg.suppress_keepalives:
+        if d.admitted and d.address:
             self._emit(Symbol(PREQ, ()), payload={"target": d.address})
             self._emit(Symbol(RAREQ, ()), payload={"term": self.cluster_term, "entries": []})
 
@@ -563,7 +517,7 @@ class ClusterHandle:
                 self.apps = []
                 consumed = True
             if VULN_FAKE_LINK in vulns and (data, op) == (DATA_TOPO, OP_ADD):
-                self.fake_links.add(tuple(self.cfg.fake_link_pair))
+                self.fake_links.add(FAKE_LINK)
                 consumed = True
             if consumed or d.admitted:
                 self._emit(Symbol(RCOMRES, ()), payload={})

@@ -55,7 +55,8 @@ from statefuzz.learner import MembershipOracle, lstar_learn, wmethod_counterexam
 from statefuzz.mealy import MealyMachine, PrunePolicy, isomorphic, minimize
 from statefuzz.proxy import ClusterProxy, SessionContext
 from statefuzz.sulsim import (
-    ALL_VULNERABILITIES, ClusterConfig, default_alphabet, spawn_cluster,
+    ALL_VULNERABILITIES, ClusterConfig, ClusterHandle, default_alphabet,
+    spawn_cluster,
 )
 from statefuzz.cli import main as cli_main
 
@@ -67,9 +68,9 @@ FULL_ALPHABET = tuple(enumerate_input_alphabet(ALPHABET_CFG))
 DOMAINS = input_domains(ALPHABET_CFG)
 
 
-def fresh_proxy(vulns=(), **kw):
-    ccfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset(vulns), **kw)
-    handle = spawn_cluster(ccfg)
+def fresh_proxy(vulns=(), cluster=spawn_cluster):
+    ccfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset(vulns))
+    handle = cluster(ccfg)
     return ClusterProxy(handle, default_alphabet(ccfg)), handle
 
 
@@ -388,10 +389,14 @@ def test_proxy_ordering_transparency_and_reset_equivalence():
         assert len(words) == 1
 
     # (b) Keep-alive transparency on the live cluster: a cluster that sends
-    # keep-alives and one configured to stay silent answer every query with
-    # the same output words.
+    # keep-alives and one that never probes answer every query with the same
+    # output words.
+    class SilentCluster(ClusterHandle):
+        def _swim_round(self):
+            pass
+
     loud, _ = fresh_proxy(["unauth_join"])
-    quiet, _ = fresh_proxy(["unauth_join"], suppress_keepalives=True)
+    quiet, _ = fresh_proxy(["unauth_join"], cluster=SilentCluster)
     letters = [Symbol(PREQ, (NodeRef("dummy", UNKNOWN),)),
                BREQ_FULL, RJREQ_SELF, RCOM_ADD,
                Symbol(RVREQ, (NodeRef("n1", KNOWN), TERM_HIGHER))]
@@ -399,6 +404,7 @@ def test_proxy_ordering_transparency_and_reset_equivalence():
         word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
         assert loud.query(word) == quiet.query(word)
     answered = loud.keepalives_answered
+    assert quiet.keepalives_answered == 0 < answered
 
     # (c) Reset equivalence against freshly spawned clusters.
     seasoned, _ = fresh_proxy()

@@ -2,6 +2,7 @@
 deterministic outputs, sharding, and config validation."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -15,11 +16,12 @@ from statefuzz.alphabet import word_to_obj
 from statefuzz import cli
 from statefuzz.cli import (
     EXIT_BUDGET_EXHAUSTED, EXIT_NONDETERMINISM, EXIT_OK, EXIT_TRANSPORT,
-    EXIT_USAGE, EXIT_VERDICT_MISMATCH, main,
+    DEFAULTS, EXIT_USAGE, EXIT_VERDICT_MISMATCH, SETTINGS, cluster_from_config,
+    load_config, main,
 )
 from statefuzz.mealy import MealyMachine
 from statefuzz.proxy import TransportError
-from statefuzz.sulsim import ClusterHandle
+from statefuzz.sulsim import VULN_FAKE_LINK, ClusterConfig, ClusterHandle
 
 from test_learner import LADDER_ALPHABET
 
@@ -104,6 +106,7 @@ class TestLearn:
         {"max_rounds": 0},
         {"max_queries": "100"},
         {"votes": 2},
+        {"max_queries": -3},
     ])
     def test_malformed_learner_section_exits_usage_before_any_session(
             self, tmp_path, capsys, learner):
@@ -113,18 +116,32 @@ class TestLearn:
         assert "learner." in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_budget_exits_usage_before_any_session(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["learn", "--budget", "-1", "--out-dir", str(out)]) == EXIT_USAGE
+        assert "--budget" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cluster", [
         {"members": ["n1", "n2", "n3", 4]},
         {"members": "abcd"},
         {"election_timeout_range": [10]},
         {"apps": "fwd"},
         {"cluster_id": 7},
-        {"suppress_keepalives": "no"},
-        {"fake_link_pair": ["a1"]},
-        {"session_ttl": -5},
-        {"session_reap_interval": True},
+        # Settings removed from ClusterConfig are unknown keys now.
+        {"suppress_keepalives": False},
+        {"fake_link_pair": ["a2", "b2"]},
+        {"session_ttl": 0},
+        {"session_reap_interval": 0},
         {"heartbeat_threshold": 5.0},
         {"seed": "x"},
+        {"election_timeout_range": [10, "20"]},
+        {"vulnerabilities": "unauth_join"},
+        {"members": ["n1", "n2", None]},
+        {"seed": False},
+        {"member": ["n1", "n2", "n3"]},
+        {"vulnerabilities": ["nosuch"]},
+        {"members": ["n1", "n1", "n2"]},
     ])
     def test_malformed_cluster_section_exits_usage_before_any_session(
             self, tmp_path, capsys, cluster):
@@ -132,8 +149,30 @@ class TestLearn:
         out = tmp_path / "out"
         assert main(["learn", "--config", cfg, "--budget", "40",
                      "--out-dir", str(out)]) == EXIT_USAGE
-        assert "bad cluster section" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad cluster section" in err
+        assert ("unknown cluster settings" in err) == (
+            not set(cluster) <= set(ClusterConfig().to_dict()))
         assert not out.exists()
+
+    def test_cluster_section_round_trips(self):
+        ccfg = ClusterConfig(vulnerabilities=frozenset({VULN_FAKE_LINK}), seed=9)
+        config = {"cluster": json.loads(json.dumps(ccfg.to_dict()))}
+        args = argparse.Namespace(command="learn", vulns=None, seed=None)
+        assert cluster_from_config(config, args) == ccfg
+
+    def test_readme_shows_the_defaults(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Run configuration", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        assert json.loads(block) == load_config(None)
+
+    def test_every_setting_has_a_default_that_passes_its_check(self):
+        assert {section: set(rows) for section, rows in SETTINGS.items()} == {
+            section: set(values) for section, values in DEFAULTS.items()}
+        for section, rows in SETTINGS.items():
+            for key, (what, ok) in rows.items():
+                assert ok(DEFAULTS[section][key]), f"{section}.{key} is not {what}"
 
     @pytest.mark.parametrize("command", ["learn", "fuzz"])
     @pytest.mark.parametrize("alphabet", [
@@ -340,6 +379,23 @@ class TestFuzz:
         assert "fuzz." in capsys.readouterr().err
         assert not out.exists()
 
+    def test_machine_of_another_cluster_exits_usage(self, tmp_path, capsys):
+        # The reference model with member n1 renamed: its PReq letter names a
+        # node this cluster does not have.
+        doc = json.loads((REPO_ROOT / "perfbench" / "reference" / "machine.json")
+                         .read_text(encoding="utf-8"))
+        for sym in [*doc["alphabet"], *(edge["input"] for edge in doc["transitions"])]:
+            if sym["tag"] == "PReq" and sym["params"][0]["node"] == "n1":
+                sym["params"][0]["node"] = "zz"
+        foreign = write_json(tmp_path / "machine.json", doc)
+        out = tmp_path / "out"
+        rc = main(["fuzz", foreign, "--budget", "50", "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "outside the input alphabet" in captured.err and "zz" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_misspelt_fuzz_setting_exits_usage(self, workspace, tmp_path, capsys):
         cfg = fuzz_config(workspace, tmp_path, budgte=5)
         out = tmp_path / "out"
@@ -414,6 +470,23 @@ class TestReplay:
         rc = main(["replay", edited, "--config", cfg, "--vulns", "clear_store"])
         assert rc == EXIT_USAGE
         assert "is malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"mutations": [{"position": "1", "action": "remove"}]}, "is malformed"),
+        ({"mutations": [{"position": 1, "action": "duplicate", "copies": "3"}]},
+         "is malformed"),
+        ({"base": [{"tag": "PReq", "params": []}], "mutations": [],
+          "word": [{"tag": "PReq", "params": []}]}, "outside the input alphabet"),
+    ], ids=["position", "copies", "arity"])
+    def test_malformed_case_exits_usage(self, finding_case, tmp_path, capsys,
+                                        edit, message):
+        cfg, case_file = finding_case
+        doc = {**json.loads(case_file.read_text()), **edit}
+        edited = write_json(tmp_path / "case.json", doc)
+        rc = main(["replay", edited, "--config", cfg, "--vulns", "clear_store"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_seed_option_is_not_accepted(self, finding_case, capsys):
         # A replay runs on the recorded cluster; a seed would be ignored.

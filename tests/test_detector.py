@@ -55,13 +55,6 @@ class TestBaseline:
         with pytest.raises(BaselineMismatchError):
             det.evaluate(other.observation)
 
-    def test_factor_validation(self):
-        baseline, _ = fresh_baseline()
-        with pytest.raises(ValueError):
-            Detector(baseline, session_factor=0)
-        with pytest.raises(ValueError):
-            Detector(baseline, load_factor=0)
-
 
 class TestCriteria:
     def setup_method(self):
@@ -140,12 +133,22 @@ class TestCriteria:
         assert finding.criteria == (CRIT_EXHAUSTION,)
         assert leader in finding.evidence[CRIT_EXHAUSTION]["load"]
 
-    def test_custom_factors_move_thresholds(self):
-        det = Detector(self.baseline, session_factor=1, load_factor=10)
-        finding = det.evaluate(obs_with(self.obs, sessions_open=5))
-        assert finding.criteria == (CRIT_EXHAUSTION,)
-        big_load = dict(self.obs.resource_load, n1=19)
-        assert det.evaluate(obs_with(self.obs, resource_load=big_load)) is None
+    def test_thresholds_scale_with_the_baseline(self):
+        # Three members and a baseline load of 7 on n1: at most 12 sessions
+        # and a load of 21 on n1.
+        roster = dict(list(self.obs.membership.items())[:3])
+        loads = dict(self.obs.resource_load, n1=7)
+        det = Detector(Baseline(obs_with(self.obs, membership=roster,
+                                         resource_load=loads)))
+        base = det.baseline.observation
+        assert det.evaluate(obs_with(base, sessions_open=12)) is None
+        finding = det.evaluate(obs_with(base, sessions_open=13))
+        assert finding.evidence[CRIT_EXHAUSTION] == {
+            "sessions": {"open": 13, "limit": 12}}
+        assert det.evaluate(obs_with(base, resource_load=dict(loads, n1=21))) is None
+        finding = det.evaluate(obs_with(base, resource_load=dict(loads, n1=22)))
+        assert finding.evidence[CRIT_EXHAUSTION] == {
+            "load": {"n1": {"load": 22, "limit": 21}}}
 
     def test_multiple_criteria_in_canonical_order(self):
         changed = obs_with(self.obs, leader="dummy", apps=(), sessions_open=100)

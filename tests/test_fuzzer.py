@@ -17,8 +17,7 @@ from statefuzz.detector import (
     CRIT_EXHAUSTION, CRIT_REACH_CHANGE, CRIT_STATE_CHANGE,
 )
 from statefuzz.fuzzer import (
-    DEFAULT_CAMPAIGN_WEIGHTS, MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE,
-    MUT_SWAP_ARG, CampaignReport, FuzzCase, MutationRecord, apply_mutation,
+    MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE, MUT_SWAP_ARG, CampaignReport, FuzzCase, MutationRecord, apply_mutation,
     mutate, replay_case, run_campaign, sdfs_extract,
 )
 from statefuzz.mealy import MealyMachine, PrunePolicy
@@ -178,6 +177,17 @@ class TestApplyMutation:
         for rec in records:
             assert MutationRecord.from_obj(rec.to_obj()) == rec
 
+    @pytest.mark.parametrize("doc", [
+        {"position": "1", "action": MUT_REMOVE},
+        {"position": 1, "action": MUT_DUPLICATE, "copies": "3"},
+        {"position": 2, "action": MUT_REPLACE, "source": True},
+        {"position": 1, "action": "explode"},
+        {"position": 1, "action": MUT_SWAP_ARG},
+    ])
+    def test_malformed_stored_record_rejected(self, doc):
+        with pytest.raises(ValueError):
+            MutationRecord.from_obj(doc)
+
 
 class TestMutate:
     def test_deterministic_under_fixed_seed(self):
@@ -221,22 +231,12 @@ class TestMutate:
                 seen.add(rec.symbol.params)
         assert len(seen) == len(DOMAINS[BREQ]) - 1  # every alternative reachable
 
-    def test_uniform_action_distribution(self):
-        rng = random.Random(4)
-        counts = Counter()
-        trials = 100_000
-        for _ in range(trials):
-            _, rec = mutate(SEQ3, rng, DOMAINS)
-            counts[rec.action] += 1
-        for action in (MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE, MUT_SWAP_ARG):
-            assert abs(counts[action] / trials - 0.25) < 0.01, counts
-
     def test_campaign_weights_bias_structural_edits(self):
         rng = random.Random(5)
         counts = Counter()
         trials = 100_000
         for _ in range(trials):
-            _, rec = mutate(SEQ3, rng, DOMAINS, weights=DEFAULT_CAMPAIGN_WEIGHTS)
+            _, rec = mutate(SEQ3, rng, DOMAINS)
             counts[rec.action] += 1
         assert abs(counts[MUT_SWAP_ARG] / trials - 0.1) < 0.01, counts
         for action in (MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE):

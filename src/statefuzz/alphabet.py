@@ -412,19 +412,14 @@ def frame_encode(msg: ConcreteMessage) -> bytes:
 
 def frame_decode(data: bytes) -> ConcreteMessage:
     """Parse exactly one frame.  Trailing bytes are a framing error."""
-    msg, rest = split_frame(data)
-    if rest:
-        raise FrameError(f"{len(rest)} trailing bytes after frame")
-    return msg
-
-
-def split_frame(data: bytes):
-    """Parse one frame off the front of ``data``; return (message, rest)."""
     stream = io.BytesIO(data)
     msg = read_frame(stream.read)
     if msg is None:
         raise FrameError("no frame in empty input")
-    return msg, data[stream.tell():]
+    rest = len(data) - stream.tell()
+    if rest:
+        raise FrameError(f"{rest} trailing bytes after frame")
+    return msg
 
 
 def parse_frame_body(body: bytes) -> ConcreteMessage:

@@ -19,13 +19,15 @@ writes back into an input file.  The ``STATEFUZZ_LOG`` environment variable
 
 Exit codes: 0 success; 1 replay verdict mismatch or --fail-on-finding
 triggered; 2 bad usage, configuration, or input files; 3 learning budget
-exhausted; 4 nondeterministic target; 5 transport failure while learning.
+exhausted; 4 nondeterministic target; 5 transport failure while learning;
+130 ``learn`` interrupted (Ctrl-C), after saving ``machine-partial.json``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,7 +38,8 @@ from .alphabet import (
 )
 from .detector import ALL_CRITERIA, Baseline, Detector, Finding
 from .fuzzer import (
-    ALL_MUTATIONS, CampaignReport, FuzzCase, replay_case, run_campaign,
+    ALL_MUTATIONS, MUT_DUPLICATE, MUT_REMOVE, CampaignReport, FuzzCase,
+    replay_case, run_campaign,
 )
 from .learner import (
     MembershipOracle, NondeterminismError, PartialResultError, lstar_learn,
@@ -54,6 +57,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET_EXHAUSTED = 3
 EXIT_NONDETERMINISM = 4
 EXIT_TRANSPORT = 5
+EXIT_INTERRUPTED = 130
 
 log = logging.getLogger("statefuzz")
 
@@ -83,9 +87,15 @@ def _int_pair(value) -> bool:
 
 
 def _weights(value) -> bool:
-    return (isinstance(value, dict) and set(value) == set(ALL_MUTATIONS)
+    # The campaign draws with random.choices, which needs a positive, finite
+    # total at every position; duplicate and remove are the only actions
+    # open at every position.
+    if not (isinstance(value, dict) and set(value) == set(ALL_MUTATIONS)
             and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                    and 0 <= w < float("inf") for w in value.values()))
+                    and 0 <= w <= sys.float_info.max for w in value.values())):
+        return False
+    return (value[MUT_DUPLICATE] + value[MUT_REMOVE] > 0
+            and math.isfinite(sum(map(float, value.values()))))
 
 
 _NAME = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
@@ -118,11 +128,10 @@ SETTINGS = {
     "fuzz": {
         "budget": _INT,
         "seed": _INT,
-        "mutations": ("two integers 1 <= low <= high",
-                      lambda v: _int_pair(v) and 1 <= v[0] <= v[1]),
         "weights": (f"null or an object giving each of {list(ALL_MUTATIONS)} "
-                    "a non-negative number", lambda v: v is None or _weights(v)),
-        "dedupe": ("true or false", lambda v: isinstance(v, bool)),
+                    f"a non-negative number, with {MUT_DUPLICATE} + {MUT_REMOVE} > 0 "
+                    "and a finite total",
+                    lambda v: v is None or _weights(v)),
         "prune_others": (f"a list of input tags from {list(_INPUT_TAGS)}",
                          lambda v: isinstance(v, list)
                          and all(tag in _INPUT_TAGS for tag in v)),
@@ -134,8 +143,7 @@ DEFAULTS = {
     "alphabet": {"self_id": "dummy", "unknown_id": "nz"},
     "learner": {"votes": 1, "eq_depth": 1, "max_rounds": 100,
                 "max_queries": None, "letters": None},
-    "fuzz": {"budget": 2000, "seed": 42, "mutations": [1, 3], "weights": None,
-             "dedupe": False, "prune_others": []},
+    "fuzz": {"budget": 2000, "seed": 42, "weights": None, "prune_others": []},
 }
 
 
@@ -261,7 +269,7 @@ def cmd_learn(args) -> int:
                 oracle, letters,
                 lambda m: wmethod_counterexample(m, oracle,
                                                  depth=lcfg["eq_depth"]),
-                max_rounds=lcfg["max_rounds"], transcript=transcript)
+                max_rounds=lcfg["max_rounds"])
         except PartialResultError as exc:
             if exc.hypothesis is not None:
                 (out_dir / "machine-partial.json").write_text(
@@ -269,6 +277,8 @@ def cmd_learn(args) -> int:
             print(f"learning stopped early: {exc}", file=sys.stderr)
             if isinstance(exc.__cause__, TransportError):
                 return EXIT_TRANSPORT
+            if isinstance(exc.__cause__, KeyboardInterrupt):
+                return EXIT_INTERRUPTED
             return EXIT_BUDGET_EXHAUSTED
         except NondeterminismError as exc:
             print(f"target answered nondeterministically: {exc}", file=sys.stderr)
@@ -366,8 +376,7 @@ def cmd_fuzz(args) -> int:
             reports.append(run_campaign(
                 proxy, pruned, detector, rng_seed=shard_seed,
                 max_cases=shard_budget, domains=domains,
-                weights=fcfg["weights"], dedupe=fcfg["dedupe"],
-                mutations_range=tuple(fcfg["mutations"])))
+                weights=fcfg["weights"]))
         except ValueError as exc:
             raise ConfigFileError(f"campaign cannot run: {exc}") from exc
 

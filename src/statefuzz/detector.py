@@ -204,15 +204,3 @@ class Detector:
             problems["load"] = overloaded
         return problems or None
 
-
-def dedupe_findings(records):
-    """Drop records whose finding signature was already seen.  ``records``
-    are (anything, Finding) pairs; first occurrence wins, order preserved."""
-    seen = set()
-    kept = []
-    for item, finding in records:
-        sig = finding.signature()
-        if sig not in seen:
-            seen.add(sig)
-            kept.append((item, finding))
-    return kept

@@ -23,7 +23,7 @@ from .alphabet import (
     DecodeError, Symbol, symbol_from_obj, symbol_to_obj, word_from_obj,
     word_to_obj,
 )
-from .detector import Detector, dedupe_findings
+from .detector import Detector
 from .mealy import MealyMachine
 
 MUT_DUPLICATE = "duplicate"
@@ -262,9 +262,7 @@ class CampaignReport:
 def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
                  rng_seed: int, max_cases: int, domains: dict,
                  weights: dict | None = None,
-                 until_criteria=None, dedupe: bool = False,
-                 mutations_range: tuple = (MIN_MUTATIONS_PER_CASE,
-                                           MAX_MUTATIONS_PER_CASE)) -> CampaignReport:
+                 until_criteria=None) -> CampaignReport:
     """Mutation-based injection campaign against the proxied cluster.
 
     Seeds are extracted from ``machine``; case scheduling favors seeds whose
@@ -275,9 +273,6 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
     """
     if max_cases < 1:
         raise ValueError("max_cases must be positive")
-    lo_mut, hi_mut = mutations_range
-    if not 1 <= lo_mut <= hi_mut:
-        raise ValueError("mutations_range must satisfy 1 <= low <= high")
     seeds = sdfs_extract(machine)
     if not seeds:
         raise ValueError("model yields no feasible sequences to mutate")
@@ -298,7 +293,7 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
         case_rng = random.Random((rng_seed << 32) ^ case_id)
         word = seeds[seed_index]
         records = []
-        for _ in range(case_rng.randint(lo_mut, hi_mut)):
+        for _ in range(case_rng.randint(MIN_MUTATIONS_PER_CASE, MAX_MUTATIONS_PER_CASE)):
             if not word:
                 break
             word, record = mutate(word, case_rng, domains, weights)
@@ -317,8 +312,6 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
             found.update(finding.criteria)
             if wanted is not None and wanted <= found:
                 break
-    if dedupe:
-        findings = list(dedupe_findings(findings))
     stats = {
         "cases": cases_run,
         "findings": len(findings),

@@ -410,14 +410,16 @@ class LearnResult:
 
 
 def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
-                max_rounds: int = 100, transcript=None) -> LearnResult:
+                max_rounds: int = 100) -> LearnResult:
     """Refine L# hypotheses until ``find_counterexample`` comes up empty.
 
     ``find_counterexample(machine)`` returns a disagreeing input word or
-    ``None``.  On budget exhaustion, round overrun or a failed transport the
-    best hypothesis is attached to a ``PartialResultError``.
+    ``None``.  Events go to the oracle's transcript.  On budget exhaustion,
+    round overrun, a failed transport or an interrupt the best hypothesis is
+    attached to a ``PartialResultError``.
     """
     learner = _LSharp(oracle, alphabet)
+    transcript = oracle.transcript
     _emit(transcript, {"event": "start",
                        "alphabet": word_to_obj(learner.alphabet),
                        "votes": oracle.votes})
@@ -455,6 +457,8 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
     except TransportError as exc:
         raise PartialResultError(f"transport failed: {exc}",
                                  hypothesis, oracle.stats) from exc
+    except KeyboardInterrupt as exc:
+        raise PartialResultError("interrupted", hypothesis, oracle.stats) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +595,7 @@ def _harmonized_identifiers(m: MealyMachine) -> dict:
     return ident
 
 
-def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:
+def wmethod_suite(machine: MealyMachine, depth: int) -> tuple:
     """Deterministically ordered conformance test words, built by the HSI
     method (harmonized state identifiers; Dorofeeva et al., IST 2010).
 
@@ -623,7 +627,7 @@ def wmethod_suite(machine: MealyMachine, depth: int = 2) -> tuple:
 
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
-                           depth: int = 2):
+                           depth: int):
     """First word of the HSI-method suite (:func:`wmethod_suite`) on which the
     target and the hypothesis disagree, or ``None`` if the whole suite
     matches position by position."""

@@ -4,12 +4,12 @@ A machine is total: every (state, input letter) pair has exactly one
 transition, carrying a possibly multi-letter output word.  Pruning hides
 self-loops and designated "others" letters from graph traversal without
 touching execution, so sequence extraction sees a smaller graph while
-``run`` keeps full semantics.
+execution keeps full semantics.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .alphabet import (
     Symbol, symbol_from_obj, symbol_label, symbol_sort_key,
@@ -76,15 +76,6 @@ class MealyMachine:
         except KeyError:
             raise ModelError(f"no transition for {(state, letter)!r}") from None
 
-    def run(self, word, start=None):
-        """Concatenated outputs of executing ``word`` from the initial state."""
-        state = self.initial if start is None else start
-        out = []
-        for letter in word:
-            state, piece = self.step(state, letter)
-            out.extend(piece)
-        return tuple(out)
-
     def run_outputs(self, word, start=None):
         """Per-position output words (one tuple per input letter)."""
         state = self.initial if start is None else start
@@ -112,7 +103,7 @@ class MealyMachine:
 
     def prune(self, policy: PrunePolicy | None = None) -> "MealyMachine":
         """Hide self-loops and "others" letters from traversal.  Idempotent;
-        execution through ``run``/``step`` is unaffected."""
+        execution through ``step`` is unaffected."""
         policy = policy or PrunePolicy()
         mask = frozenset(
             (s, a)
@@ -120,20 +111,6 @@ class MealyMachine:
             if nxt != s and not policy.is_other(a)
         )
         return replace(self, traversal_mask=mask)
-
-    def reachable_states(self):
-        """States reachable through traversal-visible edges, discovery order."""
-        seen = [self.initial]
-        seen_set = {self.initial}
-        queue = [self.initial]
-        while queue:
-            state = queue.pop(0)
-            for _, nxt, _ in self.traversal_edges(state):
-                if nxt not in seen_set:
-                    seen_set.add(nxt)
-                    seen.append(nxt)
-                    queue.append(nxt)
-        return seen
 
     # -- serialization -----------------------------------------------------
 

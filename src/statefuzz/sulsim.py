@@ -54,7 +54,9 @@ ALL_VULNERABILITIES = frozenset(
 
 BASE_NODE_LOAD = 2
 ERROR_TYPE = "__error__"
-# The link a forged topology add fabricates under ``fake_link``.
+# The switches' real links, and the link a forged topology add fabricates
+# under ``fake_link``.
+REAL_LINKS = (("a1", "a2"), ("a2", "b1"), ("b1", "b2"))
 FAKE_LINK = ("a2", "b2")
 
 
@@ -200,7 +202,6 @@ class ClusterHandle:
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
         self.window_ticks = cfg.heartbeat_threshold
-        self._switches, self._real_links, self._mastership = _topology(cfg)
         self._decode_cfg = default_alphabet(cfg, self_id="__sim_peer__",
                                             unknown_id="__sim_nz__")
         self._restore({
@@ -276,7 +277,7 @@ class ClusterHandle:
         self.cluster_term = snap["cluster_term"]
         self.leaders_by_term = dict(snap["leaders_by_term"])
         self.apps = list(snap["apps"])
-        self.fake_links = set()
+        self.link_forged = False
         self.sessions = []
         self.dead_marks = {}
         self.flap_count = 0
@@ -517,7 +518,7 @@ class ClusterHandle:
                 self.apps = []
                 consumed = True
             if VULN_FAKE_LINK in vulns and (data, op) == (DATA_TOPO, OP_ADD):
-                self.fake_links.add(FAKE_LINK)
+                self.link_forged = True
                 consumed = True
             if consumed or d.admitted:
                 self._emit(Symbol(RCOMRES, ()), payload={})
@@ -565,7 +566,7 @@ class ClusterHandle:
         }
         if self.dummy.admitted and self.dummy.address:
             membership[self.dummy.address] = ALIVE
-        links = tuple(sorted(self._real_links | self.fake_links))
+        links = tuple(sorted(REAL_LINKS + (FAKE_LINK,))) if self.link_forged else REAL_LINKS
         load = {}
         session_host = self.leader_id if self.leader_id in self.nodes else self.cfg.members[0]
         for m in self.cfg.members:
@@ -583,24 +584,13 @@ class ClusterHandle:
         )
 
     def _reachability(self) -> dict:
-        poisoned_pairs = set()
-        if self.fake_links:
-            with_fake = self._real_links | self.fake_links
-            for a in self._switches:
-                for b in self._switches:
-                    if a >= b:
-                        continue
-                    if _bfs_dist(with_fake, a, b) < _bfs_dist(self._real_links, a, b):
-                        na, nb = self._mastership[a], self._mastership[b]
-                        if na != nb:
-                            poisoned_pairs.add(frozenset((na, nb)))
-        out = {}
-        for a in self.cfg.members:
-            row = {}
-            for b in self.cfg.members:
-                row[b] = not (a != b and frozenset((a, b)) in poisoned_pairs)
-            out[a] = row
-        return out
+        # Switches a1 and a2 are mastered by members[0], b1 and b2 by
+        # members[1] (config order).  The forged a2-b2 link is shorter than
+        # the real a2-b1-b2 path, so while it exists exactly the verdicts
+        # between members[0] and members[1] flip; all others stay true.
+        cut = set(self.cfg.members[:2]) if self.link_forged else set()
+        return {a: {b: {a, b} != cut for b in self.cfg.members}
+                for a in self.cfg.members}
 
     def session_fingerprint(self) -> tuple:
         """Canonical projection of everything that shapes replies to the
@@ -610,44 +600,8 @@ class ClusterHandle:
             d.configured, d.join_wait, d.vote_seen, d.sync_probed, d.locked,
             d.admitted, d.is_leader, self.leader_id, self.cluster_term,
             tuple(sorted(self.dead_marks)), tuple(self.apps),
-            tuple(sorted(self.fake_links)),
+            self.link_forged,
         )
-
-
-def _topology(cfg: ClusterConfig):
-    switches = ("a1", "a2", "b1", "b2")
-    real_links = {("a1", "a2"), ("a2", "b1"), ("b1", "b2")}
-    mastership = {
-        "a1": cfg.members[0],
-        "a2": cfg.members[0],
-        "b1": cfg.members[1],
-        "b2": cfg.members[1],
-    }
-    return switches, real_links, mastership
-
-
-def _bfs_dist(links, start, goal) -> int:
-    if start == goal:
-        return 0
-    adj = {}
-    for x, y in links:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    frontier = [start]
-    seen = {start}
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for node in frontier:
-            for peer in adj.get(node, ()):
-                if peer == goal:
-                    return dist
-                if peer not in seen:
-                    seen.add(peer)
-                    nxt.append(peer)
-        frontier = nxt
-    return 10 ** 9
 
 
 def spawn_cluster(cfg: ClusterConfig) -> ClusterHandle:

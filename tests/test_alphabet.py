@@ -17,7 +17,7 @@ from statefuzz.alphabet import (
     AlphabetConfig, ConcreteMessage, ConfigError, DecodeError, FrameError,
     NodeRef, Symbol, canonical_output, decode, encode,
     enumerate_input_alphabet, frame_decode, frame_encode, input_domains,
-    is_keepalive, message_from_wire, read_frame, split_frame, symbol_from_obj,
+    is_keepalive, message_from_wire, read_frame, symbol_from_obj,
     symbol_label, symbol_sort_key, symbol_to_obj, word_from_obj, word_to_obj,
 )
 
@@ -274,15 +274,7 @@ class TestFraming:
 
     def test_empty_input_rejected(self):
         with pytest.raises(FrameError):
-            split_frame(b"")
-        with pytest.raises(FrameError):
             frame_decode(b"")
-
-    def test_split_frame_returns_rest(self):
-        msg = self.msg()
-        data = frame_encode(msg) + b"tail"
-        parsed, rest = split_frame(data)
-        assert parsed == msg and rest == b"tail"
 
     def test_missing_keys_rejected(self):
         body = b'{"cluster_id":"c","sender":"s","ts":1,"type":"ProbeRequest"}'

@@ -15,8 +15,8 @@ import pytest
 from statefuzz.alphabet import word_to_obj
 from statefuzz import cli
 from statefuzz.cli import (
-    EXIT_BUDGET_EXHAUSTED, EXIT_NONDETERMINISM, EXIT_OK, EXIT_TRANSPORT,
-    DEFAULTS, EXIT_USAGE, EXIT_VERDICT_MISMATCH, SETTINGS, cluster_from_config,
+    EXIT_BUDGET_EXHAUSTED, EXIT_INTERRUPTED, EXIT_NONDETERMINISM, EXIT_OK,
+    EXIT_TRANSPORT, DEFAULTS, EXIT_USAGE, EXIT_VERDICT_MISMATCH, SETTINGS, cluster_from_config,
     load_config, main,
 )
 from statefuzz.mealy import MealyMachine
@@ -229,17 +229,26 @@ class TestLearn:
         assert "stopped early" in capsys.readouterr().err
         assert not (tmp_path / "b" / "machine.json").exists()
 
-    @pytest.mark.parametrize("sessions", [0, 100])
+    @pytest.mark.parametrize("sessions, error, code, message", [
+        pytest.param(0, TransportError("connection lost"), EXIT_TRANSPORT,
+                     "connection lost", id="0"),
+        pytest.param(100, TransportError("connection lost"), EXIT_TRANSPORT,
+                     "connection lost", id="100"),
+        pytest.param(100, KeyboardInterrupt(), EXIT_INTERRUPTED, "interrupted",
+                     id="interrupted"),
+    ])
     def test_transport_failure_exits_transport_with_partial_model(
-            self, workspace, tmp_path, monkeypatch, capsys, sessions):
-        # The transport drops after the given number of sessions: before the
-        # first hypothesis (nothing to save) or after a few of them.
+            self, workspace, tmp_path, monkeypatch, capsys, sessions, error, code,
+            message):
+        # The transport drops, or the user interrupts, after the given number
+        # of sessions: before the first hypothesis (nothing to save) or after
+        # a few of them.
         class DroppingCluster(ClusterHandle):
             resets = 0
 
             def reset(self):
                 if DroppingCluster.resets == sessions:
-                    raise TransportError("connection lost")
+                    raise error
                 DroppingCluster.resets += 1
                 return super().reset()
 
@@ -247,8 +256,8 @@ class TestLearn:
         out = tmp_path / "t"
         rc = main(["learn", "--config", config_path(workspace),
                    "--out-dir", str(out)])
-        assert rc == EXIT_TRANSPORT
-        assert "connection lost" in capsys.readouterr().err
+        assert rc == code
+        assert message in capsys.readouterr().err
         assert not (out / "machine.json").exists()
         partial = out / "machine-partial.json"
         assert partial.exists() == (sessions > 0)
@@ -357,14 +366,18 @@ class TestFuzz:
         {"weights": [1, 1, 1, 1]},
         {"budget": "5"},
         {"seed": 1.5},
-        {"mutations": ["a", "b"]},
-        {"mutations": [1, 2, 3]},
-        {"mutations": [0, 2]},
-        {"mutations": [3, 1]},
-        {"mutations": [True, 2]},
-        {"mutations": 2},
-        {"dedupe": "no"},
-        {"dedupe": 1},
+        # Settings removed from the fuzz section are unknown keys now.
+        {"mutations": [1, 3]},
+        {"dedupe": False},
+        # Duplicate and remove are the only actions open at every position.
+        {"weights": {"duplicate": 0, "remove": 0, "replace": 0, "swap-arg": 0}},
+        {"weights": {"duplicate": 0, "remove": 0, "replace": 1, "swap-arg": 1}},
+        {"weights": {**SWAP_HEAVY, "swap-arg": True}},
+        {"weights": {**SWAP_HEAVY, "replace": float("inf")}},
+        {"weights": {**SWAP_HEAVY, "duplicate": 1e308, "remove": 1e308}},
+        {"weights": {**SWAP_HEAVY, "remove": 10 ** 400}},
+        {"budget": None},
+        {"seed": True},
         {"prune_others": "RAReq"},
         {"prune_others": ["Bogus"]},
         {"prune_others": ["NoResponse"]},
@@ -376,7 +389,11 @@ class TestFuzz:
         rc = main(["fuzz", machine_path(workspace), "--config", cfg,
                    "--out-dir", str(out)])
         assert rc == EXIT_USAGE
-        assert "fuzz." in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad fuzz section" in err
+        unknown = not set(fuzz) <= set(SETTINGS["fuzz"])
+        assert ("unknown fuzz settings" in err) == unknown
+        assert ("fuzz." in err) == (not unknown)
         assert not out.exists()
 
     def test_machine_of_another_cluster_exits_usage(self, tmp_path, capsys):

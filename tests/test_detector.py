@@ -1,5 +1,5 @@
 """Tests for behavioral detection: baseline handling, each criterion's
-trigger and threshold arithmetic, dedupe, and end-to-end classification of
+trigger and threshold arithmetic, and end-to-end classification of
 direct exploit traces against the simulator."""
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from statefuzz.alphabet import (
 from statefuzz.detector import (
     ALL_CRITERIA, Baseline, BaselineMismatchError, CRIT_APP_CHANGE,
     CRIT_CONFIG_LEAK, CRIT_EXHAUSTION, CRIT_REACH_CHANGE, CRIT_STATE_CHANGE,
-    Detector, Finding, dedupe_findings,
+    Detector, Finding,
 )
 from statefuzz.proxy import ClusterProxy
 from statefuzz.sulsim import (
@@ -173,18 +173,6 @@ class TestCriteria:
     def test_finding_from_dict_rejects_malformed_verdicts(self, doc):
         with pytest.raises(ValueError):
             Finding.from_dict(doc)
-
-
-class TestDedupe:
-    def test_duplicates_collapse_first_wins(self):
-        f1 = Finding(criteria=(CRIT_APP_CHANGE,), evidence={"x": 1})
-        f2 = Finding(criteria=(CRIT_APP_CHANGE,), evidence={"x": 1})
-        f3 = Finding(criteria=(CRIT_APP_CHANGE,), evidence={"x": 2})
-        kept = dedupe_findings([("a", f1), ("b", f2), ("c", f3)])
-        assert [item for item, _ in kept] == ["a", "c"]
-
-    def test_empty_ok(self):
-        assert dedupe_findings([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -319,23 +319,6 @@ class TestCampaign:
         assert report.findings == ()
         assert report.cases_run == 5
 
-    def test_dedupe_collapses_identical_findings(self):
-        # Bias toward argument swaps so the store-clearing command is hit
-        # several times; every hit produces the same evidence.
-        swap_heavy = {MUT_DUPLICATE: 1, MUT_REMOVE: 1, MUT_REPLACE: 1,
-                      MUT_SWAP_ARG: 7}
-        proxy, machine, detector = campaign_fixture(["clear_store"])
-        plain = run_campaign(proxy, machine, detector, rng_seed=5,
-                             max_cases=400, domains=DOMAINS,
-                             weights=swap_heavy)
-        deduped = run_campaign(proxy, machine, detector, rng_seed=5,
-                               max_cases=400, domains=DOMAINS, dedupe=True,
-                               weights=swap_heavy)
-        plain_sigs = [f.signature() for _, f in plain.findings]
-        assert len(plain_sigs) > 1 and len(set(plain_sigs)) == 1
-        deduped_sigs = [f.signature() for _, f in deduped.findings]
-        assert len(deduped_sigs) == len(set(deduped_sigs)) == 1
-
     def test_scheduler_prefers_unexercised_end_states(self):
         proxy, machine, detector = campaign_fixture()
         report = run_campaign(proxy, machine, detector, rng_seed=13,

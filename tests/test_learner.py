@@ -420,8 +420,7 @@ class TestLStar:
             sink = io.StringIO()
             truth = build_t0()
             oracle = MembershipOracle(truth.run_outputs, votes=1, transcript=sink)
-            lstar_learn(oracle, truth.input_alphabet,
-                        perfect_counterexample(truth), transcript=sink)
+            lstar_learn(oracle, truth.input_alphabet, perfect_counterexample(truth))
             return sink.getvalue()
 
         first, second = run(), run()

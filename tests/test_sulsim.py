@@ -529,6 +529,16 @@ class TestFakeLink:
         assert reach["n1"]["n3"] is True and reach["n3"]["n4"] is True
         assert all(reach[m][m] for m in MEMBERS)
 
+    def test_poisoned_pair_follows_config_order(self):
+        members = ("n3", "n1", "n4", "n2")
+        handle = spawn_cluster(ClusterConfig(
+            members=members, vulnerabilities=frozenset({VULN_FAKE_LINK})))
+        handle.reset()
+        send(handle, Ctx(), RCOM_LINK)
+        reach = handle.observe().reachability
+        cut = [(a, b) for a in members for b in members if not reach[a][b]]
+        assert cut == [("n3", "n1"), ("n1", "n3")]
+
     def test_flag_off_keeps_topology(self):
         handle = steady()
         send(handle, Ctx(), RCOM_LINK)

@@ -490,17 +490,22 @@ def symbol_to_obj(sym: Symbol) -> dict:
 
 
 def symbol_from_obj(obj: dict) -> Symbol:
-    if not isinstance(obj, dict) or "tag" not in obj:
+    """Inverse of :func:`symbol_to_obj`; any other shape is a ``DecodeError``."""
+    if (not isinstance(obj, dict) or not isinstance(obj.get("tag"), str)
+            or not isinstance(obj.get("params"), list)):
         raise DecodeError(f"bad symbol object: {obj!r}")
-    params = []
-    for p in obj.get("params", ()):
-        if isinstance(p, dict) and "node" in p:
-            params.append(NodeRef(p["node"], p.get("kind", UNKNOWN)))
-        elif isinstance(p, dict) and "set" in p:
-            params.append(tuple(sorted(p["set"])))
-        else:
-            params.append(p)
-    return Symbol(obj["tag"], tuple(params))
+    return Symbol(obj["tag"], tuple(_param_from_obj(p) for p in obj["params"]))
+
+
+def _param_from_obj(p):
+    if isinstance(p, str):
+        return p
+    if isinstance(p, dict) and isinstance(p.get("node"), str):
+        return NodeRef(p["node"], p.get("kind", UNKNOWN))
+    if (isinstance(p, dict) and isinstance(p.get("set"), list)
+            and all(isinstance(x, str) for x in p["set"])):
+        return tuple(sorted(p["set"]))
+    raise DecodeError(f"bad symbol parameter: {p!r}")
 
 
 def word_to_obj(word) -> list:

@@ -355,8 +355,8 @@ def cmd_fuzz(args) -> int:
     budget = args.budget if args.budget is not None else fcfg["budget"]
     if budget < 1:
         raise ConfigFileError("budget must be positive")
-    if args.shards < 1:
-        raise ConfigFileError("shards must be positive")
+    if not 1 <= args.shards <= budget:
+        raise ConfigFileError(f"--shards must be between 1 and the budget ({budget})")
     pruned = machine.prune(PrunePolicy(others_labels=frozenset(fcfg["prune_others"])))
     domains = input_domains(acfg)
     out_dir = Path(args.out_dir)
@@ -365,8 +365,6 @@ def cmd_fuzz(args) -> int:
     reports = []
     for shard in range(args.shards):
         shard_budget = budget // args.shards + (1 if shard < budget % args.shards else 0)
-        if shard_budget == 0:
-            continue
         shard_seed = seed if args.shards == 1 else (seed << 16) | shard
         proxy = ClusterProxy(spawn_cluster(ccfg), acfg)
         proxy.reset_session()

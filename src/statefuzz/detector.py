@@ -65,13 +65,6 @@ class Baseline:
         """Snapshot from anything with ``observe()`` (proxy, transport, handle)."""
         return cls(observation=source.observe())
 
-    def to_dict(self) -> dict:
-        return {"observation": self.observation.to_dict()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Baseline":
-        return cls(observation=ClusterObservation.from_dict(doc["observation"]))
-
 
 @dataclass
 class Finding:

@@ -216,6 +216,9 @@ class FuzzCase:
 
     @classmethod
     def from_obj(cls, doc: dict) -> "FuzzCase":
+        for key in ("case_id", "seed_index"):
+            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+                raise ValueError(f"{key} must be an integer, not {doc[key]!r}")
         return cls(
             case_id=doc["case_id"],
             seed_index=doc["seed_index"],

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .alphabet import symbol_sort_key, word_to_obj
 from .mealy import MealyMachine, minimize
@@ -70,9 +70,8 @@ class NondeterminismError(RuntimeError):
 class PartialResultError(RuntimeError):
     """Learning stopped early; the best hypothesis so far is attached."""
 
-    def __init__(self, reason, hypothesis, stats):
+    def __init__(self, reason, hypothesis):
         self.hypothesis = hypothesis
-        self.stats = dict(stats)
         super().__init__(reason)
 
 
@@ -195,7 +194,7 @@ class MembershipOracle:
     sessions spent.
     """
 
-    def __init__(self, query_fn, votes: int = 3, max_trials: int | None = None,
+    def __init__(self, query_fn, votes: int, max_trials: int | None = None,
                  transcript=None):
         if votes < 1 or votes % 2 == 0:
             raise ValueError("votes must be a positive odd number")
@@ -205,7 +204,6 @@ class MembershipOracle:
         self.transcript = transcript
         self.tree = ObservationTree()
         self.trials = 0
-        self.resolved = 0
         self.cache_hits = 0
 
     def query(self, word) -> tuple:
@@ -237,7 +235,6 @@ class MembershipOracle:
         if outcome is None:
             raise NondeterminismError(word, tuple(counts))
         self.tree._insert(word, ids, outcome)
-        self.resolved += 1
         _emit(self.transcript, {
             "event": "query",
             "word": word_to_obj(word),
@@ -245,14 +242,6 @@ class MembershipOracle:
             "trials": attempts,
         })
         return outcome
-
-    @property
-    def stats(self) -> dict:
-        return {
-            "trials": self.trials,
-            "resolved_queries": self.resolved,
-            "cache_hits": self.cache_hits,
-        }
 
 
 class _LSharp:
@@ -406,7 +395,6 @@ class _LSharp:
 class LearnResult:
     machine: MealyMachine
     rounds: int
-    stats: dict = field(default_factory=dict)
 
 
 def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
@@ -436,7 +424,7 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
             if rounds >= max_rounds:
                 raise PartialResultError(
                     f"no stable model after {max_rounds} refinement rounds",
-                    hypothesis, oracle.stats)
+                    hypothesis)
             rounds += 1
             _emit(transcript, {"event": "hypothesis", "round": rounds,
                                "states": len(hypothesis.states)})
@@ -444,8 +432,7 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
             if cex is None:
                 _emit(transcript, {"event": "done", "rounds": rounds,
                                    "states": len(hypothesis.states)})
-                return LearnResult(machine=minimize(hypothesis),
-                                   rounds=rounds, stats=oracle.stats)
+                return LearnResult(machine=minimize(hypothesis), rounds=rounds)
             cex = tuple(cex)
             _emit(transcript, {"event": "counterexample", "round": rounds,
                                "word": word_to_obj(cex)})
@@ -453,12 +440,11 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
     except _BudgetExhausted:
         raise PartialResultError(
             f"query budget of {oracle.max_trials} trials exhausted",
-            hypothesis, oracle.stats) from None
+            hypothesis) from None
     except TransportError as exc:
-        raise PartialResultError(f"transport failed: {exc}",
-                                 hypothesis, oracle.stats) from exc
+        raise PartialResultError(f"transport failed: {exc}", hypothesis) from exc
     except KeyboardInterrupt as exc:
-        raise PartialResultError("interrupted", hypothesis, oracle.stats) from exc
+        raise PartialResultError("interrupted", hypothesis) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -195,21 +195,12 @@ def minimize(m: MealyMachine) -> MealyMachine:
     assigned in breadth-first order over a sorted alphabet."""
     order = tuple(sorted(m.input_alphabet, key=symbol_sort_key))
 
-    reachable = [m.initial]
-    seen = {m.initial}
-    i = 0
-    while i < len(reachable):
-        s = reachable[i]
-        i += 1
-        for a in order:
-            nxt, _ = m.transitions[(s, a)]
-            if nxt not in seen:
-                seen.add(nxt)
-                reachable.append(nxt)
-
+    # Refinement runs over every state; naming below visits only the blocks
+    # reachable from the initial state, and an unreachable state shares a
+    # block only with states equivalent to it.
     block = {}
     sig_index = {}
-    for s in reachable:
+    for s in m.states:
         sig = tuple(m.transitions[(s, a)][1] for a in order)
         if sig not in sig_index:
             sig_index[sig] = len(sig_index)
@@ -218,7 +209,7 @@ def minimize(m: MealyMachine) -> MealyMachine:
     while True:
         key_index = {}
         new_block = {}
-        for s in reachable:
+        for s in m.states:
             key = (block[s], tuple(block[m.transitions[(s, a)][0]] for a in order))
             if key not in key_index:
                 key_index[key] = len(key_index)
@@ -229,7 +220,7 @@ def minimize(m: MealyMachine) -> MealyMachine:
         block = new_block
 
     rep = {}
-    for s in reachable:
+    for s in m.states:
         rep.setdefault(block[s], s)
 
     name = {}

@@ -180,7 +180,6 @@ class ClusterObservation:
 class _Node:
     role: str = "follower"
     term: int = 0
-    voted_for: str | None = None
     votes: int = 0
 
 
@@ -214,9 +213,9 @@ class ClusterHandle:
         lo, hi = cfg.election_timeout_range
         deadlines = rng.sample(range(lo, hi + 1), len(cfg.members))
         for member, deadline in zip(cfg.members, deadlines):
-            self._schedule(deadline, "election_check", member)
-        self._schedule(cfg.heartbeat_threshold, "swim_round", None)
-        self._schedule(cfg.reap_interval, "session_reap", None)
+            self._schedule(deadline, self._election_check, member)
+        self._schedule(cfg.heartbeat_threshold, self._swim_round)
+        self._schedule(cfg.reap_interval, self._session_reap)
         tick_zero = self._snapshot()
         limit = 3 * cfg.election_timeout_range[1]
         while self.leader_id is None:
@@ -249,15 +248,14 @@ class ClusterHandle:
     # -- snapshots ---------------------------------------------------------
 
     def _snapshot(self):
+        # Taken only in ``__init__``, while no reply is pending: the dummy
+        # peer has sent nothing, so nothing has been emitted.
         return {
             "now": self.now,
             "seq": self._seq,
             "events": list(self._events),
             "emit_ts": self._emit_ts,
-            "nodes": {
-                m: (n.role, n.term, n.voted_for, n.votes)
-                for m, n in self.nodes.items()
-            },
+            "nodes": {m: astuple(n) for m, n in self.nodes.items()},
             "leader_id": self.leader_id,
             "cluster_term": self.cluster_term,
             "leaders_by_term": dict(self.leaders_by_term),
@@ -269,7 +267,7 @@ class ClusterHandle:
         self.now = snap["now"]
         self._seq = snap["seq"]
         self._events = list(snap["events"])
-        self._emissions = []
+        self._replies = []
         self._emit_ts = snap["emit_ts"]
         self._last_in_ts = {}
         self.nodes = {m: _Node(*fields) for m, fields in snap["nodes"].items()}
@@ -280,50 +278,31 @@ class ClusterHandle:
         self.link_forged = False
         self.sessions = []
         self.dead_marks = {}
-        self.flap_count = 0
         self.dummy = _DummyPeer()
-        self.rejected_frames = 0
 
     # -- virtual clock -----------------------------------------------------
 
     def tick(self, n: int = 1):
-        """Advance the clock ``n`` ticks; return [(tick, message)] emitted to
-        the external peer during the advance."""
+        """Advance the clock ``n`` ticks; return [(tick, message)] that reached
+        the external peer during the advance.  A reply reaches the peer one
+        tick after it is emitted, before that tick's timers fire."""
+        out = []
+        events = self._events
         for _ in range(n):
             self.now += 1
-            while self._events and self._events[0][0] <= self.now:
-                _, _, kind, data = heapq.heappop(self._events)
-                self._handle_event(kind, data)
-        out = self._emissions
-        self._emissions = []
+            if self._replies:
+                out.extend((self.now, msg) for msg in self._replies)
+                self._replies = []
+            while events and events[0][0] <= self.now:
+                _, _, handler, args = heapq.heappop(events)
+                handler(*args)
         return out
 
-    def _schedule(self, at: int, kind: str, data):
+    def _schedule(self, at: int, handler, *args):
         self._seq += 1
-        heapq.heappush(self._events, (at, self._seq, kind, data))
+        heapq.heappush(self._events, (at, self._seq, handler, args))
 
-    # -- event handlers ----------------------------------------------------
-
-    def _handle_event(self, kind, data):
-        if kind == "election_check":
-            self._election_check(data)
-        elif kind == "vote_request":
-            self._vote_request(*data)
-        elif kind == "vote_grant":
-            self._vote_grant(*data)
-        elif kind == "swim_round":
-            self._swim_round()
-            self._schedule(self.now + self.cfg.heartbeat_threshold, "swim_round", None)
-        elif kind == "session_reap":
-            self._session_reap()
-            self._schedule(self.now + self.cfg.reap_interval, "session_reap", None)
-        elif kind == "heal_member":
-            node, mark = data
-            if self.dead_marks.get(node) == mark:
-                del self.dead_marks[node]
-                self.flap_count += 1
-        elif kind == "reply":
-            self._emissions.append((self.now, data))
+    # -- timer handlers ----------------------------------------------------
 
     def _election_check(self, member):
         if self.leader_id is not None:
@@ -333,20 +312,18 @@ class ClusterHandle:
             return
         node.role = "candidate"
         node.term += 1
-        node.voted_for = member
         node.votes = 1
         for peer in self.cfg.members:
             if peer != member:
-                self._schedule(self.now + 1, "vote_request", (member, peer, node.term))
+                self._schedule(self.now + 1, self._vote_request, member, peer, node.term)
 
     def _vote_request(self, candidate, peer, term):
         node = self.nodes[peer]
         if term > node.term:
             node.term = term
-            node.voted_for = candidate
             if node.role == "candidate":
                 node.role = "follower"
-            self._schedule(self.now + 1, "vote_grant", (candidate, term))
+            self._schedule(self.now + 1, self._vote_grant, candidate, term)
 
     def _vote_grant(self, candidate, term):
         node = self.nodes[candidate]
@@ -376,12 +353,18 @@ class ClusterHandle:
         # probes an admitted dummy peer.
         d = self.dummy
         if d.admitted and d.address:
-            self._emit(Symbol(PREQ, ()), payload={"target": d.address})
-            self._emit(Symbol(RAREQ, ()), payload={"term": self.cluster_term, "entries": []})
+            self._emit(PREQ, target=d.address)
+            self._emit(RAREQ, term=self.cluster_term, entries=[])
+        self._schedule(self.now + self.cfg.heartbeat_threshold, self._swim_round)
 
     def _session_reap(self):
         if self.sessions and self.now - self.sessions[0] >= self.cfg.ttl:
             self.sessions.pop(0)
+        self._schedule(self.now + self.cfg.reap_interval, self._session_reap)
+
+    def _heal_member(self, node, mark):
+        if self.dead_marks.get(node) == mark:
+            del self.dead_marks[node]
 
     # -- message intake ----------------------------------------------------
 
@@ -413,7 +396,6 @@ class ClusterHandle:
         self._react(msg, sym)
 
     def _reject(self, reason: str):
-        self.rejected_frames += 1
         self._emit_raw(ERROR_TYPE, {"reason": reason})
 
     # -- protocol reaction -------------------------------------------------
@@ -429,12 +411,12 @@ class ClusterHandle:
             if target == msg.sender:
                 # Contact announcement: liveness ack plus bootstrap invite.
                 invite = tuple(sorted(members)) if VULN_UNAUTH_JOIN in vulns else ()
-                self._emit(Symbol(PRES, ()), payload={"node": target, "status": ALIVE})
-                self._emit(Symbol(BREQ, ()), payload={"nodes": list(invite)})
+                self._emit(PRES, node=target, status=ALIVE)
+                self._emit(BREQ, nodes=list(invite))
             elif target in members:
                 if not d.locked and not (d.join_wait and not d.admitted):
                     status = DEAD if target in self.dead_marks else ALIVE
-                    self._emit(Symbol(PRES, ()), payload={"node": target, "status": status})
+                    self._emit(PRES, node=target, status=status)
             return
 
         if tag == PRES:
@@ -442,10 +424,8 @@ class ClusterHandle:
             if status == DEAD and node in members:
                 if VULN_FAKE_MEMBER in vulns:
                     self.dead_marks[node] = self.now
-                    self._schedule(
-                        self.now + 2 * self.cfg.heartbeat_threshold,
-                        "heal_member", (node, self.now),
-                    )
+                    self._schedule(self.now + 2 * self.cfg.heartbeat_threshold,
+                                   self._heal_member, node, self.now)
                 elif not d.locked:
                     # Hardened behavior: indirect probes refute the claim and
                     # the gossiping peer is distrusted.
@@ -460,10 +440,10 @@ class ClusterHandle:
                 d.configured = True
             if tag == BREQ:
                 content = sorted(members) if VULN_UNAUTH_JOIN in vulns else []
-                self._emit(Symbol(BRES, ()), payload={"nodes": content})
+                self._emit(BRES, nodes=content)
             elif VULN_UNAUTH_JOIN in vulns and d.configured and d.join_wait and not d.admitted:
                 d.admitted = True
-                self._emit(Symbol(RJRES, ()), payload={})
+                self._emit(RJRES)
             return
 
         if tag == RJREQ:
@@ -471,10 +451,10 @@ class ClusterHandle:
                 return
             if VULN_UNAUTH_JOIN in vulns:
                 if d.admitted:
-                    self._emit(Symbol(RJRES, ()), payload={})
+                    self._emit(RJRES)
                 elif d.configured:
                     d.admitted = True
-                    self._emit(Symbol(RJRES, ()), payload={})
+                    self._emit(RJRES)
                 else:
                     d.join_wait = True
             elif d.configured:
@@ -485,25 +465,25 @@ class ClusterHandle:
 
         if tag == RCONREQ:
             if not d.locked and (d.configured or d.admitted):
-                self._emit(Symbol(RCONRES, ()), payload={})
+                self._emit(RCONRES)
             return
 
         if tag == RVREQ:
             if d.locked:
                 return
-            term = msg.payload.get("term", 0)
+            term = msg.payload["term"]
             candidate = sym.params[0].id
-            if VULN_SEIZE_LEADER in vulns and isinstance(term, int) and term > self.cluster_term:
+            if VULN_SEIZE_LEADER in vulns and term > self.cluster_term:
                 new_leader = candidate if candidate in members else msg.sender
                 self._set_leader(new_leader, term)
-                self._emit(Symbol(RVRES, ()), payload={"verdict": APPROVED})
+                self._emit(RVRES, verdict=APPROVED)
             elif d.join_wait and not d.vote_seen:
                 d.vote_seen = True
-                self._emit(Symbol(RVRES, ()), payload={"verdict": REJECTED})
+                self._emit(RVRES, verdict=REJECTED)
             elif d.vote_seen:
                 pass  # ballot already recorded for this evaluation
             else:
-                self._emit(Symbol(RVRES, ()), payload={"verdict": REJECTED})
+                self._emit(RVRES, verdict=REJECTED)
             return
 
         if tag == RCOMREQ:
@@ -521,7 +501,7 @@ class ClusterHandle:
                 self.link_forged = True
                 consumed = True
             if consumed or d.admitted:
-                self._emit(Symbol(RCOMRES, ()), payload={})
+                self._emit(RCOMRES)
             elif d.join_wait and d.vote_seen and not d.sync_probed:
                 d.sync_probed = True
             else:
@@ -532,7 +512,7 @@ class ClusterHandle:
             if d.locked:
                 return
             if d.is_leader:
-                self._emit(Symbol(RARES, ()), payload={})
+                self._emit(RARES)
             elif not d.admitted:
                 d.locked = True  # append-stream impersonation
             return
@@ -542,20 +522,23 @@ class ClusterHandle:
 
     # -- emission ----------------------------------------------------------
 
-    def _emit(self, sym: Symbol, payload: dict):
-        self._emit_raw(WIRE_TYPES[sym.tag], payload)
+    @property
+    def _host(self) -> str:
+        """Member that answers the peer and hosts its sessions: the leader, else members[0]."""
+        return self.leader_id if self.leader_id in self.nodes else self.cfg.members[0]
+
+    def _emit(self, tag: str, **payload):
+        self._emit_raw(WIRE_TYPES[tag], payload)
 
     def _emit_raw(self, msg_type: str, payload: dict):
         self._emit_ts += 1
-        sender = self.leader_id if self.leader_id in self.nodes else self.cfg.members[0]
-        msg = ConcreteMessage(
+        self._replies.append(ConcreteMessage(
             cluster_id=self.cfg.cluster_id,
-            sender=sender,
+            sender=self._host,
             logical_ts=self._emit_ts,
             msg_type=msg_type,
             payload=payload,
-        )
-        self._schedule(self.now + 1, "reply", msg)
+        ))
 
     # -- observation -------------------------------------------------------
 
@@ -567,10 +550,9 @@ class ClusterHandle:
         if self.dummy.admitted and self.dummy.address:
             membership[self.dummy.address] = ALIVE
         links = tuple(sorted(REAL_LINKS + (FAKE_LINK,))) if self.link_forged else REAL_LINKS
-        load = {}
-        session_host = self.leader_id if self.leader_id in self.nodes else self.cfg.members[0]
-        for m in self.cfg.members:
-            load[m] = BASE_NODE_LOAD + (len(self.sessions) if m == session_host else 0)
+        host = self._host
+        load = {m: BASE_NODE_LOAD + (len(self.sessions) if m == host else 0)
+                for m in self.cfg.members}
         return ClusterObservation(
             leader=self.leader_id,
             term=self.cluster_term,

@@ -367,6 +367,17 @@ class TestSymbolSerialization:
     def test_obj_round_trip(self, sym):
         assert symbol_from_obj(symbol_to_obj(sym)) == sym
 
+    @pytest.mark.parametrize("obj", [
+        None, {"params": []}, {"tag": ["x"], "params": []}, {"tag": "PReq"},
+        {"tag": "PReq", "params": "A"}, {"tag": "PReq", "params": [5]},
+        {"tag": "PReq", "params": [{"node": 5}]}, {"tag": "PReq", "params": [{}]},
+        {"tag": "BReq", "params": [{"set": "AB"}]},
+        {"tag": "BReq", "params": [{"set": ["A", None]}]},
+    ])
+    def test_malformed_obj_rejected(self, obj):
+        with pytest.raises(DecodeError):
+            symbol_from_obj(obj)
+
     def test_word_round_trip(self):
         word = (NO_RESPONSE, Symbol(BRES, (("A", "B"),)))
         assert word_from_obj(word_to_obj(word)) == word

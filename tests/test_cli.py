@@ -107,6 +107,7 @@ class TestLearn:
         {"max_queries": "100"},
         {"votes": 2},
         {"max_queries": -3},
+        {"letters": [{"tag": ["x"]}]},
     ])
     def test_malformed_learner_section_exits_usage_before_any_session(
             self, tmp_path, capsys, learner):
@@ -344,6 +345,16 @@ class TestFuzz:
         assert doc["cases_run"] == 101
         assert doc["stats"]["shards"] == 2
 
+    @pytest.mark.parametrize("shards, budget", [("0", "5"), ("2", "1"), ("3", "2")])
+    def test_shard_count_outside_budget_exits_usage(self, workspace, tmp_path, capsys,
+                                                    shards, budget):
+        out = tmp_path / "out"
+        rc = main(["fuzz", machine_path(workspace), "--config", config_path(workspace),
+                   "--shards", shards, "--budget", budget, "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        assert "--shards" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_machine_file_exits_usage(self, workspace, tmp_path, capsys):
         bad = tmp_path / "machine.json"
         bad.write_text("{}")
@@ -494,7 +505,12 @@ class TestReplay:
          "is malformed"),
         ({"base": [{"tag": "PReq", "params": []}], "mutations": [],
           "word": [{"tag": "PReq", "params": []}]}, "outside the input alphabet"),
-    ], ids=["position", "copies", "arity"])
+        ({"word": [{"tag": ["x"]}]}, "is malformed"),
+        ({"word": [{"tag": "PReq", "params": [{"node": 5}]}]}, "is malformed"),
+        ({"case_id": "x"}, "is malformed"),
+        ({"seed_index": True}, "is malformed"),
+    ], ids=["position", "copies", "arity", "list-tag", "int-node", "case-id",
+            "seed-index"])
     def test_malformed_case_exits_usage(self, finding_case, tmp_path, capsys,
                                         edit, message):
         cfg, case_file = finding_case

@@ -43,11 +43,6 @@ class TestBaseline:
         baseline, handle = fresh_baseline()
         assert baseline.origin == handle.cfg.digest()
 
-    def test_dict_roundtrip(self):
-        baseline, _ = fresh_baseline()
-        again = Baseline.from_dict(baseline.to_dict())
-        assert again.observation.to_dict() == baseline.observation.to_dict()
-
     def test_mismatched_origin_rejected(self):
         baseline, _ = fresh_baseline()
         other, _ = fresh_baseline(seed=99)

@@ -273,11 +273,13 @@ def is_keepalive(sym: Symbol, cfg: AlphabetConfig) -> bool:
 
 
 def canonical_output(events, cfg: AlphabetConfig) -> OutputWord:
-    """Collapse raw (logical_ts, Symbol) events into one canonical word.
+    """Collapse raw (tick, Symbol) events into one canonical word.
 
-    Events are ordered by logical timestamp with a stable symbol ordering as
-    the tie-break.  Keep-alive symbols carry no protocol meaning and are
-    filtered out.  An empty collection yields ``(NoResponse,)``.
+    The proxy passes the virtual tick at which each reply reached the peer;
+    a message's own ``logical_ts`` plays no part.  Events are ordered by
+    that tick, with a stable symbol ordering as the tie-break.  Keep-alive
+    symbols carry no protocol meaning and are filtered out.  An empty
+    collection yields ``(NoResponse,)``.
     """
     kept = [(ts, sym) for ts, sym in events if not is_keepalive(sym, cfg)]
     kept.sort(key=lambda e: (e[0], symbol_sort_key(e[1])))

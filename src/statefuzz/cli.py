@@ -39,7 +39,7 @@ from .alphabet import (
 from .detector import ALL_CRITERIA, Baseline, Detector, Finding
 from .fuzzer import (
     ALL_MUTATIONS, MUT_DUPLICATE, MUT_REMOVE, CampaignReport, FuzzCase,
-    replay_case, run_campaign,
+    replay_case, run_campaign, sdfs_extract,
 )
 from .learner import (
     MembershipOracle, NondeterminismError, PartialResultError, lstar_learn,
@@ -358,6 +358,8 @@ def cmd_fuzz(args) -> int:
     if not 1 <= args.shards <= budget:
         raise ConfigFileError(f"--shards must be between 1 and the budget ({budget})")
     pruned = machine.prune(PrunePolicy(others_labels=frozenset(fcfg["prune_others"])))
+    if not sdfs_extract(pruned):
+        raise ConfigFileError("campaign cannot run: model yields no feasible sequences to mutate")
     domains = input_domains(acfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -370,13 +372,9 @@ def cmd_fuzz(args) -> int:
         proxy.reset_session()
         detector = Detector(Baseline.capture(proxy))
         log.info("shard %d: %d cases, seed %d", shard, shard_budget, shard_seed)
-        try:
-            reports.append(run_campaign(
-                proxy, pruned, detector, rng_seed=shard_seed,
-                max_cases=shard_budget, domains=domains,
-                weights=fcfg["weights"]))
-        except ValueError as exc:
-            raise ConfigFileError(f"campaign cannot run: {exc}") from exc
+        reports.append(run_campaign(
+            proxy, pruned, detector, rng_seed=shard_seed,
+            max_cases=shard_budget, domains=domains, weights=fcfg["weights"]))
 
     merged = reports[0] if len(reports) == 1 else merge_reports(reports, seed, args.shards)
     (out_dir / "report.json").write_text(merged.to_json(), encoding="utf-8")

@@ -249,6 +249,10 @@ class ClusterServer:
         self.close()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class TcpTransport:
     """The transport contract over a socket to a :class:`ClusterServer`.
 
@@ -280,8 +284,13 @@ class TcpTransport:
     def reset(self) -> int:
         self._send(CTRL_RESET, {})
         done = self._read()
-        self.window_ticks = done["window_ticks"]
-        return done["term"]
+        window, term = done.get("window_ticks"), done.get("term")
+        if not _is_int(window) or window < 1:
+            raise TransportError("reset reply carries no positive integer window_ticks")
+        if not _is_int(term):
+            raise TransportError("reset reply carries no integer term")
+        self.window_ticks = window
+        return term
 
     def exchange(self, msg: ConcreteMessage) -> list:
         if self.window_ticks is None:
@@ -292,7 +301,7 @@ class TcpTransport:
             raise TransportError("reply carries no event list")
         if not all(isinstance(event, list) and len(event) == 2 for event in events):
             raise TransportError("reply event is not a [tick, frame] pair")
-        if not all(isinstance(tick, int) and not isinstance(tick, bool) for tick, _ in events):
+        if not all(_is_int(tick) for tick, _ in events):
             raise TransportError("reply event carries no integer tick")
         return [(tick, message_from_wire(frame)) for tick, frame in events]
 
@@ -302,7 +311,11 @@ class TcpTransport:
 
     def observe(self) -> ClusterObservation:
         self._send(CTRL_OBSERVE, {})
-        return ClusterObservation.from_dict(self._read()["observation"])
+        done = self._read()
+        try:
+            return ClusterObservation.from_dict(done["observation"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise TransportError(f"malformed observation reply: {exc!r}") from exc
 
     def _send(self, msg_type: str, payload: dict):
         try:

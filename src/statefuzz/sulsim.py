@@ -1,10 +1,11 @@
 """Deterministic simulated controller cluster driven by a virtual clock.
 
 The simulator is the reference system under learning: a small cluster of
-member nodes with leader election, periodic liveness probing, a replicated
+member nodes with an elected leader, periodic liveness probing, a replicated
 app store, and a switch topology with static mastership.  All activity runs
 on discrete virtual ticks from a seeded RNG, so cluster state and the
 emitted message stream are a pure function of (config, seed, injected trace).
+A handle starts converged: its bootstrap election is computed, not simulated.
 
 External peer sessions follow a strict handshake ladder:
 
@@ -24,7 +25,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 from .alphabet import (
@@ -53,6 +54,7 @@ ALL_VULNERABILITIES = frozenset(
 )
 
 BASE_NODE_LOAD = 2
+BASELINE_TERM = 1  # the term the bootstrap election always ends in
 ERROR_TYPE = "__error__"
 # The switches' real links, and the link a forged topology add fabricates
 # under ``fake_link``.
@@ -177,13 +179,6 @@ class ClusterObservation:
 
 
 @dataclass
-class _Node:
-    role: str = "follower"
-    term: int = 0
-    votes: int = 0
-
-
-@dataclass
 class _DummyPeer:
     address: str | None = None
     configured: bool = False   # valid member list presented
@@ -203,35 +198,28 @@ class ClusterHandle:
         self.window_ticks = cfg.heartbeat_threshold
         self._decode_cfg = default_alphabet(cfg, self_id="__sim_peer__",
                                             unknown_id="__sim_nz__")
-        self._restore({
-            "now": 0, "seq": 0, "events": [], "emit_ts": 0,
-            "nodes": {m: astuple(_Node()) for m in cfg.members},
-            "leader_id": None, "cluster_term": 0, "leaders_by_term": {},
-            "apps": cfg.apps,
-        })
+        self._restore({"now": 0, "seq": 0, "events": [], "leader_id": None,
+                       "cluster_term": 0, "leaders_by_term": {}, "apps": cfg.apps})
+        # The bootstrap election is computed, not simulated.  Seeded timeouts
+        # are distinct, so when the first candidate's vote requests land at
+        # first + 1, at most one other member is a candidate; every other
+        # member grants.  n - 1 of n votes win term 1 at first + 2, and the
+        # vote traffic drains in 2 more ticks.
         rng = random.Random(cfg.seed)
         lo, hi = cfg.election_timeout_range
         deadlines = rng.sample(range(lo, hi + 1), len(cfg.members))
-        for member, deadline in zip(cfg.members, deadlines):
-            self._schedule(deadline, self._election_check, member)
+        first = min(deadlines)
+        self._set_leader(cfg.members[deadlines.index(first)], BASELINE_TERM)
         self._schedule(cfg.heartbeat_threshold, self._swim_round)
         self._schedule(cfg.reap_interval, self._session_reap)
-        tick_zero = self._snapshot()
-        limit = 3 * cfg.election_timeout_range[1]
-        while self.leader_id is None:
-            if self.now > limit:
-                raise SimulationError("cluster failed to elect a leader in time")
-            self.tick(1)
-        self.tick(2)  # let vote traffic drain
+        self.tick(first + 4)
         self._steady_snapshot = self._snapshot()
-        self._restore(tick_zero)
 
     # -- transport contract (see proxy.py) ---------------------------------
 
     def reset(self) -> int:
-        """Restore the converged baseline, simulated once in ``__init__``:
-        what the seed reaches from tick 0 once one leader exists and
-        liveness rounds are underway.  Returns the leader term."""
+        """Restore the converged baseline ``__init__`` reached: one leader,
+        liveness rounds underway, no session state.  Returns the term."""
         self._restore(self._steady_snapshot)
         return self.cluster_term
 
@@ -248,14 +236,11 @@ class ClusterHandle:
     # -- snapshots ---------------------------------------------------------
 
     def _snapshot(self):
-        # Taken only in ``__init__``, while no reply is pending: the dummy
-        # peer has sent nothing, so nothing has been emitted.
+        # Taken only in ``__init__``: the peer has sent nothing, so no reply is pending.
         return {
             "now": self.now,
             "seq": self._seq,
             "events": list(self._events),
-            "emit_ts": self._emit_ts,
-            "nodes": {m: astuple(n) for m, n in self.nodes.items()},
             "leader_id": self.leader_id,
             "cluster_term": self.cluster_term,
             "leaders_by_term": dict(self.leaders_by_term),
@@ -268,9 +253,8 @@ class ClusterHandle:
         self._seq = snap["seq"]
         self._events = list(snap["events"])
         self._replies = []
-        self._emit_ts = snap["emit_ts"]
+        self._emit_ts = 0
         self._last_in_ts = {}
-        self.nodes = {m: _Node(*fields) for m, fields in snap["nodes"].items()}
         self.leader_id = snap["leader_id"]
         self.cluster_term = snap["cluster_term"]
         self.leaders_by_term = dict(snap["leaders_by_term"])
@@ -304,35 +288,6 @@ class ClusterHandle:
 
     # -- timer handlers ----------------------------------------------------
 
-    def _election_check(self, member):
-        if self.leader_id is not None:
-            return
-        node = self.nodes[member]
-        if node.role != "follower":
-            return
-        node.role = "candidate"
-        node.term += 1
-        node.votes = 1
-        for peer in self.cfg.members:
-            if peer != member:
-                self._schedule(self.now + 1, self._vote_request, member, peer, node.term)
-
-    def _vote_request(self, candidate, peer, term):
-        node = self.nodes[peer]
-        if term > node.term:
-            node.term = term
-            if node.role == "candidate":
-                node.role = "follower"
-            self._schedule(self.now + 1, self._vote_grant, candidate, term)
-
-    def _vote_grant(self, candidate, term):
-        node = self.nodes[candidate]
-        if node.role != "candidate" or node.term != term or self.leader_id is not None:
-            return
-        node.votes += 1
-        if node.votes * 2 > len(self.cfg.members):
-            self._set_leader(candidate, term)
-
     def _set_leader(self, leader, term):
         if term < self.cluster_term:
             raise SimulationError("term went backwards")
@@ -342,11 +297,7 @@ class ClusterHandle:
         self.leaders_by_term[term] = leader
         self.leader_id = leader
         self.cluster_term = term
-        self.dummy.is_leader = leader not in self.nodes
-        for m, node in self.nodes.items():
-            node.term = term
-            node.role = "leader" if m == leader else "follower"
-            node.votes = 0
+        self.dummy.is_leader = leader not in self.cfg.members
 
     def _swim_round(self):
         # Liveness probing between members is not modeled; a round only
@@ -525,7 +476,7 @@ class ClusterHandle:
     @property
     def _host(self) -> str:
         """Member that answers the peer and hosts its sessions: the leader, else members[0]."""
-        return self.leader_id if self.leader_id in self.nodes else self.cfg.members[0]
+        return self.leader_id if self.leader_id in self.cfg.members else self.cfg.members[0]
 
     def _emit(self, tag: str, **payload):
         self._emit_raw(WIRE_TYPES[tag], payload)
@@ -576,17 +527,24 @@ class ClusterHandle:
 
     def session_fingerprint(self) -> tuple:
         """Canonical projection of everything that shapes replies to the
-        external peer.  Used by exhaustive model construction in tests."""
+        external peer.  Used by exhaustive model construction in tests.
+
+        The term enters only as whether it left the baseline.  For sessions
+        driven by the proxy (``SessionContext.vote_term``) that is a
+        bisimulation: only the proxy's "higher" ballots move the term, a
+        "current" ballot (the baseline term) is never above it, and a
+        "higher" one is above every term the cluster has taken."""
         d = self.dummy
         return (
             d.configured, d.join_wait, d.vote_seen, d.sync_probed, d.locked,
-            d.admitted, d.is_leader, self.leader_id, self.cluster_term,
+            d.admitted, d.is_leader, self.leader_id,
+            self.cluster_term != BASELINE_TERM,
             tuple(sorted(self.dead_marks)), tuple(self.apps),
             self.link_forged,
         )
 
 
 def spawn_cluster(cfg: ClusterConfig) -> ClusterHandle:
-    """Create a cluster at virtual tick 0.  Tick it to elect a leader, or
-    call ``reset()`` to jump to the converged baseline."""
+    """Create a cluster at its converged baseline, the state ``reset()``
+    restores: the bootstrap leader elected, liveness rounds underway."""
     return ClusterHandle(cfg)

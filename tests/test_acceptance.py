@@ -9,8 +9,8 @@ Guarantees covered, one test each:
 1.  Model learning on the reference cluster is exact: the learned machine
     is isomorphic to an independently product-constructed ground truth, in
     under 60 seconds and at most 12,000 sessions.  So is learning with each of the vulnerability flags
-    session_flood, clear_store, fake_link, fake_member and unauth_join on
-    its own.
+    session_flood, clear_store, fake_link, fake_member, unauth_join and
+    seize_leader on its own.
 2.  Seed extraction agrees with a brute-force first-visit walk on 1,000
     random pruned machines, yields exactly (reachable states - 1) seeds,
     and its instrumented cost grows linearly in |V|+|E| (R^2 > 0.99).
@@ -23,7 +23,7 @@ Guarantees covered, one test each:
 5.  Learn, fuzz, and replay produce byte-identical outputs across reruns
     with identical seeds, and 100 replays of a stored finding agree.
 6.  Proxy guarantees hold over >= 1,000 randomized trials each: output
-    words follow logical-timestamp order under adversarial receiver
+    words follow reply-tick order under adversarial receiver
     interleavings, keep-alive traffic never changes any output word, and a
     reset session answers exactly like a freshly spawned cluster.
 7.  The message codec round-trips every letter of the enumerated input
@@ -139,14 +139,9 @@ def test_learner_exactness_on_reference_cluster(reference_learn):
 
 
 @pytest.mark.parametrize("vuln", ["session_flood", "clear_store", "fake_link",
-                                  "fake_member", "unauth_join"])
+                                  "fake_member", "unauth_join", "seize_leader"])
 def test_learner_exactness_on_single_vulnerability_clusters(vuln):
-    """Exactness beyond the reference: one vulnerability flag at a time.
-
-    ``seize_leader`` is left out because it has no ground truth yet (its
-    fingerprint embeds the unbounded cluster term, so the product
-    construction does not terminate).
-    """
+    """Exactness beyond the reference: one vulnerability flag at a time."""
     started = time.monotonic()
     learned, oracle = learn_machine((vuln,))
     elapsed = time.monotonic() - started
@@ -364,7 +359,7 @@ def test_proxy_ordering_transparency_and_reset_equivalence():
     rng = random.Random(424242)
     builder = SessionContext(cluster_id="sdwan", self_id="dummy")
 
-    # (a) Logical-timestamp order under adversarial receiver interleavings.
+    # (a) Reply-tick order under adversarial receiver interleavings.
     for _ in range(1000):
         count = rng.randint(0, 6)
         stamps = rng.sample(range(100), count)

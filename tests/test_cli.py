@@ -424,6 +424,17 @@ class TestFuzz:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_machine_with_no_feasible_seeds_exits_usage(self, workspace, tmp_path, capsys):
+        cfg = fuzz_config(workspace, tmp_path, prune_others=list(cli._INPUT_TAGS))
+        out = tmp_path / "out"
+        rc = main(["fuzz", machine_path(workspace), "--config", cfg,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "no feasible sequences" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_misspelt_fuzz_setting_exits_usage(self, workspace, tmp_path, capsys):
         cfg = fuzz_config(workspace, tmp_path, budgte=5)
         out = tmp_path / "out"

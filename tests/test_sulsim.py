@@ -156,17 +156,11 @@ class TestConfig:
 # ---------------------------------------------------------------------------
 
 class TestConvergence:
-    def test_starts_leaderless(self):
-        handle = spawn_cluster(ClusterConfig())
-        assert handle.leader_id is None and handle.now == 0
-
     def test_elects_single_leader(self):
         handle = steady()
         assert handle.leader_id in MEMBERS
         assert handle.cluster_term >= 1
-        roles = [n.role for n in handle.nodes.values()]
-        assert roles.count("leader") == 1
-        assert all(n.term == handle.cluster_term for n in handle.nodes.values())
+        assert handle.leaders_by_term == {handle.cluster_term: handle.leader_id}
 
     def test_one_leader_per_term(self):
         handle = steady()
@@ -188,8 +182,7 @@ class TestConvergence:
         ctx = Ctx()
         send_word(a, ctx, [BREQ_FULL, RJREQ_SELF, PRES_DEAD])
         a.reset()  # snapshot restore path
-        b = spawn_cluster(a.cfg)
-        b.tick(a.now)  # fresh simulation path
+        b = spawn_cluster(a.cfg)  # born at the baseline
         assert (a.now, a.leader_id, a.cluster_term, a.observe().to_dict()) == fingerprint
         # Timers hold bound methods, and two handles' bound methods never
         # compare equal: compare each timer's function instead.
@@ -398,7 +391,7 @@ class TestSeizeLeader:
         send(handle, ctx, RVREQ_HI)
         obs = handle.observe()
         assert obs.leader == "n1" and obs.term == handle.cluster_term
-        assert handle.nodes["n1"].role == "leader"
+        assert handle.leader_id == "n1"
 
     def test_seized_leadership_persists(self):
         handle = steady([VULN_SEIZE_LEADER])
@@ -420,7 +413,7 @@ class TestSeizeLeader:
         send(handle, ctx, RVREQ_SELF_HI)
         send(handle, ctx, RVREQ_HI)
         assert not handle.dummy.is_leader
-        assert [m for m, n in handle.nodes.items() if n.role == "leader"] == ["n1"]
+        assert handle.leader_id == "n1"
         assert list(handle.leaders_by_term.values())[-2:] == ["dummy", "n1"]
         assert send(handle, ctx, RAREQ_S) == []
         assert handle.dummy.locked
@@ -658,6 +651,28 @@ class TestPinnedReplyStream:
     ], ids=["hardened", "all"])
     def test_reply_stream_digest(self, vulns, expected):
         assert self.digest(vulns) == expected
+
+
+def test_bootstrap_outcome_digest():
+    """The converged baseline of 200 random valid configs, pinned across
+    builds: its tick, leader, term, liveness timers and observation."""
+    rng = random.Random(2024)
+    sink = hashlib.sha256()
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        hb = rng.randint(2, 6)
+        lo = rng.randint(hb + 1, hb + 12)
+        hi = lo + n - 1 + rng.randint(0, 12)
+        members = tuple(f"m{i}" for i in rng.sample(range(10), n))
+        handle = spawn_cluster(ClusterConfig(
+            members=members, heartbeat_threshold=hb, election_timeout_range=(lo, hi),
+            seed=rng.randrange(10**6)))
+        handle.reset()
+        timers = sorted((at, handler.__name__) for at, _, handler, _ in handle._events
+                        if handler.__name__ in ("_swim_round", "_session_reap"))
+        sink.update(json.dumps([handle.now, handle.leader_id, handle.cluster_term, timers,
+                                handle.observe().to_dict()], sort_keys=True).encode())
+    assert sink.hexdigest() == "965f64f69e9fd791ef8669867e7bdd66d342a8bb4414f9a3d6a802bbcdd96777"
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,20 @@ class TestContract:
             with pytest.raises(TransportError, match=reason):
                 transport.exchange(msg)
 
+    @pytest.mark.parametrize("verb, done, reason", [
+        ("reset", {}, "no positive integer window_ticks"),
+        ("reset", {"window_ticks": "5", "term": 1}, "no positive integer window_ticks"),
+        ("reset", {"window_ticks": 0, "term": 1}, "no positive integer window_ticks"),
+        ("reset", {"window_ticks": 5, "term": True}, "no integer term"),
+        ("observe", {}, "malformed observation reply"),
+        ("observe", {"observation": {"leader": "n1"}}, "malformed observation reply"),
+    ], ids=["reset-empty", "reset-string-window", "reset-zero-window", "reset-bool-term",
+            "observe-empty", "observe-partial"])
+    def test_malformed_reset_or_observe_reply_raises_transport_error(self, verb, done, reason):
+        with scripted_server(("__done__", done)) as transport:
+            with pytest.raises(TransportError, match=reason):
+                getattr(transport, verb)()
+
     def test_reply_of_unknown_type_raises_transport_error(self):
         with scripted_server(("__bogus__", {})) as transport:
             with pytest.raises(TransportError, match="unexpected frame type"):

@@ -36,7 +36,11 @@ hypothesis.  Where the ADS gets stuck, the states it has not told apart
 fall back to separating suffixes, which is the identification sets when it
 gets stuck at once.  Either way the identifiers are harmonized, which keeps
 the suite complete for targets with up to ``depth`` extra states.  Suite
-words the tree already holds cost no session.
+words the tree already holds cost no session.  The suite is asked in a
+seeded order derived from the hypothesis (its number of states), not
+shortest first: counterexamples tend to be long words, so a failing suite
+stops sooner, while completeness rests on the set of words, not on their
+order.
 
 Noise handling: every distinct word is asked up to ``votes`` times (odd),
 stopping early once one reaction transcript holds a strict majority.  If
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from dataclasses import dataclass
 
 from .alphabet import symbol_sort_key, word_to_obj
@@ -616,10 +621,26 @@ def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
                            depth: int):
     """First word of the HSI-method suite (:func:`wmethod_suite`) on which the
     target and the hypothesis disagree, or ``None`` if the whole suite
-    matches position by position."""
-    for word in wmethod_suite(machine, depth):
-        expected = machine.run_outputs(word)
-        actual = oracle.query(word)
-        if tuple(actual) != tuple(expected):
-            return word
-    return None
+    matches position by position.
+
+    The words are asked in a seeded order derived from the hypothesis: the
+    canonical order shuffled by a generator seeded with its number of
+    states, so the order is the same on every run and under every hash seed.
+    The suite is almost prefix-free, so a passing suite costs the same in
+    any order, while a failing one stops sooner than shortest first.
+    Completeness rests on the set of words, not on their order.  Each call
+    writes one ``suite`` event: the suite's size, the words asked, the
+    sessions they cost and whether one disagreed.
+    """
+    words = list(wmethod_suite(machine, depth))
+    random.Random(len(machine.states)).shuffle(words)
+    trials = oracle.trials
+    found, asked = None, 0
+    for asked, word in enumerate(words, 1):
+        if oracle.query(word) != machine.run_outputs(word):
+            found = word
+            break
+    _emit(oracle.transcript, {"event": "suite", "words": len(words),
+                              "asked": asked, "sessions": oracle.trials - trials,
+                              "counterexample": found is not None})
+    return found

@@ -40,7 +40,7 @@ from .alphabet import (
     FrameError, OutputWord, Symbol, TERM_CURRENT, canonical_output, decode,
     encode, frame_encode, is_keepalive, message_from_wire, read_frame,
 )
-from .sulsim import ClusterHandle, ClusterObservation
+from .sulsim import ClusterHandle, ClusterObservation, _is_int
 
 
 @dataclass
@@ -247,10 +247,6 @@ class ClusterServer:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class TcpTransport:

@@ -136,6 +136,39 @@ def default_alphabet(cfg: ClusterConfig, self_id: str = "dummy",
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_map(value, valid) -> bool:
+    """Whether ``value`` is a dict with str keys whose values pass ``valid``."""
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and valid(v) for k, v in value.items())
+
+
+def _is_list(value, valid) -> bool:
+    return isinstance(value, list) and all(map(valid, value))
+
+
+# What each field of an observation's dict form must hold.
+_OBSERVATION_FIELDS = {
+    "leader": lambda v: v is None or _is_str(v),
+    "term": _is_int,
+    "membership": lambda v: _is_map(v, _is_str),
+    "apps": lambda v: _is_list(v, _is_str),
+    "links": lambda v: _is_list(v, lambda l: _is_list(l, _is_str) and len(l) == 2),
+    "reachability": lambda v: _is_map(
+        v, lambda row: _is_map(row, lambda ok: isinstance(ok, bool))),
+    "sessions_open": _is_int,
+    "resource_load": lambda v: _is_map(v, _is_int),
+    "origin": _is_str,
+}
+
+
 @dataclass
 class ClusterObservation:
     """Externally visible cluster health snapshot.  Pure data, no handles."""
@@ -165,6 +198,11 @@ class ClusterObservation:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterObservation":
+        """Inverse of :meth:`to_dict`.  A missing field raises ``KeyError``,
+        a field of the wrong type or shape ``ValueError``."""
+        for key, valid in _OBSERVATION_FIELDS.items():
+            if not valid(doc[key]):
+                raise ValueError(f"observation field {key} is malformed: {doc[key]!r}")
         return cls(
             leader=doc["leader"],
             term=doc["term"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -62,6 +63,19 @@ def perfect_counterexample(truth):
         return None
 
     return check
+
+
+class RecordingOracle(MembershipOracle):
+    """A one-vote oracle that records every word it is asked, answered from
+    its tree or not."""
+
+    def __init__(self, query_fn, transcript=None):
+        super().__init__(query_fn, votes=1, transcript=transcript)
+        self.asked = []
+
+    def query(self, word):
+        self.asked.append(tuple(word))
+        return super().query(word)
 
 
 def learn_machine(truth, votes=1, **kw):
@@ -426,7 +440,6 @@ class TestLStar:
 
         first, second = run(), run()
         assert first == second
-        import json
         events = [json.loads(line)["event"] for line in first.splitlines()]
         assert events[0] == "start"
         assert "hypothesis" in events
@@ -482,6 +495,43 @@ class TestConformance:
         lengths = [len(w) for w in suite]
         assert lengths == sorted(lengths)
         assert suite == wmethod_suite(build_t0(), depth=2)
+
+    def test_passing_suite_asks_every_word_once_in_a_seeded_order(self):
+        machine = next(m for m in (minimize(random_machine(random.Random(seed)))
+                                   for seed in itertools.count())
+                       if len(m.states) >= 6 and len(m.input_alphabet) >= 2)
+        oracle = RecordingOracle(machine.run_outputs)
+        assert wmethod_counterexample(machine, oracle, depth=1) is None
+        first = oracle.asked[:]
+        assert wmethod_counterexample(machine, oracle, depth=1) is None
+        suite = wmethod_suite(machine, depth=1)
+        assert len(first) == len(set(first)) == len(suite)
+        assert set(first) == set(suite)
+        assert oracle.asked == first + first
+        assert first != list(suite)
+
+    def test_suite_event_counts_words_asked_and_sessions(self):
+        truth = build_t0()
+        broken_tr = dict(truth.transitions)
+        broken_tr[("q1", T0_JOIN)] = ("q2", (NO_RESPONSE,))
+        broken = MealyMachine(states=truth.states, initial=truth.initial,
+                              input_alphabet=truth.input_alphabet,
+                              transitions=broken_tr)
+        sink = io.StringIO()
+        oracle = RecordingOracle(truth.run_outputs, transcript=sink)
+        word = wmethod_counterexample(broken, oracle, depth=1)
+        sessions = oracle.trials
+        assert wmethod_counterexample(truth, oracle, depth=1) is None
+        events = [json.loads(line) for line in sink.getvalue().splitlines()
+                  if json.loads(line)["event"] == "suite"]
+        assert events == [
+            {"event": "suite", "words": len(wmethod_suite(broken, depth=1)),
+             "asked": oracle.asked.index(word) + 1, "sessions": sessions,
+             "counterexample": True},
+            {"event": "suite", "words": len(wmethod_suite(truth, depth=1)),
+             "asked": len(wmethod_suite(truth, depth=1)),
+             "sessions": oracle.trials - sessions, "counterexample": False},
+        ]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_characterization_separates_all_state_pairs(self, seed):

@@ -79,6 +79,17 @@ def scripted_server(*replies):
         assert not server.is_alive()
 
 
+OBSERVATION = spawn_cluster(cluster_config()).observe().to_dict()
+# One wrong-typed or misshapen field at a time; the rest of OBSERVATION is valid.
+BAD_FIELDS = [
+    ("leader", 1), ("term", "1"), ("term", True), ("term", 1.0),
+    ("membership", {"n1": 1}), ("apps", [1]), ("links", [["a1", "a2", "b1"]]),
+    ("links", [["a1", 2]]), ("reachability", {"n1": {"n2": "yes"}}),
+    ("reachability", {"n1": []}), ("sessions_open", "3"),
+    ("resource_load", {"n1": "2"}), ("origin", None),
+]
+
+
 def random_words(rng, count, max_len=5):
     return [
         tuple(rng.choice(LADDER_ALPHABET) for _ in range(rng.randint(1, max_len)))
@@ -179,8 +190,11 @@ class TestContract:
         ("reset", {"window_ticks": 5, "term": True}, "no integer term"),
         ("observe", {}, "malformed observation reply"),
         ("observe", {"observation": {"leader": "n1"}}, "malformed observation reply"),
+        *(("observe", {"observation": {**OBSERVATION, key: value}},
+           "malformed observation reply") for key, value in BAD_FIELDS),
     ], ids=["reset-empty", "reset-string-window", "reset-zero-window", "reset-bool-term",
-            "observe-empty", "observe-partial"])
+            "observe-empty", "observe-partial",
+            *(f"observe-{key}-{value!r}" for key, value in BAD_FIELDS)])
     def test_malformed_reset_or_observe_reply_raises_transport_error(self, verb, done, reason):
         with scripted_server(("__done__", done)) as transport:
             with pytest.raises(TransportError, match=reason):

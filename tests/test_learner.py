@@ -450,6 +450,15 @@ class TestLStar:
 # Conformance suite
 # ---------------------------------------------------------------------------
 
+def t0_without_join_ack():
+    """The three-state fixture with the join acknowledgement dropped."""
+    truth = build_t0()
+    transitions = dict(truth.transitions)
+    transitions[("q1", T0_JOIN)] = ("q2", (NO_RESPONSE,))
+    return MealyMachine(states=truth.states, initial=truth.initial,
+                        input_alphabet=truth.input_alphabet, transitions=transitions)
+
+
 class TestConformance:
     def test_no_counterexample_for_equivalent_target(self):
         truth = build_t0()
@@ -457,12 +466,7 @@ class TestConformance:
         assert wmethod_counterexample(truth, oracle, depth=1) is None
 
     def test_finds_flipped_output(self):
-        truth = build_t0()
-        broken_tr = dict(truth.transitions)
-        broken_tr[("q1", T0_JOIN)] = ("q2", (NO_RESPONSE,))  # ack dropped
-        broken = MealyMachine(states=truth.states, initial=truth.initial,
-                              input_alphabet=truth.input_alphabet,
-                              transitions=broken_tr)
+        truth, broken = build_t0(), t0_without_join_ack()
         oracle = MembershipOracle(truth.run_outputs, votes=1)
         word = wmethod_counterexample(broken, oracle, depth=1)
         assert word is not None
@@ -511,12 +515,7 @@ class TestConformance:
         assert first != list(suite)
 
     def test_suite_event_counts_words_asked_and_sessions(self):
-        truth = build_t0()
-        broken_tr = dict(truth.transitions)
-        broken_tr[("q1", T0_JOIN)] = ("q2", (NO_RESPONSE,))
-        broken = MealyMachine(states=truth.states, initial=truth.initial,
-                              input_alphabet=truth.input_alphabet,
-                              transitions=broken_tr)
+        truth, broken = build_t0(), t0_without_join_ack()
         sink = io.StringIO()
         oracle = RecordingOracle(truth.run_outputs, transcript=sink)
         word = wmethod_counterexample(broken, oracle, depth=1)

@@ -17,6 +17,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # Symbol tags, in stable enumeration order.
 PREQ = "PReq"
@@ -161,19 +162,29 @@ class AlphabetConfig:
 
     @property
     def known_ref(self) -> NodeRef:
-        return NodeRef(min(self.members), KNOWN)
+        return self.node_ref(min(self.members))
 
     @property
     def unknown_ref(self) -> NodeRef:
-        return NodeRef(self.unknown_id, UNKNOWN)
+        return self.node_ref(self.unknown_id)
 
     @property
     def self_ref(self) -> NodeRef:
-        return NodeRef(self.self_id, UNKNOWN)
+        return self.node_ref(self.self_id)
 
     def node_ref(self, node_id: str) -> NodeRef:
-        kind = KNOWN if node_id in self.members else UNKNOWN
-        return NodeRef(node_id, kind)
+        """The reference to ``node_id``, of kind known exactly for members.
+        Each configured id (the members, ``self_id`` and ``unknown_id``) has
+        one shared reference; any other id, such as one read off the wire,
+        gets a fresh one, so no input grows the shared set."""
+        ref = self._configured_refs.get(node_id)
+        return NodeRef(node_id, UNKNOWN) if ref is None else ref
+
+    @cached_property
+    def _configured_refs(self) -> dict:
+        refs = {node: NodeRef(node, UNKNOWN) for node in (self.self_id, self.unknown_id)}
+        refs.update((node, NodeRef(node, KNOWN)) for node in self.members)
+        return refs
 
 
 def node_set_domain(cfg: AlphabetConfig) -> tuple:
@@ -272,19 +283,26 @@ def is_keepalive(sym: Symbol, cfg: AlphabetConfig) -> bool:
     return sym.tag == RAREQ
 
 
-def canonical_output(events, cfg: AlphabetConfig) -> OutputWord:
+def canonical_output(events, cfg: AlphabetConfig,
+                     keepalives: list | None = None) -> OutputWord:
     """Collapse raw (tick, Symbol) events into one canonical word.
 
     The proxy passes the virtual tick at which each reply reached the peer;
     a message's own ``logical_ts`` plays no part.  Events are ordered by
     that tick, with a stable symbol ordering as the tie-break.  Keep-alive
-    symbols carry no protocol meaning and are filtered out.  An empty
-    collection yields ``(NoResponse,)``.
+    symbols carry no protocol meaning and are filtered out; if
+    ``keepalives`` is a list, they are appended to it in event order.  An
+    empty collection yields ``(NoResponse,)``.
     """
-    kept = [(ts, sym) for ts, sym in events if not is_keepalive(sym, cfg)]
+    kept = []
+    for event in events:
+        if not is_keepalive(event[1], cfg):
+            kept.append(event)
+        elif keepalives is not None:
+            keepalives.append(event[1])
+    if len(kept) < 2:
+        return (kept[0][1],) if kept else (NO_RESPONSE,)
     kept.sort(key=lambda e: (e[0], symbol_sort_key(e[1])))
-    if not kept:
-        return (NO_RESPONSE,)
     return tuple(sym for _, sym in kept)
 
 

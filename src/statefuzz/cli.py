@@ -14,8 +14,10 @@ replay
     reproduces.
 
 All outputs are deterministic for fixed inputs and seeds; nothing ever
-writes back into an input file.  The ``STATEFUZZ_LOG`` environment variable
-(debug/info/warning/error) controls diagnostic verbosity on stderr.
+writes back into an input file.  Every output but the streamed transcript
+is written atomically, so none is ever left half written.  The
+``STATEFUZZ_LOG`` environment variable (debug/info/warning/error) controls
+diagnostic verbosity on stderr.
 
 Exit codes: 0 success; 1 replay verdict mismatch or --fail-on-finding
 triggered; 2 bad usage, configuration, or input files; 3 learning budget
@@ -243,6 +245,19 @@ def learner_letters(lcfg: dict, acfg) -> tuple:
     return letters
 
 
+def write_artifact(path: Path, text: str):
+    """Write ``text`` to ``path`` atomically: into a temporary file in the
+    same directory, which then replaces ``path``.  A write that fails or is
+    interrupted leaves ``path`` as it was and no temporary file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------
@@ -272,8 +287,8 @@ def cmd_learn(args) -> int:
                 max_rounds=lcfg["max_rounds"])
         except PartialResultError as exc:
             if exc.hypothesis is not None:
-                (out_dir / "machine-partial.json").write_text(
-                    exc.hypothesis.to_json(), encoding="utf-8")
+                write_artifact(out_dir / "machine-partial.json",
+                               exc.hypothesis.to_json())
             print(f"learning stopped early: {exc}", file=sys.stderr)
             if isinstance(exc.__cause__, TransportError):
                 return EXIT_TRANSPORT
@@ -284,8 +299,8 @@ def cmd_learn(args) -> int:
             print(f"target answered nondeterministically: {exc}", file=sys.stderr)
             return EXIT_NONDETERMINISM
     machine = result.machine
-    (out_dir / "machine.json").write_text(machine.to_json(), encoding="utf-8")
-    (out_dir / "machine.dot").write_text(machine.to_dot(), encoding="utf-8")
+    write_artifact(out_dir / "machine.json", machine.to_json())
+    write_artifact(out_dir / "machine.dot", machine.to_dot())
     print(f"learned {len(machine.states)} states in {result.rounds} rounds "
           f"({oracle.trials} sessions); wrote {out_dir / 'machine.json'}")
     return EXIT_OK
@@ -377,16 +392,14 @@ def cmd_fuzz(args) -> int:
             max_cases=shard_budget, domains=domains, weights=fcfg["weights"]))
 
     merged = reports[0] if len(reports) == 1 else merge_reports(reports, seed, args.shards)
-    (out_dir / "report.json").write_text(merged.to_json(), encoding="utf-8")
+    write_artifact(out_dir / "report.json", merged.to_json())
     for shard, report in enumerate(reports):
         if len(reports) > 1:
-            (out_dir / f"report-shard-{shard:02d}.json").write_text(
-                report.to_json(), encoding="utf-8")
+            write_artifact(out_dir / f"report-shard-{shard:02d}.json", report.to_json())
         for case, finding in report.findings:
             name = (f"case-{case.case_id:05d}.json" if len(reports) == 1
                     else f"case-s{shard:02d}-{case.case_id:05d}.json")
-            (out_dir / name).write_text(
-                case_document(report.origin, case, finding), encoding="utf-8")
+            write_artifact(out_dir / name, case_document(report.origin, case, finding))
     print_summary(merged)
     if args.fail_on_finding and merged.findings:
         return EXIT_VERDICT_MISMATCH

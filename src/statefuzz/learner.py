@@ -35,12 +35,16 @@ state's path through a greedy adaptive distinguishing sequence (ADS) of the
 hypothesis.  Where the ADS gets stuck, the states it has not told apart
 fall back to separating suffixes, which is the identification sets when it
 gets stuck at once.  Either way the identifiers are harmonized, which keeps
-the suite complete for targets with up to ``depth`` extra states.  Suite
-words the tree already holds cost no session.  The suite is asked in a
-seeded order derived from the hypothesis (its number of states), not
-shortest first: counterexamples tend to be long words, so a failing suite
-stops sooner, while completeness rests on the set of words, not on their
-order.
+the suite complete for targets with up to ``depth`` extra states.  The
+suite is built and sorted over letter and state indices, and only its
+sorted words become letters.  Suite words the tree already holds cost no
+session.  The suite is asked in a seeded order derived from the hypothesis
+(its number of states), not shortest first: counterexamples tend to be long
+words, so a failing suite stops sooner, while completeness rests on the set
+of words, not on their order.
+
+Every resolved word writes one ``query`` line to the transcript, assembled
+from the JSON of each distinct letter and output word, which is built once.
 
 Noise handling: every distinct word is asked up to ``votes`` times (odd),
 stopping early once one reaction transcript holds a strict majority.  If
@@ -55,7 +59,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .alphabet import symbol_sort_key, word_to_obj
+from .alphabet import symbol_sort_key, symbol_to_obj, word_to_obj
 from .mealy import MealyMachine, minimize
 from .proxy import TransportError
 
@@ -84,9 +88,13 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(sink, obj):
     if sink is not None:
-        sink.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        sink.write(_json(obj) + "\n")
 
 
 class ObservationTree:
@@ -210,6 +218,8 @@ class MembershipOracle:
         self.tree = ObservationTree()
         self.trials = 0
         self.cache_hits = 0
+        self._letter_json: list = []  # tree letter id -> the letter's JSON
+        self._output_json: dict = {}  # output word -> its JSON
 
     def query(self, word) -> tuple:
         word = tuple(word)
@@ -240,13 +250,29 @@ class MembershipOracle:
         if outcome is None:
             raise NondeterminismError(word, tuple(counts))
         self.tree._insert(word, ids, outcome)
-        _emit(self.transcript, {
-            "event": "query",
-            "word": word_to_obj(word),
-            "outputs": [word_to_obj(out) for out in outcome],
-            "trials": attempts,
-        })
+        if self.transcript is not None:
+            self._record(ids, outcome, attempts)
         return outcome
+
+    def _record(self, ids, outcome, attempts):
+        """Write the ``query`` event of a resolved word.  The line is what
+        :func:`_emit` writes for ``{"event": "query", "outputs": ...,
+        "trials": ..., "word": ...}``, assembled from the JSON of each
+        distinct letter and output word, which is built once."""
+        letters = self._letter_json
+        for letter in self.tree._letters[len(letters):]:
+            letters.append(_json(symbol_to_obj(letter)))
+        outputs = self._output_json
+        parts = []
+        for out in outcome:
+            text = outputs.get(out)
+            if text is None:
+                text = outputs[out] = _json(word_to_obj(out))
+            parts.append(text)
+        self.transcript.write(
+            '{"event":"query","outputs":[' + ",".join(parts)
+            + '],"trials":' + str(attempts)
+            + ',"word":[' + ",".join([letters[a] for a in ids]) + "]}\n")
 
 
 class _LSharp:
@@ -598,23 +624,34 @@ def wmethod_suite(machine: MealyMachine, depth: int) -> tuple:
     tells the states apart, separating suffixes where it gets stuck.  Any
     target with at most ``depth`` extra states that disagrees with the
     hypothesis disagrees on some suite word.
+
+    The words are built as tuples of letter indices into the input alphabet
+    over an int transition table, and sorted as such: shortest first, then
+    lexicographically by letter rank.  Only the sorted words are mapped back
+    to letters, so the order does not depend on the hash seed.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     m = minimize(machine)
-    ident = _harmonized_identifiers(m)
-    layer = {q: m.state_after(q) for q in _state_cover(m).values()}
+    letters = m.input_alphabet
+    rank = {a: i for i, a in enumerate(letters)}
+    number = {s: i for i, s in enumerate(m.states)}
+    delta = [[number[m.transitions[(s, a)][0]] for a in letters] for s in m.states]
+    identifiers = _harmonized_identifiers(m)
+    ident = [[tuple(rank[a] for a in w) for w in identifiers[s]] for s in m.states]
+    layer = [(tuple(rank[a] for a in w), number[s]) for s, w in _state_cover(m).items()]
     words = set()
     for extra in range(depth + 2):
-        for head, state in layer.items():
+        for head, state in layer:
             for suffix in ident[state]:
                 if head or suffix:
                     words.add(head + suffix)
         if extra <= depth:
-            layer = {head + (a,): m.transitions[(state, a)][0]
-                     for head, state in layer.items() for a in m.input_alphabet}
-    rank = {a: i for i, a in enumerate(m.input_alphabet)}
-    return tuple(sorted(words, key=lambda w: (len(w), [rank[a] for a in w])))
+            layer = [(head + (a,), target) for head, state in layer
+                     for a, target in enumerate(delta[state])]
+    ordered = sorted(words)
+    ordered.sort(key=len)
+    return tuple(tuple(map(letters.__getitem__, w)) for w in ordered)
 
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,

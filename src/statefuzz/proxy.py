@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .alphabet import (
     ALIVE, PREQ, PRES, RAREQ, RARES, AlphabetConfig, ConcreteMessage,
     FrameError, OutputWord, Symbol, TERM_CURRENT, canonical_output, decode,
-    encode, frame_encode, is_keepalive, message_from_wire, read_frame,
+    encode, frame_encode, message_from_wire, read_frame,
 )
 from .sulsim import ClusterHandle, ClusterObservation, _is_int
 
@@ -105,11 +105,12 @@ class ClusterProxy:
         self.symbols_sent += 1
         window = self.transport.exchange(msg)
         self.ticks_advanced += self.transport.window_ticks
-        events = [(ts, decode(m, self.cfg)) for ts, m in window]
-        for _, reply_sym in events:
-            if is_keepalive(reply_sym, self.cfg):
-                self._answer_keepalive(reply_sym)
-        return canonical_output(events, self.cfg)
+        keepalives = []
+        word = canonical_output([(ts, decode(m, self.cfg)) for ts, m in window],
+                                self.cfg, keepalives)
+        for reply_sym in keepalives:
+            self._answer_keepalive(reply_sym)
+        return word
 
     def query(self, word) -> tuple:
         """Output words for every position of ``word``, from a fresh session."""

@@ -233,6 +233,7 @@ class ClusterHandle:
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
+        self._members = frozenset(cfg.members)
         self.window_ticks = cfg.heartbeat_threshold
         self._decode_cfg = default_alphabet(cfg, self_id="__sim_peer__",
                                             unknown_id="__sim_nz__")
@@ -307,14 +308,23 @@ class ClusterHandle:
     def tick(self, n: int = 1):
         """Advance the clock ``n`` ticks; return [(tick, message)] that reached
         the external peer during the advance.  A reply reaches the peer one
-        tick after it is emitted, before that tick's timers fire."""
+        tick after it is emitted, before that tick's timers fire.
+
+        A tick with no reply in flight and no timer due changes nothing, so
+        while no reply is in flight the clock jumps straight to the next
+        timer, or to the end of the advance if that comes first.  Every
+        timer is set for a later tick than the one that sets it, so the
+        jump never goes backwards."""
         out = []
         events = self._events
-        for _ in range(n):
-            self.now += 1
+        end = self.now + n
+        while self.now < end:
             if self._replies:
+                self.now += 1
                 out.extend((self.now, msg) for msg in self._replies)
                 self._replies = []
+            else:
+                self.now = min(end, events[0][0]) if events else end
             while events and events[0][0] <= self.now:
                 _, _, handler, args = heapq.heappop(events)
                 handler(*args)
@@ -335,7 +345,7 @@ class ClusterHandle:
         self.leaders_by_term[term] = leader
         self.leader_id = leader
         self.cluster_term = term
-        self.dummy.is_leader = leader not in self.cfg.members
+        self.dummy.is_leader = leader not in self._members
 
     def _swim_round(self):
         # Liveness probing between members is not modeled; a round only
@@ -368,7 +378,7 @@ class ClusterHandle:
         if msg.cluster_id != self.cfg.cluster_id:
             self._reject(f"wrong cluster id {msg.cluster_id!r}")
             return
-        if not msg.sender or msg.sender in self.cfg.members:
+        if not msg.sender or msg.sender in self._members:
             self._reject(f"bad sender {msg.sender!r}")
             return
         last = self._last_in_ts.get(msg.sender)
@@ -393,7 +403,7 @@ class ClusterHandle:
         tag = sym.tag
         vulns = self.cfg.vulnerabilities
         d = self.dummy
-        members = set(self.cfg.members)
+        members = self._members
 
         if tag == PREQ:
             target = sym.params[0].id
@@ -514,7 +524,7 @@ class ClusterHandle:
     @property
     def _host(self) -> str:
         """Member that answers the peer and hosts its sessions: the leader, else members[0]."""
-        return self.leader_id if self.leader_id in self.cfg.members else self.cfg.members[0]
+        return self.leader_id if self.leader_id in self._members else self.cfg.members[0]
 
     def _emit(self, tag: str, **payload):
         self._emit_raw(WIRE_TYPES[tag], payload)

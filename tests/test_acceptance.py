@@ -22,7 +22,9 @@ Guarantees covered, one test each:
 4.  With every vulnerability disabled, a 10,000-case campaign produces
     zero findings.
 5.  Learn, fuzz, and replay produce byte-identical outputs across reruns
-    with identical seeds, and 100 replays of a stored finding agree.
+    with identical seeds, and 100 replays of a stored finding agree.  The
+    reference learn's transcript and machine also match what an earlier
+    build wrote.
 6.  Proxy guarantees hold over >= 1,000 randomized trials each: output
     words follow reply-tick order under adversarial receiver
     interleavings, keep-alive traffic never changes any output word, and a
@@ -33,9 +35,11 @@ Guarantees covered, one test each:
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 import numpy
 import pytest
@@ -335,6 +339,24 @@ def test_end_to_end_determinism(tmp_path, capsys):
     assert replay_stdout[0] == replay_stdout[1]
     print("PASS determinism: learn/fuzz/replay outputs byte-identical "
           "across reruns; 100 replays of one finding agree", flush=True)
+
+
+# Recorded from an earlier build.  Two runs of one build cannot show that a
+# change altered what ``learn`` writes; these pins can.
+LEARN_SEED1_TRANSCRIPT_SHA256 = (
+    "d6a360014e64816791bda34acfbc80bba720affaf190837d45ed78ef1e715202")
+REFERENCE_MACHINE = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "reference" / "machine.json")
+
+
+def test_learn_artifacts_pinned_across_builds(tmp_path):
+    out = tmp_path / "learn"
+    assert cli_main(["learn", "--seed", "1", "--out-dir", str(out)]) == 0
+    transcript = (out / "transcript.jsonl").read_bytes()
+    assert hashlib.sha256(transcript).hexdigest() == LEARN_SEED1_TRANSCRIPT_SHA256
+    assert (out / "machine.json").read_bytes() == REFERENCE_MACHINE.read_bytes()
+    print("PASS pinned artifacts: learn --seed 1 transcript digest and "
+          "machine.json match the earlier build", flush=True)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,28 @@ class TestDecode:
             decode(ConcreteMessage("c1", "q", 1, "NoResponse", {}), CFG)
 
 
+class TestNodeRefs:
+    def test_configured_ids_share_one_reference(self):
+        for node in (*CFG.members, CFG.self_id, CFG.unknown_id):
+            assert CFG.node_ref(node) is CFG.node_ref(node)
+            assert CFG.node_ref(node) == NodeRef(node, KNOWN if node in CFG.members else UNKNOWN)
+        assert CFG.known_ref is CFG.node_ref("A")
+        assert CFG.self_ref is CFG.node_ref("X")
+        assert CFG.unknown_ref is CFG.node_ref("Z")
+        letters = enumerate_input_alphabet(CFG)
+        refs = {id(p) for sym in letters for p in sym.params if isinstance(p, NodeRef)}
+        assert len(refs) == 3
+
+    def test_wire_ids_get_fresh_references_and_grow_nothing(self):
+        shared = dict(CFG._configured_refs)
+        for i in range(50):
+            msg = ConcreteMessage("c1", "q", i, "ProbeRequest", {"target": f"w{i % 5}"})
+            ref = decode(msg, CFG).params[0]
+            assert ref == NodeRef(f"w{i % 5}", UNKNOWN)
+            assert ref is not CFG.node_ref(ref.id)
+        assert CFG._configured_refs == shared
+
+
 class TestCanonicalOutput:
     def test_orders_by_timestamp(self):
         a = Symbol(PRES, (NodeRef("A", KNOWN), ALIVE))
@@ -232,6 +254,18 @@ class TestCanonicalOutput:
         probe_a = Symbol(PREQ, (NodeRef("A", KNOWN),))
         assert not is_keepalive(probe_a, CFG)
         assert canonical_output([(1, probe_a)], CFG) == (probe_a,)
+
+    def test_keepalives_collected_in_event_order(self):
+        probe_me = Symbol(PREQ, (NodeRef("X", UNKNOWN),))
+        heartbeat = Symbol(RAREQ)
+        real = Symbol(RJRES)
+        keepalives = []
+        word = canonical_output([(1, heartbeat), (1, real), (2, probe_me)], CFG, keepalives)
+        assert word == (real,)
+        assert keepalives == [heartbeat, probe_me]
+        keepalives = []
+        assert canonical_output([(4, probe_me)], CFG, keepalives) == (NO_RESPONSE,)
+        assert keepalives == [probe_me]
 
     @given(st.permutations(list(range(6))))
     def test_permutation_invariance(self, order):

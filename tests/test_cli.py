@@ -546,6 +546,71 @@ class TestReplay:
         assert rc == EXIT_USAGE
 
 
+class TestArtifactWrites:
+    """Outputs are written atomically: a failed write leaves the old file, or
+    none, and no temporary file."""
+
+    @staticmethod
+    def fail_halfway(monkeypatch):
+        """Make every ``Path.write_text`` write half its text, then fail."""
+        def write_half(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as handle:
+                handle.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(Path, "write_text", write_half)
+
+    @pytest.mark.parametrize("before", [None, "old\n"])
+    def test_write_failing_partway_leaves_no_partial_or_temp_file(
+            self, tmp_path, monkeypatch, before):
+        target = tmp_path / "report.json"
+        if before is not None:
+            target.write_text(before, encoding="utf-8")
+        self.fail_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            cli.write_artifact(target, '{"findings": []}\n' * 100)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else [target.name])
+        if before is not None:
+            assert target.read_text(encoding="utf-8") == before
+
+    def test_interrupt_before_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.write_artifact(tmp_path / "machine.json", "{}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "machine.dot"
+        target.write_text("old", encoding="utf-8")
+        cli.write_artifact(target, "digraph {}\n")
+        assert target.read_text(encoding="utf-8") == "digraph {}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    def test_fuzz_failing_on_a_case_file_leaves_only_whole_files(
+            self, workspace, tmp_path, monkeypatch):
+        cfg = fuzz_config(workspace, tmp_path)
+        out = tmp_path / "out"
+        write = cli.write_artifact
+        written = []
+
+        def fail_third(path, text):
+            if len(written) == 2:
+                self.fail_halfway(monkeypatch)
+            written.append(path.name)
+            write(path, text)
+        monkeypatch.setattr(cli, "write_artifact", fail_third)
+        with pytest.raises(OSError):
+            main(["fuzz", machine_path(workspace), "--config", cfg,
+                  "--vulns", "clear_store", "--out-dir", str(out)])
+        monkeypatch.undo()
+        assert written[0] == "report.json" and len(written) == 3
+        assert sorted(p.name for p in out.iterdir()) == sorted(written[:2])
+        for name in written[:2]:
+            json.loads((out / name).read_text(encoding="utf-8"))
+
+
 class TestEntryPoint:
     def test_installed_script_help(self):
         """The declared `statefuzz` script starts the CLI of this checkout.

@@ -15,7 +15,8 @@ import pytest
 from statefuzz.alphabet import (
     ALIVE, DEAD, KNOWN, NO_RESPONSE, UNKNOWN, BREQ, BRES, PREQ, PRES, RCONREQ,
     RCONRES, RCOMREQ, RJREQ, RVREQ, RVRES, REJECTED, TERM_CURRENT,
-    DATA_APP, OP_ADD, NodeRef, Symbol,
+    DATA_APP, OP_ADD, AlphabetConfig, NodeRef, Symbol, enumerate_input_alphabet,
+    word_to_obj,
 )
 from statefuzz.learner import (
     LearnResult, MembershipOracle, NondeterminismError, PartialResultError,
@@ -446,6 +447,62 @@ class TestLStar:
         assert events[-1] == "done"
 
 
+class TestQueryLines:
+    """Each ``query`` line is the canonical JSON of its event, however the
+    oracle assembles it."""
+
+    ACFG = AlphabetConfig(members=("n1", "n2"), self_id="dummy",
+                          cluster_id="c", unknown_id="nz")
+    # Node references known and not, node sets including the empty one,
+    # plain strings, NoResponse and multi-letter words.
+    OUTPUTS = (
+        (NO_RESPONSE,),
+        (Symbol(BRES, ((),)),),
+        (Symbol(BRES, (("n1", "n2"),)), Symbol(RVRES, (REJECTED,))),
+        (Symbol(PRES, (NodeRef("n1", KNOWN), ALIVE)),
+         Symbol(PRES, (NodeRef("wire", UNKNOWN), DEAD)), Symbol(RCONRES)),
+    )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_query_line_is_canonical_json_of_its_event(self, seed):
+        rng = random.Random(seed)
+        letters = enumerate_input_alphabet(self.ACFG)
+        states = range(rng.randint(2, 6))
+        table = {(s, a): (rng.choice(states), rng.choice(self.OUTPUTS))
+                 for s in states for a in letters}
+        calls = itertools.count(1)
+
+        def flaky(word):
+            # Every fourth answer is garbled, and uniquely so: three votes
+            # always reach a majority, some after a third session.
+            state, out = 0, []
+            for a in word:
+                state, piece = table[(state, a)]
+                out.append(piece)
+            n = next(calls)
+            if n % 4 == 0:
+                out[-1] = (Symbol(PRES, (NodeRef(f"g{n}", UNKNOWN), DEAD)),)
+            return out
+
+        sink = io.StringIO()
+        oracle = MembershipOracle(flaky, votes=3, transcript=sink)
+        expected = []
+        for _ in range(200):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+            trials = oracle.trials
+            outputs = oracle.query(word)
+            if oracle.trials > trials:
+                expected.append({"event": "query", "word": word_to_obj(word),
+                                 "outputs": [word_to_obj(o) for o in outputs],
+                                 "trials": oracle.trials - trials})
+        lines = sink.getvalue().splitlines()
+        assert lines == [json.dumps(e, sort_keys=True, separators=(",", ":"))
+                         for e in expected]
+        assert {e["trials"] for e in expected} == {2, 3}
+        seen = {json.dumps(o) for e in expected for o in e["outputs"]}
+        assert seen == {json.dumps(word_to_obj(o)) for o in self.OUTPUTS}
+
+
 # ---------------------------------------------------------------------------
 # Conformance suite
 # ---------------------------------------------------------------------------
@@ -570,6 +627,18 @@ class TestConformance:
                 expected |= {u + w for w in ident[machine.state_after(u)]}
         expected.discard(())
         assert set(wmethod_suite(machine, depth=depth)) == expected
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_suite_is_ordered_by_length_then_letter_rank(self, seed, depth):
+        # The order of the suite when it was built and sorted over letters;
+        # building it over letter indices must keep it, because the seeded
+        # shuffle starts from it.
+        machine = minimize(random_machine(random.Random(seed)))
+        suite = wmethod_suite(machine, depth=depth)
+        rank = {a: i for i, a in enumerate(machine.input_alphabet)}
+        assert suite == tuple(sorted(set(suite),
+                                     key=lambda w: (len(w), [rank[a] for a in w])))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_identifiers_are_harmonized(self, seed):

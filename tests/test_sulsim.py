@@ -607,6 +607,75 @@ class TestDeterminism:
         assert self.stream(vulns) == self.stream(vulns)
 
 
+class TestClockSplits:
+    """``tick(a)`` then ``tick(b)`` is ``tick(a + b)``, and both are ``a + b``
+    single ticks: the idle jump skips only ticks where nothing happens."""
+
+    @staticmethod
+    def session(seed):
+        """Two identical handles after the same random letters, the replies to
+        the last one still in flight, and a split ``a`` ticks from now: on
+        the next timer, next to it, or anywhere."""
+        rng = random.Random(seed)
+        vulns = set(rng.sample(sorted(ALL_VULNERABILITIES), rng.randint(0, 6)))
+        words = []
+        if seed % 2:
+            # Admitted: the liveness timers send the peer keep-alives.
+            vulns.add(VULN_UNAUTH_JOIN)
+            words = [BREQ_FULL, RJREQ_SELF]
+        cfg = ClusterConfig(vulnerabilities=frozenset(vulns))
+        handles = [spawn_cluster(cfg), spawn_cluster(cfg)]
+        letters = enumerate_input_alphabet(default_alphabet(cfg))
+        words += [rng.choice(letters) for _ in range(rng.randint(0, 8))]
+        waits = [rng.randint(0, 2 * H) for _ in words]
+        for handle in handles:
+            ctx = SessionContext(cluster_id=cfg.cluster_id, self_id="dummy",
+                                 observed_leader_term=handle.reset())
+            for sym, wait in zip(words, waits):
+                handle.tick(wait)
+                handle.deliver(encode(sym, ctx))
+        due = handles[0]._events[0][0] - handles[0].now
+        a = max(0, rng.choice([due - 1, due, due + 1, rng.randint(0, 3 * H)]))
+        return rng, handles, a
+
+    @staticmethod
+    def wire(events):
+        return [(tick, msg.to_wire()) for tick, msg in events]
+
+    @staticmethod
+    def state(handle):
+        timers = sorted((at, seq, handler.__name__, args)
+                        for at, seq, handler, args in handle._events)
+        return (handle.now, timers, handle.session_fingerprint(),
+                handle.observe().to_dict())
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_split_advance_equals_whole_advance(self, seed):
+        rng, (split, whole), a = self.session(seed)
+        b = rng.randint(0, 3 * H)
+        events = split.tick(a) + split.tick(b)
+        assert self.wire(events) == self.wire(whole.tick(a + b))
+        assert self.state(split) == self.state(whole)
+        assert self.wire(split.tick(4 * H)) == self.wire(whole.tick(4 * H))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_advance_equals_single_ticks(self, seed):
+        rng, (single, whole), _ = self.session(seed)
+        n = rng.randint(0, 4 * H)
+        events = [e for _ in range(n) for e in single.tick(1)]
+        assert self.wire(events) == self.wire(whole.tick(n))
+        assert self.state(single) == self.state(whole)
+
+    def test_sessions_cover_replies_in_flight_and_timers_on_the_edge(self):
+        in_flight = on_timer = admitted = 0
+        for seed in range(60):
+            _, (handle, _), a = self.session(seed)
+            in_flight += bool(handle._replies)
+            on_timer += handle.now + a == handle._events[0][0]
+            admitted += handle.dummy.admitted
+        assert in_flight >= 5 and on_timer >= 5 and admitted >= 5
+
+
 class TestPinnedReplyStream:
     """The raw reply stream, pinned across builds.
 

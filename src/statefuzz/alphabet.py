@@ -378,7 +378,7 @@ def decode(msg: ConcreteMessage, cfg: AlphabetConfig) -> Symbol:
             return Symbol(tag, (cfg.node_ref(_req_str(p, "node")), status))
         if tag in (BREQ, BRES):
             nodes = p.get("nodes")
-            if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+            if not _is_list(nodes, _is_str):
                 raise DecodeError("bootstrap payload needs a list of node ids")
             return Symbol(tag, (tuple(sorted(nodes)),))
         if tag == RJREQ:
@@ -406,16 +406,30 @@ def decode(msg: ConcreteMessage, cfg: AlphabetConfig) -> Symbol:
     return Symbol(tag)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer other than a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_list(value, valid) -> bool:
+    """Whether ``value`` is a list whose items all pass ``valid``."""
+    return isinstance(value, list) and all(map(valid, value))
+
+
 def _req_str(payload: dict, key: str) -> str:
     val = payload.get(key)
-    if not isinstance(val, str):
+    if not _is_str(val):
         raise DecodeError(f"payload field {key!r} must be a string")
     return val
 
 
 def _req_int(payload: dict, key: str) -> int:
     val = payload.get(key)
-    if not isinstance(val, int) or isinstance(val, bool):
+    if not _is_int(val):
         raise DecodeError(f"payload field {key!r} must be an integer")
     return val
 
@@ -461,7 +475,7 @@ def message_from_wire(obj) -> ConcreteMessage:
         raise FrameError("cluster_id and sender must be strings")
     if not isinstance(obj["type"], str):
         raise FrameError("type must be a string")
-    if not isinstance(obj["ts"], int) or isinstance(obj["ts"], bool):
+    if not _is_int(obj["ts"]):
         raise FrameError("ts must be an integer")
     if not isinstance(obj["payload"], dict):
         raise FrameError("payload must be an object")
@@ -522,8 +536,7 @@ def _param_from_obj(p):
         return p
     if isinstance(p, dict) and isinstance(p.get("node"), str):
         return NodeRef(p["node"], p.get("kind", UNKNOWN))
-    if (isinstance(p, dict) and isinstance(p.get("set"), list)
-            and all(isinstance(x, str) for x in p["set"])):
+    if isinstance(p, dict) and _is_list(p.get("set"), _is_str):
         return tuple(sorted(p["set"]))
     raise DecodeError(f"bad symbol parameter: {p!r}")
 

@@ -35,8 +35,8 @@ import sys
 from pathlib import Path
 
 from .alphabet import (
-    NORESPONSE, TAG_ORDER, ConfigError, enumerate_input_alphabet,
-    input_domains, symbol_label, word_from_obj,
+    NORESPONSE, TAG_ORDER, ConfigError, _is_int, _is_list, _is_str,
+    enumerate_input_alphabet, input_domains, symbol_label, word_from_obj,
 )
 from .detector import ALL_CRITERIA, Baseline, Detector, Finding
 from .fuzzer import (
@@ -75,19 +75,6 @@ class ConfigFileError(ValueError):
 _INPUT_TAGS = tuple(tag for tag in TAG_ORDER if tag != NORESPONSE)
 
 
-def _int(value, low=None) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and (low is None or value >= low))
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def _int_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(_int(x) for x in value)
-
-
 def _weights(value) -> bool:
     # The campaign draws with random.choices, which needs a positive, finite
     # total at every position; duplicate and remove are the only actions
@@ -100,30 +87,34 @@ def _weights(value) -> bool:
             and math.isfinite(sum(map(float, value.values()))))
 
 
-_NAME = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
-_AT_LEAST_1 = ("an integer >= 1", lambda v: _int(v, 1))
-_INT = ("an integer", _int)
+_NAME = ("a non-empty string", lambda v: _is_str(v) and v != "")
+_AT_LEAST_1 = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_INT = ("an integer", _is_int)
+_STRINGS = ("a list of strings", lambda v: _is_list(v, _is_str))
 
 # section -> key -> (what the value must be, check) for every setting of the
 # run configuration.
 SETTINGS = {
     "cluster": {
-        "members": ("a list of strings", _strings),
-        "cluster_id": ("a string", lambda v: isinstance(v, str)),
+        "members": _STRINGS,
+        "cluster_id": ("a string", _is_str),
         "heartbeat_threshold": _INT,
-        "election_timeout_range": ("two integers", _int_pair),
+        "election_timeout_range": (
+            "two integers", lambda v: _is_list(v, _is_int) and len(v) == 2),
         "vulnerabilities": (
             f"a list of names from {sorted(ALL_VULNERABILITIES)}",
-            lambda v: _strings(v) and set(v) <= ALL_VULNERABILITIES),
+            lambda v: _is_list(v, _is_str) and set(v) <= ALL_VULNERABILITIES),
         "seed": _INT,
-        "apps": ("a list of strings", _strings),
+        "apps": _STRINGS,
     },
     "alphabet": {"self_id": _NAME, "unknown_id": _NAME},
     "learner": {
-        "votes": ("a positive odd integer", lambda v: _int(v, 1) and v % 2 == 1),
+        "votes": ("a positive odd integer",
+                  lambda v: _is_int(v) and v >= 1 and v % 2 == 1),
         "eq_depth": _AT_LEAST_1,
         "max_rounds": _AT_LEAST_1,
-        "max_queries": ("an integer >= 0 or null", lambda v: v is None or _int(v, 0)),
+        "max_queries": ("an integer >= 0 or null",
+                        lambda v: v is None or _is_int(v) and v >= 0),
         "letters": ("a list of letters or null",
                     lambda v: v is None or isinstance(v, list)),
     },

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .alphabet import BREQ, BRES, Symbol
+from .alphabet import BREQ, BRES, Symbol, _is_list, _is_str
 from .sulsim import ClusterObservation
 
 CRIT_CONFIG_LEAK = "config-leak"
@@ -80,8 +80,7 @@ class Finding:
     @classmethod
     def from_dict(cls, doc: dict) -> "Finding":
         criteria, evidence = doc["criteria"], doc["evidence"]
-        if not (isinstance(criteria, list)
-                and all(isinstance(c, str) and c in ALL_CRITERIA for c in criteria)):
+        if not _is_list(criteria, lambda c: _is_str(c) and c in ALL_CRITERIA):
             raise ValueError(f"criteria must be a list of {list(ALL_CRITERIA)}, "
                              f"not {criteria!r}")
         if not isinstance(evidence, dict):

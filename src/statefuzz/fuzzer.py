@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field
 
 from .alphabet import (
-    DecodeError, Symbol, symbol_from_obj, symbol_to_obj, word_from_obj,
-    word_to_obj,
+    DecodeError, Symbol, _is_int, symbol_from_obj, symbol_to_obj,
+    word_from_obj, word_to_obj,
 )
 from .detector import Detector
 from .mealy import MealyMachine
@@ -51,7 +51,7 @@ MAX_COPIES = 5
 # Seed extraction
 # ---------------------------------------------------------------------------
 
-def sdfs_extract(machine: MealyMachine, stats: dict | None = None) -> tuple:
+def sdfs_extract(machine: MealyMachine) -> tuple:
     """Feasible sequences from a stateful depth-first traversal.
 
     The walk starts at the initial state with that state already marked
@@ -59,19 +59,13 @@ def sdfs_extract(machine: MealyMachine, stats: dict | None = None) -> tuple:
     skipped), and emits the accumulated input path each time an edge reaches
     a state not seen before.  The result is one sequence per discovered
     state, prefix-closed along the traversal tree.
-
-    If ``stats`` is given, ``stats["ops"]`` receives the operation count:
-    one per state for visited-set setup plus one per scanned edge.
     """
-    ops = len(machine.states)
     visited = {machine.initial}
     sequences = []
     path = []
 
     def walk(state):
-        nonlocal ops
         for sym, target, _out in machine.traversal_edges(state):
-            ops += 1
             if target not in visited:
                 visited.add(target)
                 path.append(sym)
@@ -80,8 +74,6 @@ def sdfs_extract(machine: MealyMachine, stats: dict | None = None) -> tuple:
                 path.pop()
 
     walk(machine.initial)
-    if stats is not None:
-        stats["ops"] = ops
     return tuple(sequences)
 
 
@@ -124,7 +116,7 @@ class MutationRecord:
         counts = {"position": doc["position"], "copies": doc.get("copies", 0),
                   "source": doc.get("source", 0)}
         for key, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"mutation {key} must be an integer, not {value!r}")
         if doc["action"] == MUT_SWAP_ARG and "symbol" not in doc:
             raise ValueError("swap-arg record carries no symbol")
@@ -217,7 +209,7 @@ class FuzzCase:
     @classmethod
     def from_obj(cls, doc: dict) -> "FuzzCase":
         for key in ("case_id", "seed_index"):
-            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            if not _is_int(doc[key]):
                 raise ValueError(f"{key} must be an integer, not {doc[key]!r}")
         return cls(
             case_id=doc["case_id"],

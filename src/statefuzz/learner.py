@@ -32,16 +32,16 @@ state names do not depend on which counterexamples led to it.
 
 The suite identifies the state each test word reaches with one word: the
 state's path through a greedy adaptive distinguishing sequence (ADS) of the
-hypothesis.  Where the ADS gets stuck, the states it has not told apart
-fall back to separating suffixes, which is the identification sets when it
-gets stuck at once.  Either way the identifiers are harmonized, which keeps
-the suite complete for targets with up to ``depth`` extra states.  The
-suite is built and sorted over letter and state indices, and only its
-sorted words become letters.  Suite words the tree already holds cost no
-session.  The suite is asked in a seeded order derived from the hypothesis
-(its number of states), not shortest first: counterexamples tend to be long
-words, so a failing suite stops sooner, while completeness rests on the set
-of words, not on their order.
+hypothesis.  Where the ADS gets stuck, each pair of the states it has not
+told apart falls back to the pair's shortest separating word, which is the
+identification sets when it gets stuck at once.  Either way the identifiers
+are harmonized, which keeps the suite complete for targets with up to
+``depth`` extra states.  The suite is built and sorted over letter and
+state indices, and only its sorted words become letters.  Suite words the
+tree already holds cost no session.  The suite is asked in a seeded order
+derived from the hypothesis (its number of states), not shortest first:
+counterexamples tend to be long words, so a failing suite stops sooner,
+while completeness rests on the set of words, not on their order.
 
 Every resolved word writes one ``query`` line to the transcript, assembled
 from the JSON of each distinct letter and output word, which is built once.
@@ -482,49 +482,6 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
 # Conformance suite
 # ---------------------------------------------------------------------------
 
-def _separating_suffixes(m: MealyMachine) -> dict:
-    """For every pair of states of the minimal machine ``m``, a shortest
-    suffix on which they answer differently, keyed by the pair's frozenset."""
-    states = list(m.states)
-    sep: dict = {}
-    pending = {frozenset((p, q)) for i, p in enumerate(states)
-               for q in states[i + 1:]}
-    for pair in sorted(pending, key=sorted):
-        p, q = sorted(pair)
-        for a in m.input_alphabet:
-            if m.transitions[(p, a)][1] != m.transitions[(q, a)][1]:
-                sep[pair] = (a,)
-                break
-    changed = True
-    while changed and len(sep) < len(pending):
-        changed = False
-        for pair in sorted(pending - set(sep), key=sorted):
-            p, q = sorted(pair)
-            for a in m.input_alphabet:
-                np, nq = m.transitions[(p, a)][0], m.transitions[(q, a)][0]
-                follow = frozenset((np, nq))
-                if np != nq and follow in sep:
-                    sep[pair] = (a,) + sep[follow]
-                    changed = True
-                    break
-    if len(sep) < len(pending):
-        raise ValueError("machine has equivalent states after minimization")
-    return sep
-
-
-def _identification_sets(m: MealyMachine) -> dict:
-    """For every state of the minimal machine ``m``, its identification set:
-    one separating suffix against each other state.  A single-state
-    machine's only state gets ``{()}``."""
-    if len(m.states) < 2:
-        return {s: {()} for s in m.states}
-    ident = {s: set() for s in m.states}
-    for pair, suffix in _separating_suffixes(m).items():
-        for s in pair:
-            ident[s].add(suffix)
-    return ident
-
-
 def _state_cover(machine: MealyMachine) -> dict:
     """Shortest access word of every reachable state, breadth first."""
     access = {machine.initial: ()}
@@ -583,12 +540,12 @@ def _harmonized_identifiers(m: MealyMachine) -> dict:
     class, each state moving to where the word took it.  A state alone in
     its block is identified by the one word that led it there; two such
     words agree up to the split that separated their states.  A block with
-    no splitting word falls back to separating suffixes: each pair of its
-    states shares the block's word followed by a suffix that separates the
-    states they reached.  When that happens to the block of all states, the
-    identifiers are the identification sets."""
+    no splitting word falls back to separating words: each pair of its
+    states shares the block's word followed by the shortest word that
+    separates the states they reached, first in letter order (the
+    :func:`_splitting_word` of that two-state block).  When that happens to
+    the block of all states, the identifiers are the identification sets."""
     ident = {s: set() for s in m.states}
-    separators = None
     blocks = [({s: s for s in m.states}, ())]  # (origin -> reached, word)
     while blocks:
         block, word = blocks.pop()
@@ -597,10 +554,8 @@ def _harmonized_identifiers(m: MealyMachine) -> dict:
             continue
         split = _splitting_word(m, frozenset(block.values()))
         if split is None:
-            if separators is None:
-                separators = _separating_suffixes(m)
             for (p, p_now), (q, q_now) in itertools.combinations(block.items(), 2):
-                test = word + separators[frozenset((p_now, q_now))]
+                test = word + _splitting_word(m, frozenset((p_now, q_now)))
                 ident[p].add(test)
                 ident[q].add(test)
             continue
@@ -621,9 +576,9 @@ def wmethod_suite(machine: MealyMachine, depth: int) -> tuple:
     ``depth + 1`` letters gets the harmonized identifier of the state it
     reaches in the minimized hypothesis (:func:`_harmonized_identifiers`):
     one adaptive-distinguishing-sequence word per state where the greedy ADS
-    tells the states apart, separating suffixes where it gets stuck.  Any
-    target with at most ``depth`` extra states that disagrees with the
-    hypothesis disagrees on some suite word.
+    tells the states apart, each pair's shortest separating word where it
+    gets stuck.  Any target with at most ``depth`` extra states that
+    disagrees with the hypothesis disagrees on some suite word.
 
     The words are built as tuples of letter indices into the input alphabet
     over an int transition table, and sorted as such: shortest first, then

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 
 from .alphabet import (
     ALIVE, PREQ, PRES, RAREQ, RARES, AlphabetConfig, ConcreteMessage,
-    FrameError, OutputWord, Symbol, TERM_CURRENT, canonical_output, decode,
-    encode, frame_encode, message_from_wire, read_frame,
+    FrameError, OutputWord, Symbol, TERM_CURRENT, _is_int, canonical_output,
+    decode, encode, frame_encode, message_from_wire, read_frame,
 )
-from .sulsim import ClusterHandle, ClusterObservation, _is_int
+from .sulsim import ClusterHandle, ClusterObservation
 
 
 @dataclass

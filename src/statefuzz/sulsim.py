@@ -32,7 +32,8 @@ from .alphabet import (
     ALIVE, BREQ, BRES, DATA_APP, DATA_TOPO, DEAD, OP_ADD, OP_REMOVE, PREQ,
     PRES, RAREQ, RARES, RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES,
     RVREQ, RVRES, APPROVED, REJECTED, AlphabetConfig, ConcreteMessage,
-    ConfigError, DecodeError, Symbol, WIRE_TYPES, decode,
+    ConfigError, DecodeError, Symbol, WIRE_TYPES, _is_int, _is_list, _is_str,
+    decode,
 )
 
 VULN_UNAUTH_JOIN = "unauth_join"
@@ -136,22 +137,10 @@ def default_alphabet(cfg: ClusterConfig, self_id: str = "dummy",
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
 def _is_map(value, valid) -> bool:
     """Whether ``value`` is a dict with str keys whose values pass ``valid``."""
     return isinstance(value, dict) and all(
         isinstance(k, str) and valid(v) for k, v in value.items())
-
-
-def _is_list(value, valid) -> bool:
-    return isinstance(value, list) and all(map(valid, value))
 
 
 # What each field of an observation's dict form must hold.

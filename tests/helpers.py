@@ -1,12 +1,16 @@
 """Shared fixtures and independent oracles used across the test suite."""
 from __future__ import annotations
 
+import copy
+import itertools
 import random
 
 from statefuzz.alphabet import (
     ALIVE, KNOWN, NO_RESPONSE, PREQ, PRES, RAREQ, RJREQ, RJRES, BRES, UNKNOWN,
     NodeRef, Symbol,
 )
+from statefuzz.fuzzer import sdfs_extract
+from statefuzz.learner import _splitting_word
 from statefuzz.mealy import MealyMachine
 
 T0_PROBE = Symbol(PREQ, (NodeRef("A", KNOWN),))
@@ -115,3 +119,37 @@ def iterative_first_visit_walk(m: MealyMachine) -> tuple:
         else:
             stack.pop()
     return tuple(sequences)
+
+
+def counted_sdfs_extract(m: MealyMachine) -> tuple:
+    """``sdfs_extract(m)`` and its operation count: one per state for the
+    visited set plus one per edge the walk scans, counted by a wrapper
+    around ``traversal_edges``."""
+    scanned = 0
+    edges = m.traversal_edges
+
+    def counting_edges(state):
+        nonlocal scanned
+        for edge in edges(state):
+            scanned += 1
+            yield edge
+
+    counted = copy.copy(m)
+    counted.traversal_edges = counting_edges
+    seeds = sdfs_extract(counted)
+    return seeds, len(m.states) + scanned
+
+
+def identification_sets(m: MealyMachine) -> dict:
+    """For every state of the minimal machine ``m``, its identification set:
+    against each other state, the shortest word that separates the two,
+    first in letter order.  A single-state machine's only state gets
+    ``{()}``."""
+    if len(m.states) < 2:
+        return {s: {()} for s in m.states}
+    ident = {s: set() for s in m.states}
+    for p, q in itertools.combinations(m.states, 2):
+        word = _splitting_word(m, frozenset((p, q)))
+        ident[p].add(word)
+        ident[q].add(word)
+    return ident

@@ -27,7 +27,8 @@ from statefuzz.sulsim import (
 )
 
 from helpers import (
-    T0_JOIN, T0_PROBE, build_t0, iterative_first_visit_walk, random_machine,
+    T0_JOIN, T0_PROBE, build_t0, counted_sdfs_extract, iterative_first_visit_walk,
+    random_machine,
 )
 from test_learner import LADDER_ALPHABET, expected_ladder_machine
 
@@ -122,11 +123,11 @@ class TestSeedExtraction:
 
     def test_operation_count_is_states_plus_scanned_edges(self):
         machine = random_machine(random.Random(5))
-        stats = {}
-        sdfs_extract(machine, stats=stats)
+        seeds, ops = counted_sdfs_extract(machine)
+        assert seeds == sdfs_extract(machine)
         expected = len(machine.states) + sum(
             len(list(machine.traversal_edges(s))) for s in machine.states)
-        assert stats["ops"] == expected
+        assert ops == expected
 
 
 # ---------------------------------------------------------------------------

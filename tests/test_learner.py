@@ -20,9 +20,8 @@ from statefuzz.alphabet import (
 )
 from statefuzz.learner import (
     LearnResult, MembershipOracle, NondeterminismError, PartialResultError,
-    _BudgetExhausted, _LSharp, _harmonized_identifiers, _identification_sets,
-    _splitting_word, lstar_learn, wmethod_counterexample,
-    wmethod_suite,
+    _BudgetExhausted, _LSharp, _harmonized_identifiers, _splitting_word,
+    lstar_learn, wmethod_counterexample, wmethod_suite,
 )
 from statefuzz.mealy import MealyMachine, isomorphic, minimize
 from statefuzz.proxy import ClusterProxy, TransportError
@@ -30,7 +29,7 @@ from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 from helpers import (
     GENERIC_OUTPUTS, T0_HEARTBEAT, T0_JOIN, T0_JOIN_ACK, T0_PROBE, build_t0,
-    random_machine,
+    identification_sets, random_machine,
 )
 
 
@@ -592,13 +591,27 @@ class TestConformance:
     @pytest.mark.parametrize("seed", range(8))
     def test_characterization_separates_all_state_pairs(self, seed):
         machine = minimize(random_machine(random.Random(seed)))
-        suffixes = set().union(*_identification_sets(machine).values())
+        suffixes = set().union(*identification_sets(machine).values())
         for i, p in enumerate(machine.states):
             for q in machine.states[i + 1:]:
                 assert any(
                     _run_from(machine, p, w) != _run_from(machine, q, w)
                     for w in suffixes
                 ), (p, q)
+
+    @pytest.mark.parametrize("seed", [*range(20), 77])
+    def test_separating_words_are_shortest(self, seed):
+        # Each pair's word is the first one, shortest and then in letter
+        # order, on which the two states answer differently.  Seed 77's
+        # machine has a pair that two letters separate, which a search that
+        # builds on other pairs' words answers with three.
+        machine = minimize(random_machine(random.Random(seed)))
+        expected = {s: set() for s in machine.states}
+        for p, q in itertools.combinations(machine.states, 2):
+            word = _first_separating_word(machine, p, q)
+            expected[p].add(word)
+            expected[q].add(word)
+        assert identification_sets(machine) == expected
 
     @pytest.mark.parametrize("seed", range(8))
     def test_suite_follows_the_hsi_definition(self, seed):
@@ -656,7 +669,7 @@ class TestConformance:
             if all(len(words) == 1 for words in ident.values()):
                 kinds.add("ads")
             else:
-                assert ident == _identification_sets(machine), seed
+                assert ident == identification_sets(machine), seed
                 kinds.add("identification sets")
         assert kinds == {"ads", "identification sets"}
 
@@ -691,7 +704,7 @@ class TestConformance:
                 ("r", x): ("r", (T0_JOIN_ACK,)), ("r", y): ("p", out),
             }))
         assert _splitting_word(machine, frozenset(machine.states)) is None
-        assert _harmonized_identifiers(machine) == _identification_sets(machine)
+        assert _harmonized_identifiers(machine) == identification_sets(machine)
 
     def test_ads_stuck_below_the_root_falls_back_to_separating_suffixes(self):
         # The no-ADS gadget of the test above behind one splitting letter: y
@@ -723,7 +736,7 @@ class TestConformance:
         # equivalent to H.  A depth-1 suite must expose it.
         rng = random.Random(seed)
         hyp = minimize(random_machine(rng))
-        ident = _identification_sets(hyp)
+        ident = identification_sets(hyp)
         for p in hyp.states:
             for q in hyp.states:
                 assert p == q or any(
@@ -777,6 +790,15 @@ def _run_from(machine, state, word):
         state, reaction = machine.transitions[(state, sym)]
         out.append(reaction)
     return tuple(out)
+
+
+def _first_separating_word(machine, p, q):
+    """Brute force: every word, shortest first and then in letter order,
+    until one gets different outputs from ``p`` and ``q``."""
+    for n in itertools.count(1):
+        for word in itertools.product(machine.input_alphabet, repeat=n):
+            if _run_from(machine, p, word) != _run_from(machine, q, word):
+                return word
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,19 @@ hypothesis.  Where the ADS gets stuck, each pair of the states it has not
 told apart falls back to the pair's shortest separating word, which is the
 identification sets when it gets stuck at once.  Either way the identifiers
 are harmonized, which keeps the suite complete for targets with up to
-``depth`` extra states.  The suite is built and sorted over letter and
-state indices, and only its sorted words become letters.  Suite words the
-tree already holds cost no session.  The suite is asked in a seeded order
-derived from the hypothesis (its number of states), not shortest first:
-counterexamples tend to be long words, so a failing suite stops sooner,
-while completeness rests on the set of words, not on their order.
+``depth`` extra states.  The suite is built, sorted, asked and checked over
+the letter and state indices of the hypothesis's int tables, and only a
+counterexample becomes letters.  Suite words the tree already holds cost no
+session.  The suite is asked in a seeded order derived from the hypothesis
+(its number of states), not shortest first: counterexamples tend to be long
+words, so a failing suite stops sooner, while completeness rests on the set
+of words, not on their order.
 
-Every resolved word writes one ``query`` line to the transcript, assembled
-from the JSON of each distinct letter and output word, which is built once.
+The oracle takes words as tuples of the tree's letter ids, as the learner
+holds them; letters appear only where a word goes to the target, in errors
+and in artifacts.  Every resolved word writes one ``query`` line to the
+transcript, assembled from the JSON of each distinct letter and output word,
+which is built once.
 
 Noise handling: every distinct word is asked up to ``votes`` times (odd),
 stopping early once one reaction transcript holds a strict majority.  If
@@ -57,10 +61,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .alphabet import symbol_sort_key, symbol_to_obj, word_to_obj
-from .mealy import MealyMachine, minimize
+from .mealy import MealyMachine, _Tables, minimize
 from .proxy import TransportError
 
 
@@ -123,9 +128,9 @@ class ObservationTree:
             self._letters.append(letter)
         return lid
 
-    def _ids(self, word) -> list:
-        ids = [self._letter_ids.get(a) for a in word]
-        return [self._letter(a) for a in word] if None in ids else ids
+    def _ids(self, word) -> tuple:
+        ids = tuple(self._letter_ids.get(a) for a in word)
+        return tuple(self._letter(a) for a in word) if None in ids else ids
 
     def _lookup(self, ids):
         """The word's outputs, or ``None`` unless the tree holds all of it."""
@@ -141,10 +146,12 @@ class ObservationTree:
         return tuple(outputs)
 
     def _insert(self, word, ids, outcome):
-        """Store a resolved word, or raise ``NondeterminismError`` if it
-        contradicts a stored prefix; nothing is stored then."""
+        """Store a resolved word and return its outputs as the tree holds
+        them, or raise ``NondeterminismError`` if it contradicts a stored
+        prefix; nothing is stored then."""
         kids, out = self._kids, self._out
         node = depth = 0
+        held = []
         while depth < len(ids):
             children = kids[node]
             child = None if children is None else children.get(ids[depth])
@@ -154,6 +161,7 @@ class ObservationTree:
                 depth += 1
                 raise NondeterminismError(word[:depth], (
                     self._lookup(ids[:depth]), tuple(outcome[:depth])))
+            held.append(out[child])
             node = child
             depth += 1
         intern = self._outputs.setdefault
@@ -161,9 +169,12 @@ class ObservationTree:
             if kids[node] is None:
                 kids[node] = {}
             kids[node][a] = child = len(out)
-            out.append(intern(output, output))
+            output = intern(output, output)
+            out.append(output)
+            held.append(output)
             kids.append(None)
             node = child
+        return tuple(held)
 
     def _node(self, ids):
         kids, node = self._kids, 0
@@ -200,11 +211,13 @@ class ObservationTree:
 class MembershipOracle:
     """Majority-voting frontend over ``query_fn(word) -> outputs``.
 
-    ``query_fn`` must answer with one reaction word per input position from
-    a fresh session.  Resolved words go into an :class:`ObservationTree`,
-    the oracle's only store, which answers every prefix of a resolved word
-    for free.  ``max_trials`` bounds the total number of reset-isolated
-    sessions spent.
+    A word is asked as a sequence of its tree's letter ids, which
+    :meth:`ids` gives for a word of letters; ``query_fn`` gets the letters.
+    It must answer with one reaction word per input position from a fresh
+    session.  Resolved words go into an :class:`ObservationTree`, the
+    oracle's only store, which answers every prefix of a resolved word for
+    free.  ``max_trials`` bounds the total number of reset-isolated sessions
+    spent.
     """
 
     def __init__(self, query_fn, votes: int, max_trials: int | None = None,
@@ -219,55 +232,69 @@ class MembershipOracle:
         self.trials = 0
         self.cache_hits = 0
         self._letter_json: list = []  # tree letter id -> the letter's JSON
-        self._output_json: dict = {}  # output word -> its JSON
+        self._output_json: dict = {}  # id of a tree-held output word -> its JSON
 
-    def query(self, word) -> tuple:
-        word = tuple(word)
-        ids = self.tree._ids(word)
-        known = self.tree._lookup(ids)
+    def ids(self, word) -> tuple:
+        """The tree's letter ids of a word of letters, as :meth:`query`
+        takes it."""
+        return self.tree._ids(word)
+
+    def query(self, ids) -> tuple:
+        """The outputs of the word with these tree letter ids, one reaction
+        word per letter, from the tree or from as many sessions as the vote
+        takes."""
+        tree = self.tree
+        known = tree._lookup(ids)
         if known is not None:
             self.cache_hits += 1
             return known
-        counts: dict = {}
-        needed = self.votes // 2 + 1
-        outcome = None
-        attempts = 0
-        for _ in range(self.votes):
-            if self.max_trials is not None and self.trials >= self.max_trials:
-                raise _BudgetExhausted()
-            self.trials += 1
-            attempts += 1
-            result = tuple(self.query_fn(word))
-            if len(result) != len(word):
-                raise ValueError("query backend returned wrong number of reactions")
-            count = counts[result] = counts.get(result, 0) + 1
-            if count >= needed:
-                outcome = result
-                break
-            remaining = self.votes - attempts
-            if max(counts.values()) + remaining < needed:
-                break
-        if outcome is None:
-            raise NondeterminismError(word, tuple(counts))
-        self.tree._insert(word, ids, outcome)
+        word = tuple(map(tree._letters.__getitem__, ids))
+        if self.votes == 1:
+            outcome, attempts = self._session(word), 1
+        else:
+            counts: dict = {}
+            needed = self.votes // 2 + 1
+            outcome = None
+            for attempts in range(1, self.votes + 1):
+                result = self._session(word)
+                count = counts[result] = counts.get(result, 0) + 1
+                if count >= needed:
+                    outcome = result
+                    break
+                if max(counts.values()) + self.votes - attempts < needed:
+                    break
+            if outcome is None:
+                raise NondeterminismError(word, tuple(counts))
+        outcome = tree._insert(word, ids, outcome)
         if self.transcript is not None:
             self._record(ids, outcome, attempts)
         return outcome
+
+    def _session(self, word) -> tuple:
+        """The target's answer to ``word`` from one session of the budget."""
+        if self.max_trials is not None and self.trials >= self.max_trials:
+            raise _BudgetExhausted()
+        self.trials += 1
+        result = tuple(self.query_fn(word))
+        if len(result) != len(word):
+            raise ValueError("query backend returned wrong number of reactions")
+        return result
 
     def _record(self, ids, outcome, attempts):
         """Write the ``query`` event of a resolved word.  The line is what
         :func:`_emit` writes for ``{"event": "query", "outputs": ...,
         "trials": ..., "word": ...}``, assembled from the JSON of each
-        distinct letter and output word, which is built once."""
+        distinct letter and output word, which is built once.  ``outcome``
+        holds the tree's own output words, so each is found by identity."""
         letters = self._letter_json
         for letter in self.tree._letters[len(letters):]:
             letters.append(_json(symbol_to_obj(letter)))
         outputs = self._output_json
         parts = []
         for out in outcome:
-            text = outputs.get(out)
+            text = outputs.get(id(out))
             if text is None:
-                text = outputs[out] = _json(word_to_obj(out))
+                text = outputs[id(out)] = _json(word_to_obj(out))
             parts.append(text)
         self.transcript.write(
             '{"event":"query","outputs":[' + ",".join(parts)
@@ -289,16 +316,12 @@ class _LSharp:
             raise ValueError("alphabet must not be empty")
         self.oracle = oracle
         self.tree = oracle.tree
-        self.letters = tuple(self.tree._letter(a) for a in self.alphabet)
+        self.letters = oracle.ids(self.alphabet)
         self.basis: dict = {}      # basis node -> state name, in promotion order
         self.frontier: dict = {0: []}
         self.access: dict = {0: ()}  # basis or frontier node -> its word
         self.separators: dict = {}
         self.rows: dict = {}       # basis node -> {letter: (basis node, output)}
-
-    def _ask(self, ids):
-        letters = self.tree._letters
-        self.oracle.query(tuple(letters[a] for a in ids))
 
     def _refresh(self, node):
         """Drop the candidates the frontier node has become apart from."""
@@ -317,7 +340,7 @@ class _LSharp:
         for a in self.letters:
             children = tree._kids[node]
             if children is None or a not in children:
-                self._ask(head + (a,))
+                self.oracle.query(head + (a,))
             child = tree._kids[node][a]
             self.access[child] = head + (a,)
             self.frontier[child] = [b for b in self.basis if not tree._apart(child, b)]
@@ -328,7 +351,7 @@ class _LSharp:
         pair = tuple(self.frontier[node][:2])
         if pair not in self.separators:
             self.separators[pair] = self.tree._witness(*pair)
-        self._ask(self.access[node] + self.separators[pair])
+        self.oracle.query(self.access[node] + self.separators[pair])
         self._refresh(node)
 
     def _settle(self):
@@ -413,7 +436,7 @@ class _LSharp:
             state = 0
             for a in head:
                 state = rows[state][a][0]
-            self._ask(self.access[state] + tail + witness)
+            self.oracle.query(self.access[state] + tail + witness)
             shorter = tree._witness(tree._node(head), state)
             if shorter is not None:
                 word, witness = head, shorter
@@ -467,7 +490,7 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
             cex = tuple(cex)
             _emit(transcript, {"event": "counterexample", "round": rounds,
                                "word": word_to_obj(cex)})
-            oracle.query(cex)
+            oracle.query(oracle.ids(cex))
     except _BudgetExhausted:
         raise PartialResultError(
             f"query budget of {oracle.max_trials} trials exhausted",
@@ -482,40 +505,42 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
 # Conformance suite
 # ---------------------------------------------------------------------------
 
-def _state_cover(machine: MealyMachine) -> dict:
-    """Shortest access word of every reachable state, breadth first."""
-    access = {machine.initial: ()}
-    frontier = [machine.initial]
+def _state_cover(t: _Tables) -> list:
+    """Shortest access word of every state, first in letter order, breadth
+    first."""
+    access = [None] * len(t.delta)
+    access[0] = ()
+    frontier = [0]
     while frontier:
         nxt = []
         for state in frontier:
-            for a in machine.input_alphabet:
-                target = machine.transitions[(state, a)][0]
-                if target not in access:
+            for a, target in enumerate(t.delta[state]):
+                if access[target] is None:
                     access[target] = access[state] + (a,)
                     nxt.append(target)
         frontier = nxt
     return access
 
 
-def _splitting_word(m: MealyMachine, block: frozenset):
-    """Shortest input word, first in canonical letter order, on which the
-    states of ``block`` do not all answer alike while no two that answer
-    alike end in the same state; ``None`` if no such word exists.
+def _splitting_word(t: _Tables, block: frozenset):
+    """Shortest input word, first in letter order, on which the states of
+    ``block`` do not all answer alike while no two that answer alike end in
+    the same state; ``None`` if no such word exists.
 
     Until a word splits the block every state answers alike, so a prefix is
     useless once two states merge, and a prefix that reaches a set of states
     an earlier prefix reached cannot lead to an earlier word."""
+    delta, out = t.delta, t.out
+    letters = range(len(t.letters))
     frontier = [((), block)]
     seen = {block}
     while frontier:
         nxt = []
         for word, current in frontier:
-            for a in m.input_alphabet:
+            for a in letters:
                 ends: dict = {}
                 for s in current:
-                    dst, out = m.transitions[(s, a)]
-                    ends.setdefault(out, set()).add(dst)
+                    ends.setdefault(out[s][a], set()).add(delta[s][a])
                 if sum(map(len, ends.values())) < len(current):
                     continue  # two states that answer alike merge
                 if len(ends) > 1:
@@ -528,10 +553,10 @@ def _splitting_word(m: MealyMachine, block: frozenset):
     return None
 
 
-def _harmonized_identifiers(m: MealyMachine) -> dict:
-    """Harmonized state identifiers of the minimal machine ``m``: any two
-    states have words in their identifiers whose common prefix separates
-    them.
+def _harmonized_identifiers(t: _Tables) -> list:
+    """Harmonized state identifiers of the minimal machine ``t``, one set of
+    words per state: any two states have words in their identifiers whose
+    common prefix separates them.
 
     The identifiers come from a greedy adaptive distinguishing sequence (ADS;
     Lee and Yannakakis, IEEE Trans. Computers 1994).  Starting from all
@@ -545,29 +570,58 @@ def _harmonized_identifiers(m: MealyMachine) -> dict:
     separates the states they reached, first in letter order (the
     :func:`_splitting_word` of that two-state block).  When that happens to
     the block of all states, the identifiers are the identification sets."""
-    ident = {s: set() for s in m.states}
-    blocks = [({s: s for s in m.states}, ())]  # (origin -> reached, word)
+    states = range(len(t.delta))
+    ident = [set() for _ in states]
+    blocks = [({s: s for s in states}, ())]  # (origin -> reached, word)
     while blocks:
         block, word = blocks.pop()
         if len(block) == 1:
             ident[next(iter(block))].add(word)
             continue
-        split = _splitting_word(m, frozenset(block.values()))
+        split = _splitting_word(t, frozenset(block.values()))
         if split is None:
             for (p, p_now), (q, q_now) in itertools.combinations(block.items(), 2):
-                test = word + _splitting_word(m, frozenset((p_now, q_now)))
+                test = word + _splitting_word(t, frozenset((p_now, q_now)))
                 ident[p].add(test)
                 ident[q].add(test)
             continue
         classes: dict = {}
         for origin, current in block.items():
-            classes.setdefault(m.run_outputs(split, current), {})[origin] = (
-                m.state_after(split, current))
+            outputs, end = t.run(split, current)
+            classes.setdefault(outputs, {})[origin] = end
         blocks.extend((cls, word + split) for cls in classes.values())
     return ident
 
 
-def wmethod_suite(machine: MealyMachine, depth: int) -> tuple:
+class _Suite(Sequence):
+    """The words of a conformance suite, read as words of letters.
+
+    ``words`` holds them as tuples of letter indices into ``tables``, the
+    minimized hypothesis they were built on; a word becomes letters only
+    when it is read."""
+
+    def __init__(self, tables: _Tables, words: list):
+        self.tables = tables
+        self.words = words
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, index):
+        letters = self.tables.letters.__getitem__
+        if isinstance(index, slice):
+            return tuple(tuple(map(letters, w)) for w in self.words[index])
+        return tuple(map(letters, self.words[index]))
+
+    def __eq__(self, other):
+        """Equal to a suite or a tuple of the same words of letters, as the
+        tuple of its words would be."""
+        if isinstance(other, (_Suite, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+def wmethod_suite(machine: MealyMachine, depth: int) -> _Suite:
     """Deterministically ordered conformance test words, built by the HSI
     method (harmonized state identifiers; Dorofeeva et al., IST 2010).
 
@@ -580,21 +634,18 @@ def wmethod_suite(machine: MealyMachine, depth: int) -> tuple:
     gets stuck.  Any target with at most ``depth`` extra states that
     disagrees with the hypothesis disagrees on some suite word.
 
-    The words are built as tuples of letter indices into the input alphabet
-    over an int transition table, and sorted as such: shortest first, then
-    lexicographically by letter rank.  Only the sorted words are mapped back
-    to letters, so the order does not depend on the hash seed.
+    The suite is built over letter and state indices of the minimized
+    hypothesis (:class:`_Tables`) and sorted as such: shortest first, then
+    lexicographically by letter rank, so the order does not depend on the
+    hash seed.  It is a sequence of words of letters, which slices and
+    compares with ``==`` as the tuple of its words does, and keeps the index
+    words and their tables, on which :func:`wmethod_counterexample` runs.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    m = minimize(machine)
-    letters = m.input_alphabet
-    rank = {a: i for i, a in enumerate(letters)}
-    number = {s: i for i, s in enumerate(m.states)}
-    delta = [[number[m.transitions[(s, a)][0]] for a in letters] for s in m.states]
-    identifiers = _harmonized_identifiers(m)
-    ident = [[tuple(rank[a] for a in w) for w in identifiers[s]] for s in m.states]
-    layer = [(tuple(rank[a] for a in w), number[s]) for s, w in _state_cover(m).items()]
+    t = _Tables(machine)
+    ident = _harmonized_identifiers(t)
+    layer = [(head, state) for state, head in enumerate(_state_cover(t))]
     words = set()
     for extra in range(depth + 2):
         for head, state in layer:
@@ -603,10 +654,10 @@ def wmethod_suite(machine: MealyMachine, depth: int) -> tuple:
                     words.add(head + suffix)
         if extra <= depth:
             layer = [(head + (a,), target) for head, state in layer
-                     for a, target in enumerate(delta[state])]
+                     for a, target in enumerate(t.delta[state])]
     ordered = sorted(words)
     ordered.sort(key=len)
-    return tuple(tuple(map(letters.__getitem__, w)) for w in ordered)
+    return _Suite(t, ordered)
 
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
@@ -620,17 +671,23 @@ def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
     states, so the order is the same on every run and under every hash seed.
     The suite is almost prefix-free, so a passing suite costs the same in
     any order, while a failing one stops sooner than shortest first.
-    Completeness rests on the set of words, not on their order.  Each call
-    writes one ``suite`` event: the suite's size, the words asked, the
-    sessions they cost and whether one disagreed.
+    Completeness rests on the set of words, not on their order.  The words
+    stay letter indices: each is asked in the tree's letter ids and checked
+    against the hypothesis's tables, and only a counterexample becomes
+    letters.  Each call writes one ``suite`` event: the suite's size, the
+    words asked, the sessions they cost and whether one disagreed.
     """
-    words = list(wmethod_suite(machine, depth))
+    suite = wmethod_suite(machine, depth)
+    t = suite.tables
+    words = list(suite.words)
     random.Random(len(machine.states)).shuffle(words)
+    tree_ids = tuple(map(oracle.tree._letter, t.letters))
     trials = oracle.trials
     found, asked = None, 0
     for asked, word in enumerate(words, 1):
-        if oracle.query(word) != machine.run_outputs(word):
-            found = word
+        answers = oracle.query(tuple(map(tree_ids.__getitem__, word)))
+        if not t.agrees(word, answers):
+            found = tuple(map(t.letters.__getitem__, word))
             break
     _emit(oracle.transcript, {"event": "suite", "words": len(words),
                               "asked": asked, "sessions": oracle.trials - trials,

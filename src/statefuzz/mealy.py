@@ -190,63 +190,94 @@ def _word_label(word) -> str:
 # Minimization and isomorphism
 # ---------------------------------------------------------------------------
 
+def _classes(keys) -> list:
+    """The index of each key among the distinct keys, in order of first
+    appearance."""
+    index: dict = {}
+    return [index.setdefault(key, len(index)) for key in keys]
+
+
+class _Tables:
+    """A machine, minimized, over state and letter indices.
+
+    A letter is its index in ``letters``, the input alphabet in canonical
+    order.  States are numbered breadth first from the initial one, state 0,
+    over the letters in order; :func:`minimize` names state i ``q<i>``.
+    ``delta[s][a]`` is the state letter ``a`` leads to from state ``s``, and
+    ``out[s][a]`` the index of its output word in ``outputs``, which holds
+    each distinct output word once.
+    """
+
+    def __init__(self, machine: MealyMachine):
+        letters = tuple(sorted(machine.input_alphabet, key=symbol_sort_key))
+        number = {s: i for i, s in enumerate(machine.states)}
+        rank = {a: i for i, a in enumerate(letters)}
+        index: dict = {}  # output word -> its index in outputs
+        delta = [[0] * len(letters) for _ in machine.states]
+        out = [[0] * len(letters) for _ in machine.states]
+        for (s, a), (dst, word) in machine.transitions.items():
+            i = rank.get(a)
+            if i is None:
+                continue  # a letter outside the alphabet
+            c = index.setdefault(word, len(index))
+            delta[number[s]][i] = number[dst]
+            out[number[s]][i] = c
+        # Moore's partition refinement, then the blocks the initial state
+        # reaches, numbered breadth first over the letters in order.
+        block = _classes(tuple(row) for row in out)
+        while True:
+            finer = _classes((block[s], tuple(block[d] for d in row))
+                             for s, row in enumerate(delta))
+            if max(finer) == max(block):
+                break
+            block = finer
+        initial = number[machine.initial]
+        name = {block[initial]: 0}
+        reps = [initial]
+        for s in reps:
+            for d in delta[s]:
+                if block[d] not in name:
+                    name[block[d]] = len(reps)
+                    reps.append(d)
+        self.letters = letters
+        self.outputs = list(index)
+        self.delta = [[name[block[d]] for d in delta[s]] for s in reps]
+        self.out = [out[s] for s in reps]
+
+    def run(self, word, state: int):
+        """The output indices of ``word`` from ``state``, and its end state."""
+        delta, out = self.delta, self.out
+        outputs = []
+        for a in word:
+            outputs.append(out[state][a])
+            state = delta[state][a]
+        return tuple(outputs), state
+
+    def agrees(self, word, answers) -> bool:
+        """Whether ``answers`` are the output words of ``word`` from the
+        initial state."""
+        delta, out, outputs = self.delta, self.out, self.outputs
+        state = 0
+        for a, answer in zip(word, answers):
+            if answer != outputs[out[state][a]]:
+                return False
+            state = delta[state][a]
+        return True
+
+
 def minimize(m: MealyMachine) -> MealyMachine:
     """Reachable, merged-equivalent-states machine with canonical q0..qN names
     assigned in breadth-first order over a sorted alphabet."""
-    order = tuple(sorted(m.input_alphabet, key=symbol_sort_key))
-
-    # Refinement runs over every state; naming below visits only the blocks
-    # reachable from the initial state, and an unreachable state shares a
-    # block only with states equivalent to it.
-    block = {}
-    sig_index = {}
-    for s in m.states:
-        sig = tuple(m.transitions[(s, a)][1] for a in order)
-        if sig not in sig_index:
-            sig_index[sig] = len(sig_index)
-        block[s] = sig_index[sig]
-
-    while True:
-        key_index = {}
-        new_block = {}
-        for s in m.states:
-            key = (block[s], tuple(block[m.transitions[(s, a)][0]] for a in order))
-            if key not in key_index:
-                key_index[key] = len(key_index)
-            new_block[s] = key_index[key]
-        if len(key_index) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-
-    rep = {}
-    for s in m.states:
-        rep.setdefault(block[s], s)
-
-    name = {}
-    bfs = [block[m.initial]]
-    name[block[m.initial]] = "q0"
-    i = 0
-    while i < len(bfs):
-        b = bfs[i]
-        i += 1
-        s = rep[b]
-        for a in order:
-            nb = block[m.transitions[(s, a)][0]]
-            if nb not in name:
-                name[nb] = f"q{len(name)}"
-                bfs.append(nb)
-
+    t = _Tables(m)
+    names = [f"q{i}" for i in range(len(t.delta))]
     transitions = {}
-    for b in bfs:
-        s = rep[b]
-        for a in order:
-            nxt, out = m.transitions[(s, a)]
-            transitions[(name[b], a)] = (name[block[nxt]], out)
+    for s, (row, outs) in enumerate(zip(t.delta, t.out)):
+        for a, letter in enumerate(t.letters):
+            transitions[(names[s], letter)] = (names[row[a]], t.outputs[outs[a]])
     return MealyMachine(
-        states=tuple(name[b] for b in bfs),
+        states=tuple(names),
         initial="q0",
-        input_alphabet=order,
+        input_alphabet=t.letters,
         transitions=transitions,
     )
 

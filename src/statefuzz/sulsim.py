@@ -1,11 +1,14 @@
 """Deterministic simulated controller cluster driven by a virtual clock.
 
 The simulator is the reference system under learning: a small cluster of
-member nodes with an elected leader, periodic liveness probing, a replicated
-app store, and a switch topology with static mastership.  All activity runs
-on discrete virtual ticks from a seeded RNG, so cluster state and the
-emitted message stream are a pure function of (config, seed, injected trace).
-A handle starts converged: its bootstrap election is computed, not simulated.
+member nodes with an elected leader, liveness probing of an admitted peer, a
+replicated app store, and a switch topology with static mastership.  All
+activity runs on discrete virtual ticks from a seeded RNG, so cluster state
+and the emitted message stream are a pure function of (config, seed,
+injected trace).  A handle starts converged: its bootstrap election is
+computed, not simulated.  Timers sleep while they have nothing to do: the
+liveness round is armed when a peer is admitted and the session reaper when
+a session opens, each on the tick grid it would keep if it always ran.
 
 External peer sessions follow a strict handshake ladder:
 
@@ -238,8 +241,6 @@ class ClusterHandle:
         deadlines = rng.sample(range(lo, hi + 1), len(cfg.members))
         first = min(deadlines)
         self._set_leader(cfg.members[deadlines.index(first)], BASELINE_TERM)
-        self._schedule(cfg.heartbeat_threshold, self._swim_round)
-        self._schedule(cfg.reap_interval, self._session_reap)
         self.tick(first + 4)
         self._steady_snapshot = self._snapshot()
 
@@ -247,7 +248,7 @@ class ClusterHandle:
 
     def reset(self) -> int:
         """Restore the converged baseline ``__init__`` reached: one leader,
-        liveness rounds underway, no session state.  Returns the term."""
+        no session state and no timer pending.  Returns the term."""
         self._restore(self._steady_snapshot)
         return self.cluster_term
 
@@ -323,6 +324,12 @@ class ClusterHandle:
         self._seq += 1
         heapq.heappush(self._events, (at, self._seq, handler, args))
 
+    def _arm(self, period: int, handler):
+        """Schedule ``handler`` on the next multiple of ``period`` after now:
+        the tick it would fire on had it run every ``period`` ticks since
+        tick 0."""
+        self._schedule((self.now // period + 1) * period, handler)
+
     # -- timer handlers ----------------------------------------------------
 
     def _set_leader(self, leader, term):
@@ -338,17 +345,17 @@ class ClusterHandle:
 
     def _swim_round(self):
         # Liveness probing between members is not modeled; a round only
-        # probes an admitted dummy peer.
-        d = self.dummy
-        if d.admitted and d.address:
-            self._emit(PREQ, target=d.address)
-            self._emit(RAREQ, term=self.cluster_term, entries=[])
+        # probes the dummy peer, armed once it is admitted (see ``_admit``).
+        self._emit(PREQ, target=self.dummy.address)
+        self._emit(RAREQ, term=self.cluster_term, entries=[])
         self._schedule(self.now + self.cfg.heartbeat_threshold, self._swim_round)
 
     def _session_reap(self):
-        if self.sessions and self.now - self.sessions[0] >= self.cfg.ttl:
+        # Armed when the first session opens; runs while any remains.
+        if self.now - self.sessions[0] >= self.cfg.ttl:
             self.sessions.pop(0)
-        self._schedule(self.now + self.cfg.reap_interval, self._session_reap)
+        if self.sessions:
+            self._schedule(self.now + self.cfg.reap_interval, self._session_reap)
 
     def _heal_member(self, node, mark):
         if self.dead_marks.get(node) == mark:
@@ -385,6 +392,10 @@ class ClusterHandle:
 
     def _reject(self, reason: str):
         self._emit_raw(ERROR_TYPE, {"reason": reason})
+
+    def _admit(self):
+        self.dummy.admitted = True
+        self._arm(self.cfg.heartbeat_threshold, self._swim_round)
 
     # -- protocol reaction -------------------------------------------------
 
@@ -430,7 +441,7 @@ class ClusterHandle:
                 content = sorted(members) if VULN_UNAUTH_JOIN in vulns else []
                 self._emit(BRES, nodes=content)
             elif VULN_UNAUTH_JOIN in vulns and d.configured and d.join_wait and not d.admitted:
-                d.admitted = True
+                self._admit()
                 self._emit(RJRES)
             return
 
@@ -441,7 +452,7 @@ class ClusterHandle:
                 if d.admitted:
                     self._emit(RJRES)
                 elif d.configured:
-                    d.admitted = True
+                    self._admit()
                     self._emit(RJRES)
                 else:
                     d.join_wait = True
@@ -480,6 +491,8 @@ class ClusterHandle:
             data, op = sym.params
             consumed = False
             if VULN_SESSION_FLOOD in vulns:
+                if not self.sessions:
+                    self._arm(self.cfg.reap_interval, self._session_reap)
                 self.sessions.append(self.now)
                 consumed = True
             if VULN_CLEAR_STORE in vulns and (data, op) == (DATA_APP, OP_REMOVE):
@@ -583,5 +596,5 @@ class ClusterHandle:
 
 def spawn_cluster(cfg: ClusterConfig) -> ClusterHandle:
     """Create a cluster at its converged baseline, the state ``reset()``
-    restores: the bootstrap leader elected, liveness rounds underway."""
+    restores: the bootstrap leader elected, no timer pending."""
     return ClusterHandle(cfg)

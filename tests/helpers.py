@@ -10,8 +10,8 @@ from statefuzz.alphabet import (
     NodeRef, Symbol,
 )
 from statefuzz.fuzzer import sdfs_extract
-from statefuzz.learner import _splitting_word
-from statefuzz.mealy import MealyMachine
+from statefuzz.learner import _harmonized_identifiers, _splitting_word
+from statefuzz.mealy import MealyMachine, _Tables, minimize
 
 T0_PROBE = Symbol(PREQ, (NodeRef("A", KNOWN),))
 T0_PROBE_ACK = Symbol(PRES, (NodeRef("A", KNOWN), ALIVE))
@@ -140,16 +140,38 @@ def counted_sdfs_extract(m: MealyMachine) -> tuple:
     return seeds, len(m.states) + scanned
 
 
+def tables(m: MealyMachine):
+    """The int tables (``mealy._Tables``) of ``m``, which must be a machine
+    as ``minimize`` returns it: then state i of the tables is
+    ``m.states[i]`` and letter i is ``m.input_alphabet[i]``."""
+    assert minimize(m) == m
+    return _Tables(m)
+
+
+def splitting_word(m: MealyMachine, states):
+    """``learner._splitting_word`` of a block of states of ``m`` (see
+    :func:`tables`), as a word of letters, or ``None``."""
+    word = _splitting_word(tables(m), frozenset(map(m.states.index, states)))
+    return None if word is None else tuple(m.input_alphabet[a] for a in word)
+
+
+def harmonized_identifiers(m: MealyMachine) -> dict:
+    """``learner._harmonized_identifiers`` of ``m`` (see :func:`tables`) by
+    state name, as words of letters."""
+    return {m.states[s]: {tuple(m.input_alphabet[a] for a in w) for w in words}
+            for s, words in enumerate(_harmonized_identifiers(tables(m)))}
+
+
 def identification_sets(m: MealyMachine) -> dict:
-    """For every state of the minimal machine ``m``, its identification set:
-    against each other state, the shortest word that separates the two,
-    first in letter order.  A single-state machine's only state gets
-    ``{()}``."""
+    """For every state of the minimal machine ``m`` (see :func:`tables`), its
+    identification set: against each other state, the shortest word that
+    separates the two, first in letter order.  A single-state machine's only
+    state gets ``{()}``."""
     if len(m.states) < 2:
         return {s: {()} for s in m.states}
     ident = {s: set() for s in m.states}
     for p, q in itertools.combinations(m.states, 2):
-        word = _splitting_word(m, frozenset((p, q)))
+        word = splitting_word(m, (p, q))
         ident[p].add(word)
         ident[q].add(word)
     return ident

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -19,9 +20,9 @@ from statefuzz.alphabet import (
     word_to_obj,
 )
 from statefuzz.learner import (
-    LearnResult, MembershipOracle, NondeterminismError, PartialResultError,
-    _BudgetExhausted, _LSharp, _harmonized_identifiers, _splitting_word,
-    lstar_learn, wmethod_counterexample, wmethod_suite,
+    LearnResult, MembershipOracle, NondeterminismError, ObservationTree,
+    PartialResultError, _BudgetExhausted, _LSharp, lstar_learn,
+    wmethod_counterexample, wmethod_suite,
 )
 from statefuzz.mealy import MealyMachine, isomorphic, minimize
 from statefuzz.proxy import ClusterProxy, TransportError
@@ -29,7 +30,7 @@ from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 from helpers import (
     GENERIC_OUTPUTS, T0_HEARTBEAT, T0_JOIN, T0_JOIN_ACK, T0_PROBE, build_t0,
-    identification_sets, random_machine,
+    harmonized_identifiers, identification_sets, random_machine, splitting_word,
 )
 
 
@@ -67,15 +68,15 @@ def perfect_counterexample(truth):
 
 class RecordingOracle(MembershipOracle):
     """A one-vote oracle that records every word it is asked, answered from
-    its tree or not."""
+    its tree or not, as a word of letters."""
 
     def __init__(self, query_fn, transcript=None):
         super().__init__(query_fn, votes=1, transcript=transcript)
         self.asked = []
 
-    def query(self, word):
-        self.asked.append(tuple(word))
-        return super().query(word)
+    def query(self, ids):
+        self.asked.append(tuple(self.tree._letters[a] for a in ids))
+        return super().query(ids)
 
 
 def learn_machine(truth, votes=1, **kw):
@@ -98,8 +99,8 @@ class TestMembershipOracle:
         query, calls = counting_backend(build_t0())
         oracle = MembershipOracle(query, votes=1)
         word = (T0_PROBE, T0_JOIN)
-        first = oracle.query(word)
-        second = oracle.query(word)
+        first = oracle.query(oracle.ids(word))
+        second = oracle.query(oracle.ids(word))
         assert first == second
         assert len(calls) == 1
         assert oracle.cache_hits == 1
@@ -108,10 +109,10 @@ class TestMembershipOracle:
         query, calls = counting_backend(build_t0())
         oracle = MembershipOracle(query, votes=1)
         word = (T0_PROBE, T0_JOIN, T0_HEARTBEAT)
-        full = oracle.query(word)
-        assert oracle.query(word[:2]) == full[:2]
-        assert oracle.query(word[:1]) == full[:1]
-        assert oracle.query(()) == ()
+        full = oracle.query(oracle.ids(word))
+        assert oracle.query(oracle.ids(word[:2])) == full[:2]
+        assert oracle.query(oracle.ids(word[:1])) == full[:1]
+        assert oracle.query(oracle.ids(())) == ()
         assert len(calls) == 1
 
     def test_majority_beats_one_bad_reading(self):
@@ -125,19 +126,20 @@ class TestMembershipOracle:
             return good
 
         oracle = MembershipOracle(flaky, votes=3)
-        assert oracle.query((T0_PROBE, T0_JOIN)) == machine.run_outputs((T0_PROBE, T0_JOIN))
+        word = (T0_PROBE, T0_JOIN)
+        assert oracle.query(oracle.ids(word)) == machine.run_outputs(word)
         assert oracle.trials == 3
 
     def test_agreement_short_circuits(self):
         query, calls = counting_backend(build_t0())
         oracle = MembershipOracle(query, votes=3)
-        oracle.query((T0_PROBE,))
+        oracle.query(oracle.ids((T0_PROBE,)))
         assert len(calls) == 2  # two matching readings reach the majority
 
     def test_single_vote_accepts_first_reading(self):
         query, calls = counting_backend(build_t0())
         oracle = MembershipOracle(query, votes=1)
-        oracle.query((T0_PROBE,))
+        oracle.query(oracle.ids((T0_PROBE,)))
         assert len(calls) == 1
 
     def test_no_majority_raises(self):
@@ -148,7 +150,7 @@ class TestMembershipOracle:
 
         oracle = MembershipOracle(chaotic, votes=3)
         with pytest.raises(NondeterminismError) as err:
-            oracle.query((T0_PROBE,))
+            oracle.query(oracle.ids((T0_PROBE,)))
         assert err.value.word == (T0_PROBE,)
         assert len(err.value.observations) == 3
 
@@ -160,7 +162,7 @@ class TestMembershipOracle:
 
         oracle = MembershipOracle(chaotic, votes=5)
         with pytest.raises(NondeterminismError):
-            oracle.query((T0_PROBE,))
+            oracle.query(oracle.ids((T0_PROBE,)))
         assert oracle.trials == 4  # 4 distinct readings cannot reach 3 of 5
 
     def test_prefix_conflict_is_nondeterminism(self):
@@ -173,26 +175,26 @@ class TestMembershipOracle:
             return tuple(out)
 
         oracle = MembershipOracle(backend, votes=1)
-        oracle.query((T0_PROBE,))
+        oracle.query(oracle.ids((T0_PROBE,)))
         with pytest.raises(NondeterminismError):
-            oracle.query((T0_PROBE, T0_JOIN))
+            oracle.query(oracle.ids((T0_PROBE, T0_JOIN)))
 
     def test_budget_is_enforced(self):
         oracle = MembershipOracle(build_t0().run_outputs, votes=1, max_trials=2)
-        oracle.query((T0_PROBE,))
-        oracle.query((T0_JOIN,))
+        oracle.query(oracle.ids((T0_PROBE,)))
+        oracle.query(oracle.ids((T0_JOIN,)))
         with pytest.raises(_BudgetExhausted):
-            oracle.query((T0_HEARTBEAT,))
+            oracle.query(oracle.ids((T0_HEARTBEAT,)))
 
     def test_wrong_arity_backend_rejected(self):
         oracle = MembershipOracle(lambda word: ((NO_RESPONSE,),), votes=1)
         with pytest.raises(ValueError):
-            oracle.query((T0_PROBE, T0_JOIN))
+            oracle.query(oracle.ids((T0_PROBE, T0_JOIN)))
 
     def test_stats_shape(self):
         oracle = MembershipOracle(build_t0().run_outputs, votes=1)
-        oracle.query((T0_PROBE,))
-        oracle.query((T0_PROBE,))
+        oracle.query(oracle.ids((T0_PROBE,)))
+        oracle.query(oracle.ids((T0_PROBE,)))
         assert (oracle.trials, oracle.cache_hits) == (1, 1)
 
 
@@ -324,7 +326,7 @@ class TestObservationTree:
             prefixes = {word[:i] for word in calls for i in range(len(word) + 1)}
             assert len(oracle.tree) == len(prefixes)
             for prefix in prefixes:
-                assert oracle.query(prefix) == truth.run_outputs(prefix)
+                assert oracle.query(oracle.ids(prefix)) == truth.run_outputs(prefix)
             assert oracle.trials == len(calls)
 
     def test_conflicting_answer_stores_nothing(self):
@@ -337,13 +339,13 @@ class TestObservationTree:
             return tuple(out)
 
         oracle = MembershipOracle(backend, votes=1)
-        oracle.query((T0_PROBE, T0_JOIN))
+        oracle.query(oracle.ids((T0_PROBE, T0_JOIN)))
         size = len(oracle.tree)
         with pytest.raises(NondeterminismError) as err:
-            oracle.query((T0_PROBE, T0_JOIN, T0_HEARTBEAT))
+            oracle.query(oracle.ids((T0_PROBE, T0_JOIN, T0_HEARTBEAT)))
         assert err.value.word == (T0_PROBE, T0_JOIN)
         assert len(oracle.tree) == size
-        assert oracle.query((T0_PROBE, T0_JOIN)) == good((T0_PROBE, T0_JOIN))
+        assert oracle.query(oracle.ids((T0_PROBE, T0_JOIN))) == good((T0_PROBE, T0_JOIN))
 
     def test_rerunning_a_passed_suite_sends_no_session(self):
         for seed in range(5):
@@ -489,7 +491,7 @@ class TestQueryLines:
         for _ in range(200):
             word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
             trials = oracle.trials
-            outputs = oracle.query(word)
+            outputs = oracle.query(oracle.ids(word))
             if oracle.trials > trials:
                 expected.append({"event": "query", "word": word_to_obj(word),
                                  "outputs": [word_to_obj(o) for o in outputs],
@@ -555,6 +557,7 @@ class TestConformance:
         lengths = [len(w) for w in suite]
         assert lengths == sorted(lengths)
         assert suite == wmethod_suite(build_t0(), depth=2)
+        assert suite[1:4] == tuple(suite)[1:4] and suite[-1] == tuple(suite)[-1]
 
     def test_passing_suite_asks_every_word_once_in_a_seeded_order(self):
         machine = next(m for m in (minimize(random_machine(random.Random(seed)))
@@ -620,7 +623,7 @@ class TestConformance:
         # state u reaches.
         machine = minimize(random_machine(random.Random(seed)))
         depth = 1 + seed % 2
-        ident = _harmonized_identifiers(machine)
+        ident = harmonized_identifiers(machine)
         access = {machine.initial: ()}
         queue = deque([machine.initial])
         while queue:
@@ -656,7 +659,7 @@ class TestConformance:
     @pytest.mark.parametrize("seed", range(20))
     def test_identifiers_are_harmonized(self, seed):
         machine = minimize(random_machine(random.Random(seed)))
-        _assert_harmonized(machine, _harmonized_identifiers(machine))
+        _assert_harmonized(machine, harmonized_identifiers(machine))
 
     def test_seeds_exercise_the_ads_and_the_fallback(self):
         # Among the random machines of the tests above, some have a complete
@@ -665,7 +668,7 @@ class TestConformance:
         kinds = set()
         for seed in range(20):
             machine = minimize(random_machine(random.Random(seed)))
-            ident = _harmonized_identifiers(machine)
+            ident = harmonized_identifiers(machine)
             if all(len(words) == 1 for words in ident.values()):
                 kinds.add("ads")
             else:
@@ -686,8 +689,8 @@ class TestConformance:
                 ("r", x): ("r", loud), ("r", y): ("p", quiet),
             }))
         assert len(machine.states) == 3
-        assert _splitting_word(machine, frozenset(machine.states)) == (y,)
-        assert sorted(_harmonized_identifiers(machine).values()) == [
+        assert splitting_word(machine, machine.states) == (y,)
+        assert sorted(harmonized_identifiers(machine).values()) == [
             {(y,)}, {(y, x)}, {(y, x)}]
 
     def test_machine_without_ads_falls_back_to_identification_sets(self):
@@ -703,8 +706,8 @@ class TestConformance:
                 ("q", x): ("p", out), ("q", y): ("r", out),
                 ("r", x): ("r", (T0_JOIN_ACK,)), ("r", y): ("p", out),
             }))
-        assert _splitting_word(machine, frozenset(machine.states)) is None
-        assert _harmonized_identifiers(machine) == identification_sets(machine)
+        assert splitting_word(machine, machine.states) is None
+        assert harmonized_identifiers(machine) == identification_sets(machine)
 
     def test_ads_stuck_below_the_root_falls_back_to_separating_suffixes(self):
         # The no-ADS gadget of the test above behind one splitting letter: y
@@ -723,7 +726,7 @@ class TestConformance:
                 ("t", x): ("t", out), ("t", y): ("t", ack), ("t", z): ("t", out),
             }))
         assert len(machine.states) == 4
-        ident = _harmonized_identifiers(machine)
+        ident = harmonized_identifiers(machine)
         _assert_harmonized(machine, ident)
         assert list(ident.values()).count({(y,)}) == 1
         assert max(map(len, ident.values())) == 2
@@ -761,6 +764,63 @@ class TestConformance:
         word = wmethod_counterexample(hyp, oracle, depth=1)
         assert word is not None
         assert target.run_outputs(word) != hyp.run_outputs(word)
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so that each call appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestSuiteWork:
+    """Noise-free work counters of the suite path, which runs over letter
+    indices: no suite word is hashed letter by letter on its way into the
+    tree or through the hypothesis."""
+
+    def test_rerun_on_a_warm_tree_hashes_no_letter_of_a_word(self, monkeypatch):
+        oracle = MembershipOracle(sim_query_fn(), votes=1)
+        result = lstar_learn(
+            oracle, LADDER_ALPHABET,
+            lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
+        trials = oracle.trials
+        gated = {MembershipOracle.query.__code__, ObservationTree._ids.__code__,
+                 MealyMachine.step.__code__}
+        hashes = []  # per hash, the gated function it is made under, or None
+        original = Symbol.__hash__
+
+        def counting_hash(symbol):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in gated:
+                frame = frame.f_back
+            hashes.append(None if frame is None else frame.f_code.co_name)
+            return original(symbol)
+
+        monkeypatch.setattr(Symbol, "__hash__", counting_hash)
+        oracle.ids((L_BOOT,))
+        assert hashes and set(hashes) == {"_ids"}  # the counter sees its caller
+        hashes.clear()
+        assert wmethod_counterexample(result.machine, oracle, depth=1) is None
+        assert oracle.trials == trials
+        assert hashes and set(hashes) == {None}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_passing_suite_calls_neither_the_machine_nor_the_letter_lookup(
+            self, seed, monkeypatch):
+        truth = minimize(random_machine(random.Random(seed)))
+        oracle = MembershipOracle(lambda word: _run_from(truth, truth.initial, word),
+                                  votes=1)
+        steps = counted(monkeypatch, MealyMachine, "step")
+        lookups = counted(monkeypatch, ObservationTree, "_ids")
+        assert wmethod_counterexample(truth, oracle, depth=1) is None
+        assert oracle.trials > 0
+        assert steps == lookups == []
 
 
 def _assert_harmonized(machine, ident):
@@ -870,6 +930,6 @@ class TestLearnSimulatedCluster:
 
     def test_majority_voting_against_live_simulator(self):
         oracle = MembershipOracle(sim_query_fn(), votes=3)
-        out = oracle.query((L_BOOT, L_JOIN, L_VOTE))
+        out = oracle.query(oracle.ids((L_BOOT, L_JOIN, L_VOTE)))
         assert out == (OUT_BOOT, OUT_NONE, OUT_VOTE)
         assert oracle.trials == 2  # deterministic target: majority after two

@@ -17,7 +17,7 @@ from statefuzz.alphabet import (
 from statefuzz.proxy import SessionContext
 from statefuzz.sulsim import (
     ALL_VULNERABILITIES, BASE_NODE_LOAD, ERROR_TYPE, ClusterConfig,
-    ClusterObservation, VULN_CLEAR_STORE, VULN_FAKE_LINK, VULN_FAKE_MEMBER,
+    ClusterHandle, ClusterObservation, VULN_CLEAR_STORE, VULN_FAKE_LINK, VULN_FAKE_MEMBER,
     VULN_SEIZE_LEADER, VULN_SESSION_FLOOD, VULN_UNAUTH_JOIN,
     default_alphabet, spawn_cluster,
 )
@@ -634,7 +634,8 @@ class TestClockSplits:
             for sym, wait in zip(words, waits):
                 handle.tick(wait)
                 handle.deliver(encode(sym, ctx))
-        due = handles[0]._events[0][0] - handles[0].now
+        events = handles[0]._events
+        due = events[0][0] - handles[0].now if events else 0  # no timer pending
         a = max(0, rng.choice([due - 1, due, due + 1, rng.randint(0, 3 * H)]))
         return rng, handles, a
 
@@ -671,9 +672,103 @@ class TestClockSplits:
         for seed in range(60):
             _, (handle, _), a = self.session(seed)
             in_flight += bool(handle._replies)
-            on_timer += handle.now + a == handle._events[0][0]
+            on_timer += bool(handle._events) and handle.now + a == handle._events[0][0]
             admitted += handle.dummy.admitted
         assert in_flight >= 5 and on_timer >= 5 and admitted >= 5
+
+
+class TestSleepingTimers:
+    """The liveness round and the session reaper are armed only while they
+    have work to do, on the grid they would keep if they always ran: the
+    round on every multiple of ``heartbeat_threshold``, the reaper on every
+    multiple of ``reap_interval``."""
+
+    class ClockSpy(ClusterHandle):
+        """Records every value the clock is set to."""
+
+        def __init__(self, cfg):
+            self.clock = []
+            super().__init__(cfg)
+
+        @property
+        def now(self):
+            return self.clock[-1]
+
+        @now.setter
+        def now(self, value):
+            self.clock.append(value)
+
+    @pytest.mark.parametrize("vulns", [(), tuple(sorted(ALL_VULNERABILITIES))],
+                             ids=["hardened", "all"])
+    def test_fresh_and_reset_handles_hold_no_timer(self, vulns):
+        handle = spawn_cluster(ClusterConfig(vulnerabilities=frozenset(vulns)))
+        assert handle._events == []
+        send_word(handle, Ctx(), [BREQ_FULL, RJREQ_SELF, RCOM_ADD, PRES_DEAD])
+        assert bool(handle._events) == bool(vulns)
+        handle.reset()
+        assert handle._events == []
+
+    @pytest.mark.parametrize("sym", [PREQ_NZ, PRES_ALIVE, RCONREQ_S, RCOM_ADD],
+                             ids=lambda s: s.tag)
+    def test_exchange_without_reply_advances_in_one_jump(self, sym):
+        handle = self.ClockSpy(ClusterConfig())
+        handle.reset()
+        start = handle.now
+        handle.clock[:] = [start]
+        assert handle.exchange(encode(sym, Ctx())) == []
+        assert handle.clock == [start, start + handle.window_ticks]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_keepalives_keep_the_heartbeat_grid(self, seed):
+        rng = random.Random(seed)
+        handle = steady([VULN_UNAUTH_JOIN])
+        acfg, ctx = acfg_for(handle), Ctx()
+        handle.tick(rng.randint(0, 4 * H))
+        handle.inject(encode(BREQ_FULL, ctx))
+        handle.tick(rng.randint(0, 2 * H))
+        handle.inject(encode(RJREQ_SELF, ctx))
+        assert handle.dummy.admitted
+        admitted, span = handle.now, 6 * H
+        keepalives = [(t, sym.tag) for t, msg in handle.tick(span)
+                      for sym in [decode(msg, acfg)] if is_keepalive(sym, acfg)]
+        # A round fires on each multiple of H after admission; its probe and
+        # heartbeat reach the peer one tick later.
+        rounds = [t for t in range(admitted + 1, admitted + span) if t % H == 0]
+        assert len(rounds) >= 5
+        assert keepalives == [(t + 1, tag) for t in rounds for tag in (PREQ, RAREQ)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sessions_are_reaped_on_the_reap_grid(self, seed):
+        rng = random.Random(seed)
+        handle = steady([VULN_SESSION_FLOOD])
+        ttl, interval = handle.cfg.ttl, handle.cfg.reap_interval
+        ctx = Ctx()
+        for _ in range(2):  # the second session opens while the reaper sleeps
+            handle.tick(rng.randint(0, 3 * H))
+            opened = handle.now
+            handle.inject(encode(RCOM_ADD, ctx))
+            assert handle.observe().sessions_open == 1
+            while handle.observe().sessions_open:
+                handle.tick(1)
+            # The first multiple of the interval at which the session is ttl old.
+            assert handle.now == -(-(opened + ttl) // interval) * interval
+            assert handle._events == []
+
+    def test_a_cluster_without_liveness_rounds_sends_no_keepalive(self):
+        # The stand-in for a cluster that never probes in test_acceptance's
+        # keep-alive transparency check.
+        class SilentCluster(ClusterHandle):
+            def _swim_round(self):
+                pass
+
+        cfg = ClusterConfig(members=MEMBERS, vulnerabilities=frozenset([VULN_UNAUTH_JOIN]))
+        loud, quiet = spawn_cluster(cfg), SilentCluster(cfg)
+        for handle in (loud, quiet):
+            handle.reset()
+            send_word(handle, Ctx(), [BREQ_FULL, RJREQ_SELF])
+            assert handle.dummy.admitted
+        assert loud.tick(4 * H)
+        assert quiet.tick(4 * H) == []
 
 
 class TestPinnedReplyStream:
@@ -724,7 +819,8 @@ class TestPinnedReplyStream:
 
 def test_bootstrap_outcome_digest():
     """The converged baseline of 200 random valid configs, pinned across
-    builds: its tick, leader, term, liveness timers and observation."""
+    builds: its tick, leader, term, liveness timers (none: they sleep until a
+    peer is admitted or a session opens) and observation."""
     rng = random.Random(2024)
     sink = hashlib.sha256()
     for _ in range(200):
@@ -741,7 +837,7 @@ def test_bootstrap_outcome_digest():
                         if handler.__name__ in ("_swim_round", "_session_reap"))
         sink.update(json.dumps([handle.now, handle.leader_id, handle.cluster_term, timers,
                                 handle.observe().to_dict()], sort_keys=True).encode())
-    assert sink.hexdigest() == "965f64f69e9fd791ef8669867e7bdd66d342a8bb4414f9a3d6a802bbcdd96777"
+    assert sink.hexdigest() == "4f7390e28bae18dfb5886061505c4e4faf4857505f0e9d6bf473349fd2f1506c"
 
 
 # ---------------------------------------------------------------------------

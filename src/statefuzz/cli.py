@@ -32,6 +32,7 @@ import logging
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 from .alphabet import (
@@ -42,10 +43,6 @@ from .detector import ALL_CRITERIA, Baseline, Detector, Finding
 from .fuzzer import (
     ALL_MUTATIONS, MUT_DUPLICATE, MUT_REMOVE, CampaignReport, FuzzCase,
     replay_case, run_campaign, sdfs_extract,
-)
-from .learner import (
-    MembershipOracle, NondeterminismError, PartialResultError, lstar_learn,
-    wmethod_counterexample,
 )
 from .mealy import MealyMachine, PrunePolicy
 from .proxy import ClusterProxy, TransportError
@@ -254,6 +251,12 @@ def write_artifact(path: Path, text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_learn(args) -> int:
+    # Imported here, not at module load: fuzz and replay never learn.
+    from .learner import (
+        MembershipOracle, NondeterminismError, PartialResultError, SuitePool,
+        lstar_learn, wmethod_counterexample,
+    )
+
     config = load_config(args.config)
     lcfg = config["learner"]
     ccfg = cluster_from_config(config, args)
@@ -270,11 +273,23 @@ def cmd_learn(args) -> int:
     with open(out_dir / "transcript.jsonl", "w", encoding="utf-8") as transcript:
         oracle = MembershipOracle(proxy.query, votes=lcfg["votes"],
                                   max_trials=budget, transcript=transcript)
+        # The conformance suite's sessions run on one forked worker per CPU.
+        # On one CPU a worker would only take turns with this process, so
+        # there is none.  Forked, not spawned: a spawned worker imports
+        # statefuzz and unpickles the cluster while this process waits,
+        # which gave back most of the gain (learn --seed 1 on 2 vCPUs, four
+        # runs each: spawn 0.41-0.51 s, fork 0.29-0.32 s, no workers
+        # 0.43-0.46 s).  Fork is unsafe once another thread runs, so then
+        # the suite is asked in this process.
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else 1)
+        pool = (SuitePool(oracle, workers)
+                if workers > 1 and threading.active_count() == 1 else None)
         try:
             result = lstar_learn(
                 oracle, letters,
                 lambda m: wmethod_counterexample(m, oracle,
-                                                 depth=lcfg["eq_depth"]),
+                                                 depth=lcfg["eq_depth"], pool=pool),
                 max_rounds=lcfg["max_rounds"])
         except PartialResultError as exc:
             if exc.hypothesis is not None:
@@ -289,6 +304,9 @@ def cmd_learn(args) -> int:
         except NondeterminismError as exc:
             print(f"target answered nondeterministically: {exc}", file=sys.stderr)
             return EXIT_NONDETERMINISM
+        finally:
+            if pool is not None:
+                pool.close()
     machine = result.machine
     write_artifact(out_dir / "machine.json", machine.to_json())
     write_artifact(out_dir / "machine.dot", machine.to_dot())

@@ -42,7 +42,13 @@ counterexample becomes letters.  Suite words the tree already holds cost no
 session.  The suite is asked in a seeded order derived from the hypothesis
 (its number of states), not shortest first: counterexamples tend to be long
 words, so a failing suite stops sooner, while completeness rests on the set
-of words, not on their order.
+of words, not on their order.  The suite's sessions may run on forked
+workers (:class:`SuitePool`) that vote on the words the tree lacks ahead of
+the loop.  The loop still asks every word in the seeded order and alone
+charges the sessions, stores the answers and writes the transcript, so the
+words asked, the transcript and the session count do not depend on the
+number of workers, and a worker's error is raised at the word where a loop
+without workers raises it.
 
 The oracle takes words as tuples of the tree's letter ids, as the learner
 holds them; letters appear only where a word goes to the target, in errors
@@ -58,9 +64,16 @@ learning a wrong machine.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import mmap
+import os
+import pickle
 import random
+import signal
+import socket
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -79,6 +92,9 @@ class NondeterminismError(RuntimeError):
             f"no majority reaction for word of length {len(self.word)}: "
             f"{len(self.observations)} conflicting transcripts"
         )
+
+    def __reduce__(self):
+        return type(self), (self.word, self.observations)
 
 
 class PartialResultError(RuntimeError):
@@ -100,6 +116,33 @@ def _json(obj) -> str:
 def _emit(sink, obj):
     if sink is not None:
         sink.write(_json(obj) + "\n")
+
+
+def _answer(query_fn, word) -> tuple:
+    """One session's answer to ``word``: one reaction word per letter."""
+    result = tuple(query_fn(word))
+    if len(result) != len(word):
+        raise ValueError("query backend returned wrong number of reactions")
+    return result
+
+
+def _vote(session, word, votes: int) -> tuple:
+    """The answer to ``word`` that a strict majority of up to ``votes`` calls
+    of ``session`` give, and how many calls it took.  Stops as soon as one
+    answer holds a majority, and raises ``NondeterminismError`` as soon as
+    none can."""
+    if votes == 1:
+        return session(word), 1
+    counts: dict = {}
+    needed = votes // 2 + 1
+    for attempts in range(1, votes + 1):
+        result = session(word)
+        count = counts[result] = counts.get(result, 0) + 1
+        if count >= needed:
+            return result, attempts
+        if max(counts.values()) + votes - attempts < needed:
+            break
+    raise NondeterminismError(word, tuple(counts))
 
 
 class ObservationTree:
@@ -145,7 +188,7 @@ class ObservationTree:
             outputs.append(out[node])
         return tuple(outputs)
 
-    def _insert(self, word, ids, outcome):
+    def _insert(self, ids, outcome):
         """Store a resolved word and return its outputs as the tree holds
         them, or raise ``NondeterminismError`` if it contradicts a stored
         prefix; nothing is stored then."""
@@ -157,10 +200,11 @@ class ObservationTree:
             child = None if children is None else children.get(ids[depth])
             if child is None:
                 break
-            if out[child] != outcome[depth]:
+            if out[child] is not outcome[depth] and out[child] != outcome[depth]:
                 depth += 1
-                raise NondeterminismError(word[:depth], (
-                    self._lookup(ids[:depth]), tuple(outcome[:depth])))
+                raise NondeterminismError(
+                    tuple(map(self._letters.__getitem__, ids[:depth])),
+                    (self._lookup(ids[:depth]), tuple(outcome[:depth])))
             held.append(out[child])
             node = child
             depth += 1
@@ -239,46 +283,47 @@ class MembershipOracle:
         takes it."""
         return self.tree._ids(word)
 
-    def query(self, ids) -> tuple:
+    def query(self, ids, voted=None) -> tuple:
         """The outputs of the word with these tree letter ids, one reaction
         word per letter, from the tree or from as many sessions as the vote
-        takes."""
+        takes.
+
+        ``voted``, if given, is called when the tree lacks the word, for a
+        vote held elsewhere (by a :class:`SuitePool` worker): it returns
+        ``(attempts, outcome, error)``, the sessions the vote took and its
+        outcome or the error it raised, or ``None`` to vote here.  The
+        sessions are charged as the vote here would charge them before
+        ``error`` is raised or ``outcome`` stored."""
         tree = self.tree
         known = tree._lookup(ids)
         if known is not None:
             self.cache_hits += 1
             return known
-        word = tuple(map(tree._letters.__getitem__, ids))
-        if self.votes == 1:
-            outcome, attempts = self._session(word), 1
+        reply = None if voted is None else voted()
+        if reply is None:
+            word = tuple(map(tree._letters.__getitem__, ids))
+            outcome, attempts = _vote(self._session, word, self.votes)
         else:
-            counts: dict = {}
-            needed = self.votes // 2 + 1
-            outcome = None
-            for attempts in range(1, self.votes + 1):
-                result = self._session(word)
-                count = counts[result] = counts.get(result, 0) + 1
-                if count >= needed:
-                    outcome = result
-                    break
-                if max(counts.values()) + self.votes - attempts < needed:
-                    break
-            if outcome is None:
-                raise NondeterminismError(word, tuple(counts))
-        outcome = tree._insert(word, ids, outcome)
+            attempts, outcome, error = reply
+            self._charge(attempts)
+            if error is not None:
+                raise error
+        outcome = tree._insert(ids, outcome)
         if self.transcript is not None:
             self._record(ids, outcome, attempts)
         return outcome
 
+    def _charge(self, sessions: int):
+        """Spend sessions of the budget, one at a time."""
+        for _ in range(sessions):
+            if self.max_trials is not None and self.trials >= self.max_trials:
+                raise _BudgetExhausted()
+            self.trials += 1
+
     def _session(self, word) -> tuple:
         """The target's answer to ``word`` from one session of the budget."""
-        if self.max_trials is not None and self.trials >= self.max_trials:
-            raise _BudgetExhausted()
-        self.trials += 1
-        result = tuple(self.query_fn(word))
-        if len(result) != len(word):
-            raise ValueError("query backend returned wrong number of reactions")
-        return result
+        self._charge(1)
+        return _answer(self.query_fn, word)
 
     def _record(self, ids, outcome, attempts):
         """Write the ``query`` event of a resolved word.  The line is what
@@ -661,7 +706,7 @@ def wmethod_suite(machine: MealyMachine, depth: int) -> _Suite:
 
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
-                           depth: int):
+                           depth: int, pool: SuitePool | None = None):
     """First word of the HSI-method suite (:func:`wmethod_suite`) on which the
     target and the hypothesis disagree, or ``None`` if the whole suite
     matches position by position.
@@ -676,6 +721,10 @@ def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
     against the hypothesis's tables, and only a counterexample becomes
     letters.  Each call writes one ``suite`` event: the suite's size, the
     words asked, the sessions they cost and whether one disagreed.
+
+    With a ``pool``, its workers vote on the words the tree lacks ahead of
+    this loop, which still asks every word in the same order, so the tree,
+    the transcript and the sessions charged are the same.
     """
     suite = wmethod_suite(machine, depth)
     t = suite.tables
@@ -684,12 +733,252 @@ def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
     tree_ids = tuple(map(oracle.tree._letter, t.letters))
     trials = oracle.trials
     found, asked = None, 0
-    for asked, word in enumerate(words, 1):
-        answers = oracle.query(tuple(map(tree_ids.__getitem__, word)))
-        if not t.agrees(word, answers):
-            found = tuple(map(t.letters.__getitem__, word))
-            break
+    try:
+        if pool is not None and not pool._begin(t, words, oracle.tree, tree_ids):
+            pool = None
+        for asked, word in enumerate(words, 1):
+            ids = tuple(map(tree_ids.__getitem__, word))
+            answers = (oracle.query(ids) if pool is None else
+                       oracle.query(ids, lambda: pool._reply(asked - 1, word)))
+            if not t.agrees(word, answers):
+                found = tuple(map(t.letters.__getitem__, word))
+                break
+        if pool is not None:
+            pool._end()
+    except BaseException:
+        if pool is not None:
+            pool.close()
+        raise
     _emit(oracle.transcript, {"event": "suite", "words": len(words),
                               "asked": asked, "sessions": oracle.trials - trials,
                               "counterexample": found is not None})
     return found
+
+
+# ---------------------------------------------------------------------------
+# Suite workers
+# ---------------------------------------------------------------------------
+
+# Chunks of suite words start at one word, so a suite that fails at once
+# wastes little, and double up to this many, so a passing suite's replies
+# are few.
+_MAX_CHUNK = 64
+
+
+class _Worker:
+    """The parent's end of one worker: its process, its socket, and how many
+    chunks it holds."""
+
+    def __init__(self, pid: int, sock: socket.socket):
+        self.pid = pid
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+        self.chunks = 0
+
+    def send(self, data: bytes):
+        try:
+            self.sock.sendall(data)
+        except OSError as exc:
+            raise TransportError(f"suite worker {self.pid} is gone: {exc}") from exc
+
+    def receive(self):
+        try:
+            return pickle.load(self.reader)
+        except (EOFError, OSError, pickle.UnpicklingError) as exc:
+            raise TransportError(f"suite worker {self.pid} exited") from exc
+
+    def close(self):
+        self.reader.close()
+        self.sock.close()
+
+
+class SuitePool:
+    """Forked processes that vote on conformance-suite words ahead of
+    :func:`wmethod_counterexample`.
+
+    Each worker is a fork of the process that makes the pool and votes with
+    its own copy of the oracle's ``query_fn``, so the target must live in
+    that process (the simulator, not a socket) and start every session from
+    one fixed baseline: then a copy answers each word as the original
+    would.  Workers ignore SIGINT; the parent's interrupt ends them through
+    :meth:`close`.
+
+    Per suite, the parent hands out the words its tree lacks in the seeded
+    order, in chunks that start at one word and double, at most one more
+    chunk than there are workers at a time.  A worker checks each answer
+    against the hypothesis and sends back only how many sessions each vote
+    took, and the answer that disagrees or the error that ends its chunk;
+    the parent rebuilds an agreeing answer from the hypothesis's tables,
+    whose output words are the tree's own.  A shared counter, the generation
+    of work still wanted, stops every worker within one session once the
+    suite is decided.
+    """
+
+    def __init__(self, oracle: MembershipOracle, workers: int):
+        if workers < 1:
+            raise ValueError("a suite pool needs at least one worker")
+        self._generation = 0
+        self._shared = mmap.mmap(-1, 8)
+        self._wanted = memoryview(self._shared).cast("Q")
+        self._workers: list = []
+        self._pending: deque = deque()  # (worker, positions), oldest first
+        self._replies: dict = {}
+        try:
+            for _ in range(workers):
+                self._fork(oracle)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, oracle):
+        ours, theirs = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                # The parent's objects, garbage included, are never collected
+                # here, so no finalizer of theirs runs twice.
+                gc.freeze()
+                ours.close()
+                for worker in self._workers:
+                    worker.close()
+                _serve(theirs, oracle.query_fn, oracle.votes, self._wanted)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+        self._workers.append(_Worker(pid, ours))
+
+    def __enter__(self) -> "SuitePool":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Stop and reap every worker.  Idempotent."""
+        if not self._workers:
+            return
+        self._generation += 1
+        self._wanted[0] = self._generation
+        for worker in self._workers:
+            worker.close()
+        for worker in self._workers:
+            try:
+                os.waitpid(worker.pid, 0)
+            except ChildProcessError:
+                pass
+        self._workers = []
+        self._pending.clear()
+        self._replies.clear()
+        self._wanted.release()
+        self._shared.close()
+
+    def _begin(self, tables, words, tree, tree_ids) -> bool:
+        """Start on a suite; ``False`` if the pool is closed."""
+        if not self._workers:
+            return False
+        self._tables, self._words = tables, words
+        self._tree, self._tree_ids = tree, tree_ids
+        self._next = 0   # the first position not yet handed out
+        self._size = 1
+        data = pickle.dumps(tables)
+        for worker in self._workers:
+            worker.send(data)
+        self._hand_out()
+        return True
+
+    def _hand_out(self):
+        """Hand out chunks of the words the tree lacks, in the seeded order,
+        until one more chunk than there are workers is out."""
+        words, lookup, tree_ids = self._words, self._tree._lookup, self._tree_ids
+        while len(self._pending) <= len(self._workers) and self._next < len(words):
+            positions = []
+            while len(positions) < self._size and self._next < len(words):
+                if lookup(tuple(map(tree_ids.__getitem__, words[self._next]))) is None:
+                    positions.append(self._next)
+                self._next += 1
+            if not positions:
+                return
+            worker = min(self._workers, key=lambda w: w.chunks)
+            worker.send(pickle.dumps((self._generation, [words[p] for p in positions])))
+            worker.chunks += 1
+            self._pending.append((worker, positions))
+            self._size = min(2 * self._size, _MAX_CHUNK)
+
+    def _receive(self):
+        """Take the reply to the oldest chunk out."""
+        worker, positions = self._pending.popleft()
+        attempts, wrong, error = worker.receive()
+        worker.chunks -= 1
+        self._hand_out()
+        replies = self._replies
+        for position, n in zip(positions, attempts):
+            replies[position] = (n, None, None)
+        if wrong is not None:
+            replies[positions[len(attempts) - 1]] = (attempts[-1], wrong, None)
+        if error is not None:
+            replies[positions[len(attempts)]] = (error[0], None, error[1])
+
+    def _reply(self, position: int, word) -> tuple | None:
+        """``(attempts, outcome, error)`` of a worker's vote on the suite
+        word at ``position``, as :meth:`MembershipOracle.query` takes it, or
+        ``None`` if no worker voted on it."""
+        while self._pending and self._pending[0][1][0] <= position:
+            self._receive()
+        reply = self._replies.pop(position, None)
+        if reply is not None and reply[1] is None and reply[2] is None:
+            t = self._tables
+            reply = (reply[0], tuple(map(t.outputs.__getitem__, t.run(word, 0)[0])), None)
+        return reply
+
+    def _end(self):
+        """Stop the workers on the suite and drop what they still send."""
+        self._generation += 1
+        self._wanted[0] = self._generation
+        while self._pending:
+            worker, _ = self._pending.popleft()
+            worker.receive()
+            worker.chunks -= 1
+        self._replies.clear()
+
+
+def _serve(sock, query_fn, votes: int, wanted):
+    """A worker's loop: take a suite's tables, then vote on the words of
+    each chunk until the chunk ends, a vote raises or ``wanted`` moves past
+    the chunk's generation, and reply once per chunk."""
+    reader = sock.makefile("rb")
+    tables = None
+    calls = 0
+
+    def session(word):
+        nonlocal calls
+        calls += 1
+        return _answer(query_fn, word)
+
+    while True:
+        try:
+            message = pickle.load(reader)
+        except EOFError:
+            return
+        if isinstance(message, _Tables):
+            tables = message
+            continue
+        generation, words = message
+        letters = tables.letters
+        attempts, wrong, error = [], None, None
+        for word in words:
+            if wanted[0] != generation:
+                break
+            calls = 0
+            try:
+                outcome, n = _vote(session, tuple(map(letters.__getitem__, word)), votes)
+            except BaseException as exc:  # raised again by the parent, at this word
+                error = (calls, exc)
+                break
+            attempts.append(n)
+            if not tables.agrees(word, outcome):
+                wrong = outcome  # the suite fails here at the latest
+                break
+        sock.sendall(pickle.dumps((attempts, wrong, error)))

@@ -661,3 +661,14 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "INFO statefuzz" in proc.stderr
         assert "learned 6 states" in proc.stdout
+
+    def test_importing_the_cli_loads_neither_the_learner_nor_a_process_pool(self):
+        # fuzz and replay never learn, so neither the learner nor a process
+        # pool module may count in their start-up time and memory.
+        code = ("import sys, statefuzz.cli; print(sorted(m for m in "
+                "('statefuzz.learner', 'multiprocessing') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -109,8 +109,8 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# ``json.dumps`` with options builds a new encoder on every call.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _emit(sink, obj):
@@ -730,14 +730,24 @@ def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
     t = suite.tables
     words = list(suite.words)
     random.Random(len(machine.states)).shuffle(words)
+    # Each word in the tree's letter ids, built once and shared with the pool.
+    # A learn's tree numbers the letters in the tables' order, so there each
+    # word is its own tree-id word: a mapped copy of every suite word would
+    # only add memory (1.1-1.7 MB of peak RSS in `learn --seed 1`).
     tree_ids = tuple(map(oracle.tree._letter, t.letters))
+    if tree_ids == tuple(range(len(tree_ids))):
+        ids_of = words
+    else:
+        ids_of = [tuple(map(tree_ids.__getitem__, word)) for word in words]
     trials = oracle.trials
     found, asked = None, 0
     try:
-        if pool is not None and not pool._begin(t, words, oracle.tree, tree_ids):
+        if pool is not None and not pool._begin(t, words, ids_of, oracle.tree):
             pool = None
-        for asked, word in enumerate(words, 1):
-            ids = tuple(map(tree_ids.__getitem__, word))
+        for asked, (word, ids) in enumerate(zip(words, ids_of), 1):
+            # With a pool, ``query`` looks the word up again, though the pool
+            # did when it handed the word out: a word that missed then may
+            # be a tree hit by now, and a hit costs no session.
             answers = (oracle.query(ids) if pool is None else
                        oracle.query(ids, lambda: pool._reply(asked - 1, word)))
             if not t.agrees(word, answers):
@@ -875,12 +885,14 @@ class SuitePool:
         self._wanted.release()
         self._shared.close()
 
-    def _begin(self, tables, words, tree, tree_ids) -> bool:
-        """Start on a suite; ``False`` if the pool is closed."""
+    def _begin(self, tables, words, ids_of, tree) -> bool:
+        """Start on a suite: ``words`` in table letter indices and, at the
+        same positions, the same words in ``tree``'s letter ids.  ``False``
+        if the pool is closed."""
         if not self._workers:
             return False
         self._tables, self._words = tables, words
-        self._tree, self._tree_ids = tree, tree_ids
+        self._ids_of, self._tree = ids_of, tree
         self._next = 0   # the first position not yet handed out
         self._size = 1
         data = pickle.dumps(tables)
@@ -892,11 +904,11 @@ class SuitePool:
     def _hand_out(self):
         """Hand out chunks of the words the tree lacks, in the seeded order,
         until one more chunk than there are workers is out."""
-        words, lookup, tree_ids = self._words, self._tree._lookup, self._tree_ids
+        words, lookup, ids_of = self._words, self._tree._lookup, self._ids_of
         while len(self._pending) <= len(self._workers) and self._next < len(words):
             positions = []
             while len(positions) < self._size and self._next < len(words):
-                if lookup(tuple(map(tree_ids.__getitem__, words[self._next]))) is None:
+                if lookup(ids_of[self._next]) is None:
                     positions.append(self._next)
                 self._next += 1
             if not positions:

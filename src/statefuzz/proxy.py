@@ -36,9 +36,10 @@ import threading
 from dataclasses import dataclass, field
 
 from .alphabet import (
-    ALIVE, PREQ, PRES, RAREQ, RARES, AlphabetConfig, ConcreteMessage,
-    FrameError, OutputWord, Symbol, TERM_CURRENT, _is_int, canonical_output,
-    decode, encode, frame_encode, message_from_wire, read_frame,
+    ALIVE, NO_RESPONSE, PREQ, PRES, RAREQ, RARES, AlphabetConfig,
+    ConcreteMessage, FrameError, OutputWord, Symbol, TERM_CURRENT, _is_int,
+    canonical_output, decode, encode, frame_encode, message_from_wire,
+    read_frame,
 )
 from .sulsim import ClusterHandle, ClusterObservation
 
@@ -73,6 +74,10 @@ class SessionContext:
         return self._last_sent_term
 
 
+# The word of a window in which nothing reached the peer: one object for all.
+_SILENT = (NO_RESPONSE,)
+
+
 class ClusterProxy:
     """Symbolic query frontend over a transport.
 
@@ -93,8 +98,7 @@ class ClusterProxy:
     def reset_session(self):
         """Fresh converged cluster, fresh session identity."""
         term = self.transport.reset()
-        self.ctx = SessionContext(cluster_id=self.cfg.cluster_id, self_id=self.cfg.self_id,
-                                  observed_leader_term=term)
+        self.ctx = SessionContext(self.cfg.cluster_id, self.cfg.self_id, term)
         self.resets += 1
 
     def send_symbol(self, sym: Symbol) -> OutputWord:
@@ -103,11 +107,14 @@ class ClusterProxy:
             self.reset_session()
         msg = encode(sym, self.ctx)
         self.symbols_sent += 1
-        window = self.transport.exchange(msg)
-        self.ticks_advanced += self.transport.window_ticks
+        transport = self.transport
+        window = transport.exchange(msg)
+        self.ticks_advanced += transport.window_ticks
+        if not window:
+            return _SILENT
         keepalives = []
-        word = canonical_output([(ts, decode(m, self.cfg)) for ts, m in window],
-                                self.cfg, keepalives)
+        cfg = self.cfg
+        word = canonical_output([(ts, decode(m, cfg)) for ts, m in window], cfg, keepalives)
         for reply_sym in keepalives:
             self._answer_keepalive(reply_sym)
         return word
@@ -115,7 +122,8 @@ class ClusterProxy:
     def query(self, word) -> tuple:
         """Output words for every position of ``word``, from a fresh session."""
         self.reset_session()
-        return tuple(self.send_symbol(sym) for sym in word)
+        send = self.send_symbol
+        return tuple([send(sym) for sym in word])
 
     def observe(self):
         return self.transport.observe()

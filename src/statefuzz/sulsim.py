@@ -304,14 +304,20 @@ class ClusterHandle:
         while no reply is in flight the clock jumps straight to the next
         timer, or to the end of the advance if that comes first.  Every
         timer is set for a later tick than the one that sets it, so the
-        jump never goes backwards."""
-        out = []
+        jump never goes backwards.  An advance in which nothing happens,
+        such as most observation windows, is one jump."""
         events = self._events
         end = self.now + n
+        if not self._replies and (not events or events[0][0] > end):
+            if n > 0:  # nothing happens in the advance
+                self.now = end
+            return []
+        out = []
         while self.now < end:
-            if self._replies:
-                self.now += 1
-                out.extend((self.now, msg) for msg in self._replies)
+            replies = self._replies
+            if replies:
+                self.now = now = self.now + 1
+                out += [(now, msg) for msg in replies]
                 self._replies = []
             else:
                 self.now = min(end, events[0][0]) if events else end
@@ -371,23 +377,24 @@ class ClusterHandle:
         """
         if not isinstance(msg, ConcreteMessage):
             raise TypeError("deliver expects a ConcreteMessage")
+        sender, ts = msg.sender, msg.logical_ts
         if msg.cluster_id != self.cfg.cluster_id:
             self._reject(f"wrong cluster id {msg.cluster_id!r}")
             return
-        if not msg.sender or msg.sender in self._members:
-            self._reject(f"bad sender {msg.sender!r}")
+        if not sender or sender in self._members:
+            self._reject(f"bad sender {sender!r}")
             return
-        last = self._last_in_ts.get(msg.sender)
-        if last is not None and msg.logical_ts <= last:
-            self._reject(f"non-monotonic ts {msg.logical_ts} from {msg.sender}")
+        last = self._last_in_ts.get(sender)
+        if last is not None and ts <= last:
+            self._reject(f"non-monotonic ts {ts} from {sender}")
             return
-        self._last_in_ts[msg.sender] = msg.logical_ts
+        self._last_in_ts[sender] = ts
         try:
             sym = decode(msg, self._decode_cfg)
         except DecodeError as exc:
             self._reject(str(exc))
             return
-        self.dummy.address = msg.sender
+        self.dummy.address = sender
         self._react(msg, sym)
 
     def _reject(self, reason: str):
@@ -534,12 +541,7 @@ class ClusterHandle:
     def _emit_raw(self, msg_type: str, payload: dict):
         self._emit_ts += 1
         self._replies.append(ConcreteMessage(
-            cluster_id=self.cfg.cluster_id,
-            sender=self._host,
-            logical_ts=self._emit_ts,
-            msg_type=msg_type,
-            payload=payload,
-        ))
+            self.cfg.cluster_id, self._host, self._emit_ts, msg_type, payload))
 
     # -- observation -------------------------------------------------------
 

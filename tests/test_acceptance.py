@@ -24,8 +24,8 @@ Guarantees covered, one test each:
     zero findings.
 5.  Learn, fuzz, and replay produce byte-identical outputs across reruns
     with identical seeds, and 100 replays of a stored finding agree.  The
-    reference learn's transcript and machine also match what an earlier
-    build wrote.
+    reference learn's transcript and machine, and what one campaign against
+    every vulnerability writes, also match what an earlier build wrote.
 6.  Proxy guarantees hold over >= 1,000 randomized trials each: output
     words follow reply-tick order under adversarial receiver
     interleavings, keep-alive traffic never changes any output word, and a
@@ -373,6 +373,30 @@ def test_learn_artifacts_pinned_across_builds(tmp_path):
     assert (out / "machine.json").read_bytes() == REFERENCE_MACHINE.read_bytes()
     print("PASS pinned artifacts: learn --seed 1 transcript digest and "
           "machine.json match the earlier build", flush=True)
+
+
+# Recorded from an earlier build, as the learn pin above.  The campaign asks
+# 2,000 mutated words of the cluster with every vulnerability and writes
+# what the detector finds, so this pin reaches reply decoding on long,
+# repetitive words, the detector and the case files, where no learn pin goes.
+FUZZ_SEED7_OUTPUT_SHA256 = (
+    "9749993c8dc8dff3addf9c80fa5987f6625c579211be96a6b846c5c926543bc8")
+
+
+def test_fuzz_artifacts_pinned_across_builds(tmp_path, capsys):
+    out = tmp_path / "fuzz"
+    capsys.readouterr()
+    assert cli_main(["fuzz", str(REFERENCE_MACHINE), "--vulns", "all", "--seed", "7",
+                     "--budget", "2000", "--out-dir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    cases = sorted(out.glob("case-*.json"))
+    assert len(cases) == 1_228 and len(list(out.iterdir())) == 1_229
+    sink = hashlib.sha256(stdout.encode())
+    for path in [out / "report.json", *cases]:
+        sink.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert sink.hexdigest() == FUZZ_SEED7_OUTPUT_SHA256
+    print("PASS pinned artifacts: fuzz --vulns all --seed 7 writes the "
+          "earlier build's 1,229 files and stdout", flush=True)
 
 
 # ---------------------------------------------------------------------------

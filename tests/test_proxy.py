@@ -11,11 +11,14 @@ from statefuzz.alphabet import (
     ALIVE, APPROVED, BREQ, BRES, DEAD, KNOWN, NO_RESPONSE, PREQ, PRES, RAREQ,
     RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES, RVREQ, RVRES, REJECTED,
     TERM_CURRENT, TERM_HIGHER, UNKNOWN, AlphabetConfig, ConcreteMessage,
-    DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD,
-    enumerate_input_alphabet, symbol_label,
+    DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD, decode, encode,
+    enumerate_input_alphabet, is_keepalive, symbol_label, symbol_sort_key,
 )
+from statefuzz import proxy as proxy_module
 from statefuzz.proxy import ClusterProxy, SessionContext
-from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
+from statefuzz.sulsim import (
+    ALL_VULNERABILITIES, ClusterConfig, default_alphabet, spawn_cluster,
+)
 
 MEMBERS = ("n1", "n2", "n3", "n4")
 ACFG = AlphabetConfig(members=MEMBERS, self_id="dummy", cluster_id="sdwan")
@@ -253,3 +256,91 @@ class TestAgainstSimulator:
         assert proxy.resets == 2
         assert proxy.symbols_sent == 3
         assert proxy.ticks_advanced == 3 * 5
+
+
+class TestSilentWindows:
+    """Work counters of the in-process exchange, counted through wrappers:
+    a window in which nothing reaches the peer costs the proxy no decode and
+    no ``canonical_output``, every exchange moves the clock by exactly
+    ``window_ticks``, and a window of several replies is still ordered."""
+
+    def counted(self, monkeypatch, vulns=()):
+        """A proxy on a fresh cluster, the names of the proxy-side codec
+        calls it makes, and each exchange's clock advance and window."""
+        ccfg = ClusterConfig(vulnerabilities=frozenset(vulns))
+        handle = spawn_cluster(ccfg)
+        calls, windows = [], []
+        for name in ("decode", "canonical_output"):
+            def wrapper(*args, _name=name, _original=getattr(proxy_module, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(proxy_module, name, wrapper)
+        exchange = handle.exchange
+
+        def recording(msg):
+            start = handle.now
+            window = exchange(msg)
+            windows.append((handle.now - start, window))
+            return window
+
+        monkeypatch.setattr(handle, "exchange", recording)
+        return ClusterProxy(handle, default_alphabet(ccfg)), handle, calls, windows
+
+    @staticmethod
+    def words(acfg, count):
+        letters = enumerate_input_alphabet(acfg)
+        rng = random.Random(19)
+        return [[letter] for letter in letters] + [
+            [rng.choice(letters) for _ in range(rng.randint(2, 8))] for _ in range(count)]
+
+    def test_silent_exchange_makes_no_proxy_side_decode(self, monkeypatch):
+        proxy, handle, calls, windows = self.counted(monkeypatch)
+        silent = loud = 0
+        for word in self.words(proxy.cfg, 150):
+            proxy.reset_session()
+            for sym in word:
+                before = len(calls)
+                out = proxy.send_symbol(sym)
+                advance, window = windows[-1]
+                assert advance == handle.window_ticks
+                if window:
+                    loud += 1
+                    assert calls[before:] == ["decode"] * len(window) + ["canonical_output"]
+                else:
+                    silent += 1
+                    assert calls[before:] == [] and out == (NO_RESPONSE,)
+        assert silent > 2 * loud > 0
+
+    @pytest.mark.parametrize("vulns", [(), tuple(sorted(ALL_VULNERABILITIES))],
+                             ids=["hardened", "all"])
+    def test_every_exchange_advances_one_window(self, monkeypatch, vulns):
+        proxy, handle, _, windows = self.counted(monkeypatch, vulns)
+        handle.reset()
+        baseline = handle.now
+        for word in self.words(proxy.cfg, 150):
+            proxy.query(word)
+            assert handle.now == baseline + len(word) * handle.window_ticks
+        assert {advance for advance, _ in windows} == {handle.window_ticks}
+
+    def test_replies_of_one_window_are_ordered(self, monkeypatch):
+        proxy, handle, _, windows = self.counted(monkeypatch, ALL_VULNERABILITIES)
+        acfg = proxy.cfg
+        several = 0
+        for word in self.words(acfg, 300):
+            for out, (_, window) in zip(proxy.query(word), windows[-len(word):]):
+                events = [(tick, decode(msg, acfg)) for tick, msg in window]
+                kept = [(tick, sym) for tick, sym in events if not is_keepalive(sym, acfg)]
+                kept.sort(key=lambda e: (e[0], symbol_sort_key(e[1])))
+                assert out == (tuple(sym for _, sym in kept) or (NO_RESPONSE,))
+                several += len(kept) >= 2
+        assert several >= 10
+
+    def test_replies_emitted_out_of_order_come_back_sorted(self, monkeypatch):
+        proxy, handle, calls, _ = self.counted(monkeypatch)
+        proxy.reset_session()
+        # The vote is answered first, yet its reply sorts after the
+        # announcement's two, which reach the peer on the same tick.
+        handle.inject(encode(RVREQ_CUR, proxy.ctx))
+        out = proxy.send_symbol(PREQ_SELF)
+        assert [s.tag for s in out] == [PRES, BREQ, RVRES]
+        assert calls == ["decode"] * 3 + ["canonical_output"]

@@ -37,7 +37,7 @@ from statefuzz.sulsim import (
 )
 
 from test_acceptance import LEARN_SEED1_TRANSCRIPT_SHA256, REFERENCE_MACHINE
-from test_learner import LADDER_ALPHABET
+from test_learner import LADDER_ALPHABET, sim_query_fn
 
 WORKERS = (1, 2, 3)  # three is more workers than a 2-CPU host has
 ALL_VULNERABILITIES_TRANSCRIPT_SHA256 = (
@@ -153,6 +153,23 @@ class TestSameArtifacts:
         assert transcript == expected[0]
         assert oracle.trials == expected[1].trials
         assert result.machine.to_json() == expected[2].machine.to_json()
+
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_tree_that_numbers_letters_in_another_order(self, workers):
+        """The suite is built over the tables' letter indices and asked in
+        the tree's letter ids.  Where the two numberings differ, the same
+        words are asked: the same transcript, sessions and model."""
+        def run(first_seen):
+            transcript = io.StringIO()
+            oracle = MembershipOracle(sim_query_fn(), votes=1, transcript=transcript)
+            oracle.ids(first_seen)
+            with SuitePool(oracle, workers) if workers else contextlib.nullcontext() as pool:
+                result = lstar_learn(
+                    oracle, LADDER_ALPHABET,
+                    lambda m: wmethod_counterexample(m, oracle, depth=1, pool=pool))
+            return transcript.getvalue(), oracle.trials, result.machine.to_json()
+
+        assert run(tuple(reversed(LADDER_ALPHABET))) == run(LADDER_ALPHABET)
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,24 @@ turns each input symbol into one concrete message, delivers it through a
 transport, collects the reply window, and collapses it into a canonical
 output word.  Keep-alive traffic aimed at the controlled identity is
 answered politely in the background and never surfaces in output words, so
-query results depend only on protocol-relevant reactions.
+query results depend only on protocol-relevant reactions.  The proxy hands
+the transport every letter it can send before it needs an answer: the rest
+of the word, up to the first window in which anything reaches the peer.
 
 A transport is any object with:
 
 ``window_ticks``
-    Length, in virtual ticks, of the observation window that each
-    ``exchange`` runs.  Read after ``reset()``.
+    Length, in virtual ticks, of the observation window that follows each
+    delivered message.  Read after ``reset()``.
 ``reset() -> int``
     Put the cluster back into its converged baseline state and return the
     leader term of that fresh session.
-``exchange(msg) -> list[(tick, ConcreteMessage)]``
-    Deliver one message and return everything the cluster emitted during
-    the fixed observation window that follows it.
+``run(msgs) -> (delivered, [(tick, ConcreteMessage)])``
+    Deliver ``msgs`` (one or more) in turn, each followed by its
+    observation window, and stop after the first window in which anything
+    reached the peer.  Return how many messages were delivered and
+    everything the cluster emitted in the last window; every earlier window
+    was empty.
 ``observe() -> ClusterObservation``
     Read the cluster health snapshot without disturbing it.
 ``inject(msg)``
@@ -26,7 +31,10 @@ A transport is any object with:
 
 A simulated cluster handle (:class:`~statefuzz.sulsim.ClusterHandle`) is
 the in-process transport; :class:`TcpTransport` reaches one served by a
-:class:`ClusterServer`.
+:class:`ClusterServer`.  On the wire a run is one ``__deliver__`` request
+carrying ``{"frames": [...]}``, answered by ``{"delivered": n, "events":
+[[tick, frame], ...]}``.  Only the first ``reset()`` is a request of its
+own; a later one rides on the next request as ``"reset": true``.
 """
 from __future__ import annotations
 
@@ -63,6 +71,13 @@ class SessionContext:
     def next_ts(self) -> int:
         self._ts += 1
         return self._ts
+
+    def mark(self) -> tuple:
+        """The clock and ballot state, for :meth:`rewind`."""
+        return self._ts, self._last_sent_term
+
+    def rewind(self, mark: tuple):
+        self._ts, self._last_sent_term = mark
 
     def vote_term(self, kind: str) -> int:
         if kind == TERM_CURRENT:
@@ -105,25 +120,53 @@ class ClusterProxy:
         """Send one input symbol; return the canonical reaction word."""
         if self.ctx is None:
             self.reset_session()
-        msg = encode(sym, self.ctx)
-        self.symbols_sent += 1
-        transport = self.transport
-        window = transport.exchange(msg)
-        self.ticks_advanced += transport.window_ticks
-        if not window:
-            return _SILENT
-        keepalives = []
-        cfg = self.cfg
-        word = canonical_output([(ts, decode(m, cfg)) for ts, m in window], cfg, keepalives)
-        for reply_sym in keepalives:
-            self._answer_keepalive(reply_sym)
-        return word
+        return self._send((sym,))[0]
 
     def query(self, word) -> tuple:
         """Output words for every position of ``word``, from a fresh session."""
         self.reset_session()
-        send = self.send_symbol
-        return tuple([send(sym) for sym in word])
+        return tuple(self._send(word))
+
+    def _send(self, word) -> list:
+        """Send ``word`` in the current session; one output word per letter.
+
+        The transport runs the encoded letters up to the first window in
+        which anything reached the peer.  Keep-alive answers in that window
+        take the next timestamps, so the session context goes back to just
+        after the letter that drew them, and the letters after it are
+        encoded again once they are answered."""
+        ctx, cfg, transport = self.ctx, self.cfg, self.transport
+        mark, first = ctx.mark(), 0  # the context before ``word[first]``
+        msgs = [encode(sym, ctx) for sym in word]
+        out = [_SILENT] * len(msgs)
+        done = 0
+        try:
+            while msgs:
+                sent, window = transport.run(msgs)
+                done += sent
+                if not window:
+                    break
+                keepalives = []
+                out[done - 1] = canonical_output(
+                    [(ts, decode(m, cfg)) for ts, m in window], cfg, keepalives)
+                if not keepalives:
+                    msgs = msgs[sent:]
+                    continue
+                rest = word[done:]
+                if rest:
+                    # The rest was encoded before the answers.  Put the
+                    # context back to just after the letter that drew them.
+                    ctx.rewind(mark)
+                    for sym in word[first:done]:
+                        encode(sym, ctx)
+                for reply_sym in keepalives:
+                    self._answer_keepalive(reply_sym)
+                mark, first = ctx.mark(), done
+                msgs = [encode(sym, ctx) for sym in rest]
+        finally:  # a reply that does not decode still counts its letters
+            self.symbols_sent += done
+            self.ticks_advanced += done * transport.window_ticks
+        return out
 
     def observe(self):
         return self.transport.observe()
@@ -167,21 +210,31 @@ def _control(msg_type: str, payload: dict) -> ConcreteMessage:
 
 def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage) -> ConcreteMessage:
     """Run one control request on ``cluster``; return its one reply frame,
-    ``__done__`` or ``__error__``."""
+    ``__done__`` or ``__error__``.
+
+    A request whose payload holds ``"reset": true`` resets the cluster
+    before it is served, and its reply carries the fresh session's ``term``
+    and ``window_ticks`` as a reset's does.  Every frame of a deliver is
+    checked before the cluster sees any of them."""
     try:
-        kind = msg.msg_type
-        if kind == CTRL_RESET:
-            term = cluster.reset()
-            return _control(CTRL_DONE, {"window_ticks": cluster.window_ticks, "term": term})
+        kind, payload = msg.msg_type, msg.payload
+        if kind not in (CTRL_RESET, CTRL_DELIVER, CTRL_INJECT, CTRL_OBSERVE):
+            return _control(CTRL_ERROR, {"reason": f"unknown control type: {kind!r}"})
+        done = {}
+        if kind == CTRL_RESET or payload.get("reset") is True:
+            done = {"window_ticks": cluster.window_ticks, "term": cluster.reset()}
         if kind == CTRL_DELIVER:
-            events = cluster.exchange(message_from_wire(msg.payload.get("frame")))
-            return _control(CTRL_DONE, {"events": [[t, m.to_wire()] for t, m in events]})
-        if kind == CTRL_INJECT:
-            cluster.inject(message_from_wire(msg.payload.get("frame")))
-            return _control(CTRL_DONE, {})
-        if kind == CTRL_OBSERVE:
-            return _control(CTRL_DONE, {"observation": cluster.observe().to_dict()})
-        return _control(CTRL_ERROR, {"reason": f"unknown control type: {kind!r}"})
+            frames = payload.get("frames")
+            if not isinstance(frames, list) or not frames:
+                raise ValueError("deliver request carries no frame list")
+            delivered, window = cluster.run([message_from_wire(frame) for frame in frames])
+            done["delivered"] = delivered
+            done["events"] = [[t, m.to_wire()] for t, m in window]
+        elif kind == CTRL_INJECT:
+            cluster.inject(message_from_wire(payload.get("frame")))
+        elif kind == CTRL_OBSERVE:
+            done["observation"] = cluster.observe().to_dict()
+        return _control(CTRL_DONE, done)
     except Exception as exc:  # reported in-band; the connection stays usable
         return _control(CTRL_ERROR, {"reason": str(exc)})
 
@@ -261,10 +314,13 @@ class ClusterServer:
 class TcpTransport:
     """The transport contract over a socket to a :class:`ClusterServer`.
 
-    The server owns the virtual clock and runs the observation window; this
-    side only frames messages.  Each request gets exactly one reply frame.
-    ``reset()`` must be called before the first ``exchange()`` (the proxy
-    always does).
+    The server owns the virtual clock and runs the observation windows;
+    this side only frames messages.  Each request gets exactly one reply
+    frame.  ``reset()`` must be called before the first ``run()`` (the
+    proxy always does).  The first reset is a request of its own and sets
+    the baseline ``term`` and ``window_ticks``; a later one only marks a
+    reset as due, and the next request carries it (``close()`` sends it if
+    no request comes).
     """
 
     def __init__(self, address, timeout: float = 30.0):
@@ -275,10 +331,16 @@ class TcpTransport:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self.window_ticks: int | None = None
+        self._term: int | None = None  # the baseline term of a fresh session
+        self._reset_due = False
 
     def close(self):
-        self._rfile.close()
-        self._sock.close()
+        try:
+            if self._reset_due:
+                self._call(CTRL_RESET, {})
+        finally:
+            self._rfile.close()
+            self._sock.close()
 
     def __enter__(self) -> "TcpTransport":
         return self
@@ -287,40 +349,53 @@ class TcpTransport:
         self.close()
 
     def reset(self) -> int:
-        self._send(CTRL_RESET, {})
-        done = self._read()
-        window, term = done.get("window_ticks"), done.get("term")
-        if not _is_int(window) or window < 1:
-            raise TransportError("reset reply carries no positive integer window_ticks")
-        if not _is_int(term):
-            raise TransportError("reset reply carries no integer term")
-        self.window_ticks = window
-        return term
-
-    def exchange(self, msg: ConcreteMessage) -> list:
         if self.window_ticks is None:
-            raise TransportError("exchange before the first reset")
-        self._send(CTRL_DELIVER, {"frame": msg.to_wire()})
-        events = self._read().get("events")
+            self.window_ticks, self._term = _baseline(self._call(CTRL_RESET, {}))
+        else:
+            self._reset_due = True
+        return self._term
+
+    def run(self, msgs) -> tuple:
+        if self.window_ticks is None:
+            raise TransportError("run before the first reset")
+        done = self._call(CTRL_DELIVER, {"frames": [msg.to_wire() for msg in msgs]})
+        events, delivered = done.get("events"), done.get("delivered")
         if not isinstance(events, list):
             raise TransportError("reply carries no event list")
         if not all(isinstance(event, list) and len(event) == 2 for event in events):
             raise TransportError("reply event is not a [tick, frame] pair")
         if not all(_is_int(tick) for tick, _ in events):
             raise TransportError("reply event carries no integer tick")
-        return [(tick, message_from_wire(frame)) for tick, frame in events]
+        if not _is_int(delivered) or not 1 <= delivered <= len(msgs):
+            raise TransportError("reply carries no delivered count within the request")
+        if not events and delivered < len(msgs):
+            raise TransportError("run stopped after a silent window")
+        return delivered, [(tick, message_from_wire(frame)) for tick, frame in events]
 
     def inject(self, msg: ConcreteMessage):
-        self._send(CTRL_INJECT, {"frame": msg.to_wire()})
-        self._read()
+        self._call(CTRL_INJECT, {"frame": msg.to_wire()})
 
     def observe(self) -> ClusterObservation:
-        self._send(CTRL_OBSERVE, {})
-        done = self._read()
+        done = self._call(CTRL_OBSERVE, {})
         try:
             return ClusterObservation.from_dict(done["observation"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise TransportError(f"malformed observation reply: {exc!r}") from exc
+
+    def _call(self, msg_type: str, payload: dict) -> dict:
+        """One request, carrying the reset that is due; the payload of its
+        ``__done__`` reply.  A due reset rides on exactly one request, and a
+        failure of that reset surfaces from it."""
+        due = self._reset_due
+        if due:
+            payload["reset"] = True
+            self._reset_due = False
+        self._send(msg_type, payload)
+        done = self._read()
+        if due and _baseline(done) != (self.window_ticks, self._term):
+            raise TransportError("reset reply differs from the first reset's "
+                                 "window_ticks and term")
+        return done
 
     def _send(self, msg_type: str, payload: dict):
         try:
@@ -341,3 +416,13 @@ class TcpTransport:
         if msg.msg_type != CTRL_DONE:
             raise TransportError(f"unexpected frame type {msg.msg_type!r}")
         return msg.payload
+
+
+def _baseline(done: dict) -> tuple:
+    """``(window_ticks, term)`` of a reset's reply payload."""
+    window, term = done.get("window_ticks"), done.get("term")
+    if not _is_int(window) or window < 1:
+        raise TransportError("reset reply carries no positive integer window_ticks")
+    if not _is_int(term):
+        raise TransportError("reset reply carries no integer term")
+    return window, term

@@ -258,6 +258,18 @@ class ClusterHandle:
         self.deliver(msg)
         return self.tick(self.window_ticks)
 
+    def run(self, msgs) -> tuple:
+        """Exchange ``msgs`` (at least one) in turn, up to the first window
+        in which anything reached the external peer; return how many were
+        delivered and that last window."""
+        count = 0
+        for msg in msgs:
+            count += 1
+            window = self.exchange(msg)
+            if window:
+                return count, window
+        return count, window
+
     def inject(self, msg: ConcreteMessage):
         """Deliver ``msg`` without opening an observation window."""
         self.deliver(msg)

@@ -421,6 +421,8 @@ class WindowStub:
         self.position += 1
         return window
 
+    run = ClusterHandle.run  # one exchange at a time, as the simulator runs
+
     def observe(self):
         return type("Obs", (), {"term": 0})()
 

@@ -17,7 +17,8 @@ from statefuzz.alphabet import (
 from statefuzz import proxy as proxy_module
 from statefuzz.proxy import ClusterProxy, SessionContext
 from statefuzz.sulsim import (
-    ALL_VULNERABILITIES, ClusterConfig, default_alphabet, spawn_cluster,
+    ALL_VULNERABILITIES, ClusterConfig, ClusterHandle, default_alphabet,
+    spawn_cluster,
 )
 
 MEMBERS = ("n1", "n2", "n3", "n4")
@@ -48,6 +49,8 @@ class ScriptedTransport:
     def exchange(self, msg):
         self.sent.append(msg)
         return self.windows.pop(0) if self.windows else []
+
+    run = ClusterHandle.run  # one exchange at a time, as the simulator runs
 
     def inject(self, msg):
         self.injected.append(msg)
@@ -158,6 +161,29 @@ class TestKeeper:
         injected_ts = [m.logical_ts for m in transport.injected]
         assert injected_ts == sorted(injected_ts)
         assert all(ts > sent_ts for ts in injected_ts)
+
+    def test_letters_after_a_keepalive_window_follow_the_answers(self):
+        # The rest of the word was encoded before the keep-alives arrived;
+        # it is encoded again after the answers, from just after the letter
+        # that drew them, so no vote escalates twice.
+        proxy, transport = scripted_proxy([[], list(self.KEEPALIVE_WIN), [], []], term=3)
+        out = proxy.query([RVREQ_HI, RCOM_ADD, RVREQ_HI, RCONREQ_S])
+        assert [[s.tag for s in word] for word in out] == [
+            [NO_RESPONSE.tag], [RCOMRES], [NO_RESPONSE.tag], [NO_RESPONSE.tag]]
+        assert [m.logical_ts for m in transport.sent] == [1, 2, 5, 6]
+        assert [m.logical_ts for m in transport.injected] == [3, 4]
+        assert [m.payload["term"] for m in transport.sent if "term" in m.payload] == [4, 5]
+        assert proxy.symbols_sent == 4 and proxy.ticks_advanced == 4 * 5
+
+    def test_keepalives_on_the_last_letter_need_no_second_encoding(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(proxy_module, "encode",
+                            lambda sym, ctx, _encode=encode: calls.append(sym) or _encode(sym, ctx))
+        proxy, transport = scripted_proxy([[], list(self.KEEPALIVE_WIN)])
+        proxy.query([PREQ_N1, RCOM_ADD])
+        assert [m.logical_ts for m in transport.sent] == [1, 2]
+        assert [m.logical_ts for m in transport.injected] == [3, 4]
+        assert len(calls) == 2 + 2  # two letters, two answers
 
 
 class TestSessionCoupling:

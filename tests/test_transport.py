@@ -4,6 +4,8 @@ wire."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import random
 import socket
 import struct
@@ -13,21 +15,24 @@ import time
 import pytest
 
 from statefuzz.alphabet import (
-    KNOWN, PREQ, RVREQ, TERM_HIGHER, ConcreteMessage, NodeRef, Symbol, encode,
-    frame_encode, input_domains, read_frame,
+    KNOWN, NO_RESPONSE, PREQ, RVREQ, TERM_HIGHER, ConcreteMessage, NodeRef,
+    Symbol, encode, enumerate_input_alphabet, frame_encode, input_domains,
+    read_frame, word_to_obj,
 )
 from statefuzz.detector import Baseline, Detector
 from statefuzz.fuzzer import (
     MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE, MUT_SWAP_ARG, run_campaign,
 )
-from statefuzz.mealy import PrunePolicy
+from statefuzz.mealy import MealyMachine, PrunePolicy
 from statefuzz.proxy import (
     ClusterProxy, ClusterServer, SessionContext, TcpTransport, TransportError,
 )
 from statefuzz.sulsim import (
-    ERROR_TYPE, ClusterConfig, default_alphabet, spawn_cluster,
+    ALL_VULNERABILITIES, ERROR_TYPE, ClusterConfig, ClusterHandle,
+    SimulationError, default_alphabet, spawn_cluster,
 )
 
+from test_acceptance import REFERENCE_MACHINE
 from test_learner import LADDER_ALPHABET, expected_ladder_machine
 
 MEMBERS = ("n1", "n2", "n3", "n4")
@@ -90,6 +95,38 @@ BAD_FIELDS = [
 ]
 
 
+def record_requests(transport) -> list:
+    """``(verb, carries a reset)`` of each request ``transport`` sends from now on."""
+    requests = []
+    send = transport._send
+
+    def recording(kind, payload):
+        requests.append((kind, payload.get("reset", False)))
+        send(kind, payload)
+
+    transport._send = recording
+    return requests
+
+
+def reference_campaign(proxy, seed, cases):
+    """The campaign ``statefuzz fuzz`` runs on the reference model: its
+    ``report.json`` text and each case's output words."""
+    outputs = []
+    query = proxy.query
+
+    def recording(word):
+        outputs.append(query(word))
+        return outputs[-1]
+
+    proxy.query = recording
+    proxy.reset_session()
+    detector = Detector(Baseline.capture(proxy))
+    model = MealyMachine.from_json(REFERENCE_MACHINE.read_text(encoding="utf-8"))
+    report = run_campaign(proxy, model.prune(PrunePolicy()), detector, rng_seed=seed,
+                          max_cases=cases, domains=input_domains(proxy.cfg))
+    return report.to_json(), outputs
+
+
 def random_words(rng, count, max_len=5):
     return [
         tuple(rng.choice(LADDER_ALPHABET) for _ in range(rng.randint(1, max_len)))
@@ -143,14 +180,15 @@ class TestContract:
         with tcp_transport() as (transport, _):
             msg = ConcreteMessage("sdwan", "dummy", 1, "RaftConfigureRequest", {})
             with pytest.raises(TransportError):
-                transport.exchange(msg)
+                transport.run([msg])
 
     def test_rejected_input_surfaces_as_error_message(self):
         with tcp_transport() as (transport, _):
             transport.reset()
             bad = ConcreteMessage("wrong-cluster", "dummy", 1,
                                   "RaftConfigureRequest", {})
-            events = transport.exchange(bad)
+            delivered, events = transport.run([bad])
+            assert delivered == 1
             assert [m.msg_type for _, m in events] == [ERROR_TYPE]
 
     def test_unknown_control_type_reports_error_and_connection_survives(self):
@@ -164,7 +202,7 @@ class TestContract:
     def test_malformed_nested_frame_reports_error(self):
         with tcp_transport() as (transport, _):
             transport.reset()
-            transport._send("__deliver__", {"frame": {"nope": 1}})
+            transport._send("__deliver__", {"frames": [{"nope": 1}]})
             with pytest.raises(TransportError, match="missing keys"):
                 transport._read()
 
@@ -174,14 +212,20 @@ class TestContract:
         ({"events": [[1]]}, "not a \\[tick, frame\\] pair"),
         ({"events": [[True, {}]]}, "no integer tick"),
         ({"events": [["1", {}]]}, "no integer tick"),
+        ({"events": []}, "no delivered count"),
+        ({"events": [], "delivered": True}, "no delivered count"),
+        ({"events": [], "delivered": 0}, "no delivered count"),
+        ({"events": [], "delivered": 3}, "no delivered count"),
+        ({"events": [], "delivered": 1}, "stopped after a silent window"),
     ])
     def test_malformed_exchange_reply_raises_transport_error(self, done, reason):
         reset = ("__done__", {"window_ticks": 5, "term": 1})
         with scripted_server(reset, ("__done__", done)) as transport:
             transport.reset()
-            msg = ConcreteMessage("sdwan", "dummy", 1, "RaftConfigureRequest", {})
+            msgs = [ConcreteMessage("sdwan", "dummy", ts, "RaftConfigureRequest", {})
+                    for ts in (1, 2)]
             with pytest.raises(TransportError, match=reason):
-                transport.exchange(msg)
+                transport.run(msgs)
 
     @pytest.mark.parametrize("verb, done, reason", [
         ("reset", {}, "no positive integer window_ticks"),
@@ -269,7 +313,7 @@ class TestLatency:
             probe = Symbol(PREQ, (NodeRef("n1", KNOWN),))
             start = time.perf_counter()
             for _ in range(100):
-                assert transport.exchange(encode(probe, ctx)), "no reply frame"
+                assert transport.run([encode(probe, ctx)])[1], "no reply frame"
             assert time.perf_counter() - start < 2.0
 
 
@@ -312,10 +356,25 @@ class TestParity:
             assert transport.reset() == ctx.observed_leader_term
             for sym in LADDER_ALPHABET:
                 msg = encode(sym, ctx)
-                window = transport.exchange(msg)
-                assert window == local.exchange(msg), sym
+                delivered, window = transport.run([msg])
+                assert (delivered, window) == local.run([msg]), sym
                 windows.append(window)
         assert any(windows)
+
+    def test_runs_of_several_messages_match_in_process(self):
+        # A whole word at a time: each run stops at the same loud window.
+        local = spawn_cluster(cluster_config())
+        ctx = SessionContext("sdwan", "dummy", local.reset())
+        rest = [encode(sym, ctx) for sym in LADDER_ALPHABET * 2]
+        counts = []
+        with tcp_transport() as (transport, _):
+            transport.reset()
+            while rest:
+                delivered, window = transport.run(rest)
+                assert (delivered, window) == local.run(rest)
+                counts.append(delivered)
+                rest = rest[delivered:]
+        assert sum(counts) == 2 * len(LADDER_ALPHABET) and max(counts) > 1
 
 
 class TestCampaignOverSocket:
@@ -335,3 +394,158 @@ class TestCampaignOverSocket:
             remote_json = run(remote)
         assert remote_json == run(inproc_proxy(["clear_store"]))
         assert '"app-store-change"' in remote_json
+
+
+# Recorded from an earlier build: the output words of every case of the
+# 600-case ``--vulns all`` campaign at seed 7, which no fuzz artifact holds.
+VULNS_ALL_SEED7_OUTPUTS_SHA256 = (
+    "a298735a0e11cb9ce1c32d29672f4931558a2d50b137fd1b05d495a2b1c2e4cf")
+
+
+class TestKeepaliveParity:
+    def test_campaign_with_keepalives_matches_in_process(self, monkeypatch):
+        # Keep-alives that arrive before a word's last letter send the
+        # session context back and encode the rest of the word again.
+        rewinds = []
+        rewind = SessionContext.rewind
+
+        def counting(ctx, mark):
+            rewinds.append(mark)
+            rewind(ctx, mark)
+
+        monkeypatch.setattr(SessionContext, "rewind", counting)
+        vulns = sorted(ALL_VULNERABILITIES)
+        local = inproc_proxy(vulns)
+        local_report, local_outputs = reference_campaign(local, seed=7, cases=600)
+        local_rewinds = len(rewinds)
+        with tcp_proxy(vulns) as remote:
+            remote_report, remote_outputs = reference_campaign(remote, seed=7, cases=600)
+        assert len(remote_outputs) == len(local_outputs) == 600
+        for case, (got, want) in enumerate(zip(remote_outputs, local_outputs)):
+            assert got == want, case
+        blob = json.dumps([[word_to_obj(w) for w in outs] for outs in local_outputs],
+                          separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == VULNS_ALL_SEED7_OUTPUTS_SHA256
+        assert remote.keepalives_answered == local.keepalives_answered == 1_122
+        assert remote.symbols_sent == local.symbols_sent
+        assert remote.ticks_advanced == local.ticks_advanced
+        assert remote_report == local_report
+        assert len(rewinds) == 2 * local_rewinds > 0
+
+
+class TestRequestCounts:
+    """Noise-free gates on the number of requests a session costs."""
+
+    def test_hardened_campaign_makes_at_most_1200_requests(self):
+        with tcp_proxy() as remote:
+            requests = record_requests(remote.transport)
+            remote_report, _ = reference_campaign(remote, seed=1, cases=400)
+        assert len(requests) <= 1_200
+        assert remote_report == reference_campaign(inproc_proxy(), seed=1, cases=400)[0]
+
+    def test_silent_word_after_the_first_session_costs_one_request(self):
+        cfg = cluster_config()
+        letters = [sym for sym in enumerate_input_alphabet(default_alphabet(cfg))
+                   if inproc_proxy().query([sym]) == ((NO_RESPONSE,),)]
+        word = tuple(letters[:6])
+        assert len(word) == 6 and inproc_proxy().query(word) == ((NO_RESPONSE,),) * 6
+        with tcp_proxy() as remote:
+            remote.query(word)
+            requests = record_requests(remote.transport)
+            for _ in range(3):
+                assert remote.query(word) == ((NO_RESPONSE,),) * 6
+            assert requests == [("__deliver__", True)] * 3
+
+    def test_each_loud_window_before_the_last_letter_costs_one_request(self):
+        # The hardened cluster sends no keep-alives, so a window is loud
+        # exactly when its output word is not NoResponse.
+        rng = random.Random(23)
+        letters = enumerate_input_alphabet(default_alphabet(cluster_config()))
+        words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+                 for _ in range(200)]
+        local = inproc_proxy()
+        with tcp_proxy() as remote:
+            remote.query(words[0])
+            requests = record_requests(remote.transport)
+            loud_before_last = []
+            for word in words:
+                before = len(requests)
+                outputs = remote.query(word)
+                assert outputs == local.query(word)
+                loud = sum(out != (NO_RESPONSE,) for out in outputs[:-1])
+                assert len(requests) - before == loud + 1, word
+                loud_before_last.append(loud)
+        assert max(loud_before_last) >= 3 and loud_before_last.count(0) >= 10
+
+
+class TestDeferredReset:
+    def test_later_reset_rides_on_the_next_request(self):
+        with tcp_transport() as (transport, cfg):
+            requests = record_requests(transport)
+            term = transport.reset()
+            assert transport.reset() == term and transport.reset() == term
+            assert requests == [("__reset__", False)]
+            transport.observe()
+            transport.observe()
+            assert requests[1:] == [("__observe__", True), ("__observe__", False)]
+            assert transport.window_ticks == cfg.heartbeat_threshold
+
+    @pytest.mark.parametrize("reply, reason", [
+        ({"window_ticks": 5, "term": 2}, "differs from the first reset"),
+        ({"window_ticks": 6, "term": 1}, "differs from the first reset"),
+        ({"window_ticks": 5}, "no integer term"),
+        ({"window_ticks": 5, "term": True}, "no integer term"),
+    ], ids=["term", "window", "no-term", "bool-term"])
+    def test_piggybacked_reset_reply_must_match_the_baseline(self, reply, reason):
+        first = ("__done__", {"window_ticks": 5, "term": 1})
+        done = {"observation": OBSERVATION, **reply}
+        with scripted_server(first, ("__done__", done)) as transport:
+            assert transport.reset() == 1
+            assert transport.reset() == 1
+            with pytest.raises(TransportError, match=reason):
+                transport.observe()
+
+    def test_error_on_piggybacked_reset_surfaces_from_the_call_that_carried_it(self):
+        class FailingSecondReset(ClusterHandle):
+            resets = 0
+
+            def reset(self):
+                self.resets += 1
+                if self.resets == 2:
+                    raise SimulationError("reset refused")
+                return super().reset()
+
+        cfg = cluster_config()
+        word = LADDER_ALPHABET[:2]
+        with ClusterServer(FailingSecondReset(cfg)) as srv, \
+                TcpTransport(srv.address) as transport:
+            proxy = ClusterProxy(transport, default_alphabet(cfg))
+            proxy.query(word)  # the first reset, its own request
+            proxy.reset_session()  # due, nothing sent
+            with pytest.raises(TransportError, match="reset refused"):
+                proxy.query(word)
+            # The failed reset rode on that request; the next one resets.
+            assert proxy.query(word) == inproc_proxy().query(word)
+
+    def test_close_sends_a_reset_still_due(self):
+        cfg = cluster_config(["seize_leader"])
+        fresh = spawn_cluster(cfg).observe()
+        seize = [Symbol(RVREQ, (NodeRef("n1", KNOWN), TERM_HIGHER))]
+        with ClusterServer(spawn_cluster(cfg)) as srv:
+            with TcpTransport(srv.address) as first:
+                ClusterProxy(first, default_alphabet(cfg)).query(seize)
+                assert first.observe().term > fresh.term
+                assert first.reset() == fresh.term  # due when the client closes
+            with TcpTransport(srv.address) as second:
+                assert second.observe() == fresh
+
+    def test_deliver_checks_every_frame_before_delivering_any(self):
+        with tcp_transport() as (transport, cfg):
+            ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
+            probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx)
+            transport._send("__deliver__", {"frames": [probe.to_wire(), {"nope": 1}]})
+            with pytest.raises(TransportError, match="missing keys"):
+                transport._read()
+            # Had the probe been delivered, its timestamp would now be stale.
+            delivered, window = transport.run([probe])
+            assert delivered == 1 and [m.msg_type for _, m in window] == ["ProbeResponse"]

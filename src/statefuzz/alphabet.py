@@ -67,6 +67,12 @@ WIRE_TYPES = {
     RARES: "RaftAppendResponse",
 }
 
+# The tags a cluster sends as keep-alives, which the peer must answer:
+# liveness probes and replication heartbeats.  ``is_keepalive`` reads the
+# tags, and a transport run stops after any window holding their wire types.
+KEEPALIVE_TAGS = frozenset((PREQ, RAREQ))
+KEEPALIVE_WIRE_TYPES = frozenset(WIRE_TYPES[tag] for tag in KEEPALIVE_TAGS)
+
 KNOWN = "known"
 UNKNOWN = "unknown"
 ALIVE = "alive"
@@ -300,9 +306,10 @@ def symbol_label(sym: Symbol) -> str:
 def is_keepalive(sym: Symbol, cfg: AlphabetConfig) -> bool:
     """Keep-alive traffic: liveness probes aimed at ourselves and bare
     replication heartbeats."""
-    if sym.tag == PREQ and sym.params and sym.params[0].id == cfg.self_id:
-        return True
-    return sym.tag == RAREQ
+    tag = sym.tag
+    if tag == PREQ:
+        return bool(sym.params) and sym.params[0].id == cfg.self_id
+    return tag in KEEPALIVE_TAGS
 
 
 def canonical_output(events, cfg: AlphabetConfig,

@@ -6,8 +6,8 @@ transport, collects the reply window, and collapses it into a canonical
 output word.  Keep-alive traffic aimed at the controlled identity is
 answered politely in the background and never surfaces in output words, so
 query results depend only on protocol-relevant reactions.  The proxy hands
-the transport every letter it can send before it needs an answer: the rest
-of the word, up to the first window in which anything reaches the peer.
+the transport every letter it can send before it may need to answer: the
+rest of the word, up to the first window that holds a keep-alive.
 
 A transport is any object with:
 
@@ -17,24 +17,28 @@ A transport is any object with:
 ``reset() -> int``
     Put the cluster back into its converged baseline state and return the
     leader term of that fresh session.
-``run(msgs) -> (delivered, [(tick, ConcreteMessage)])``
+``run(msgs) -> (delivered, [(index, [(tick, ConcreteMessage)])])``
     Deliver ``msgs`` (one or more) in turn, each followed by its
-    observation window, and stop after the first window in which anything
-    reached the peer.  Return how many messages were delivered and
-    everything the cluster emitted in the last window; every earlier window
-    was empty.
+    observation window, and stop after the first window that holds a
+    keep-alive wire type (``KEEPALIVE_WIRE_TYPES``), since the peer may
+    have to answer it before the next message.  Return how many messages
+    were delivered and, in order, every window in which anything reached
+    the peer, each with the index in ``msgs`` of the message it followed.
+    Windows that are not listed were empty.
 ``observe() -> ClusterObservation``
     Read the cluster health snapshot without disturbing it.
 ``inject(msg)``
-    Deliver a message without opening an observation window; used for
-    keeper replies to keep-alive probes.
+    Deliver a message without opening an observation window, before the
+    next ``run`` or ``observe``; used for keeper replies to keep-alive
+    probes.  A ``reset()`` in between may drop it.
 
 A simulated cluster handle (:class:`~statefuzz.sulsim.ClusterHandle`) is
 the in-process transport; :class:`TcpTransport` reaches one served by a
 :class:`ClusterServer`.  On the wire a run is one ``__deliver__`` request
 carrying ``{"frames": [...]}``, answered by ``{"delivered": n, "events":
-[[tick, frame], ...]}``.  Only the first ``reset()`` is a request of its
-own; a later one rides on the next request as ``"reset": true``.
+[[index, tick, frame], ...]}``.  Only the first ``reset()`` is a request of
+its own; a later one rides on the next request as ``"reset": true``, and
+injected messages ride on the next one as ``"inject": [frame, ...]``.
 """
 from __future__ import annotations
 
@@ -44,10 +48,10 @@ import threading
 from dataclasses import dataclass, field
 
 from .alphabet import (
-    ALIVE, NO_RESPONSE, PREQ, PRES, RAREQ, RARES, AlphabetConfig,
-    ConcreteMessage, FrameError, OutputWord, Symbol, TERM_CURRENT, _is_int,
-    canonical_output, decode, encode, frame_encode, message_from_wire,
-    read_frame,
+    ALIVE, KEEPALIVE_WIRE_TYPES, NO_RESPONSE, PREQ, PRES, RAREQ, RARES,
+    AlphabetConfig, ConcreteMessage, FrameError, OutputWord, Symbol,
+    TERM_CURRENT, _is_int, canonical_output, decode, encode, frame_encode,
+    message_from_wire, read_frame,
 )
 from .sulsim import ClusterHandle, ClusterObservation
 
@@ -130,43 +134,47 @@ class ClusterProxy:
     def _send(self, word) -> list:
         """Send ``word`` in the current session; one output word per letter.
 
-        The transport runs the encoded letters up to the first window in
-        which anything reached the peer.  Keep-alive answers in that window
-        take the next timestamps, so the session context goes back to just
-        after the letter that drew them, and the letters after it are
-        encoded again once they are answered."""
-        ctx, cfg, transport = self.ctx, self.cfg, self.transport
-        mark, first = ctx.mark(), 0  # the context before ``word[first]``
-        msgs = [encode(sym, ctx) for sym in word]
+        The transport runs the encoded letters up to the first window that
+        holds a keep-alive wire type.  Keep-alive answers take the next
+        timestamps, so the session context goes back to its mark just after
+        the letter that drew them, and the letters after it are encoded
+        again once they are answered."""
+        cfg, transport = self.cfg, self.transport
+        msgs, marks = self._encode(word)
         out = [_SILENT] * len(msgs)
-        done = 0
+        base = done = 0  # ``msgs[0]`` is ``word[base]``
         try:
             while msgs:
-                sent, window = transport.run(msgs)
-                done += sent
-                if not window:
-                    break
+                sent, windows = transport.run(msgs)
                 keepalives = []
-                out[done - 1] = canonical_output(
-                    [(ts, decode(m, cfg)) for ts, m in window], cfg, keepalives)
-                if not keepalives:
-                    msgs = msgs[sent:]
-                    continue
-                rest = word[done:]
-                if rest:
-                    # The rest was encoded before the answers.  Put the
-                    # context back to just after the letter that drew them.
-                    ctx.rewind(mark)
-                    for sym in word[first:done]:
-                        encode(sym, ctx)
-                for reply_sym in keepalives:
-                    self._answer_keepalive(reply_sym)
-                mark, first = ctx.mark(), done
-                msgs = [encode(sym, ctx) for sym in rest]
-        finally:  # a reply that does not decode still counts its letters
+                for index, window in windows:
+                    done = base + index + 1
+                    out[done - 1] = canonical_output(
+                        [(ts, decode(m, cfg)) for ts, m in window], cfg, keepalives)
+                done = base + sent
+                if keepalives:  # from the last window: the run stopped there
+                    self.ctx.rewind(marks[sent - 1])
+                    for reply_sym in keepalives:
+                        self._answer_keepalive(reply_sym)
+                    msgs, marks = self._encode(word[done:])
+                elif sent < len(msgs):
+                    msgs, marks = msgs[sent:], marks[sent:]
+                else:
+                    break
+                base = done
+        finally:  # a reply that does not decode counts letters through its window
             self.symbols_sent += done
             self.ticks_advanced += done * transport.window_ticks
         return out
+
+    def _encode(self, word) -> tuple:
+        """The messages of ``word``, and the session context just after each."""
+        ctx = self.ctx
+        msgs, marks = [], []
+        for sym in word:
+            msgs.append(encode(sym, ctx))
+            marks.append(ctx.mark())
+        return msgs, marks
 
     def observe(self):
         return self.transport.observe()
@@ -214,8 +222,10 @@ def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage) -> ConcreteMess
 
     A request whose payload holds ``"reset": true`` resets the cluster
     before it is served, and its reply carries the fresh session's ``term``
-    and ``window_ticks`` as a reset's does.  Every frame of a deliver is
-    checked before the cluster sees any of them."""
+    and ``window_ticks`` as a reset's does.  The frames of ``"inject":
+    [frame, ...]`` are injected next, and then the request is served; an
+    ``__inject__`` is nothing else.  Every frame of a request is checked
+    before the cluster sees any of them."""
     try:
         kind, payload = msg.msg_type, msg.payload
         if kind not in (CTRL_RESET, CTRL_DELIVER, CTRL_INJECT, CTRL_OBSERVE):
@@ -223,20 +233,29 @@ def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage) -> ConcreteMess
         done = {}
         if kind == CTRL_RESET or payload.get("reset") is True:
             done = {"window_ticks": cluster.window_ticks, "term": cluster.reset()}
-        if kind == CTRL_DELIVER:
-            frames = payload.get("frames")
-            if not isinstance(frames, list) or not frames:
-                raise ValueError("deliver request carries no frame list")
-            delivered, window = cluster.run([message_from_wire(frame) for frame in frames])
-            done["delivered"] = delivered
-            done["events"] = [[t, m.to_wire()] for t, m in window]
-        elif kind == CTRL_INJECT:
-            cluster.inject(message_from_wire(payload.get("frame")))
+        injects = _frames(payload, "inject", kind == CTRL_INJECT)
+        msgs = _frames(payload, "frames", True) if kind == CTRL_DELIVER else ()
+        for inject in injects:
+            cluster.inject(inject)
+        if msgs:
+            done["delivered"], windows = cluster.run(msgs)
+            done["events"] = [[index, t, m.to_wire()]
+                              for index, window in windows for t, m in window]
         elif kind == CTRL_OBSERVE:
             done["observation"] = cluster.observe().to_dict()
         return _control(CTRL_DONE, done)
     except Exception as exc:  # reported in-band; the connection stays usable
         return _control(CTRL_ERROR, {"reason": str(exc)})
+
+
+def _frames(payload: dict, key: str, required: bool) -> list:
+    """The messages of the frame list ``payload[key]``, each one checked."""
+    frames = payload.get(key)
+    if frames is None and not required:
+        return []
+    if not isinstance(frames, list) or not frames:
+        raise ValueError(f"request carries no {key!r} list of frames")
+    return [message_from_wire(frame) for frame in frames]
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):
@@ -315,12 +334,16 @@ class TcpTransport:
     """The transport contract over a socket to a :class:`ClusterServer`.
 
     The server owns the virtual clock and runs the observation windows;
-    this side only frames messages.  Each request gets exactly one reply
-    frame.  ``reset()`` must be called before the first ``run()`` (the
-    proxy always does).  The first reset is a request of its own and sets
-    the baseline ``term`` and ``window_ticks``; a later one only marks a
-    reset as due, and the next request carries it (``close()`` sends it if
-    no request comes).
+    this side only frames messages and checks the replies.  Each request
+    gets exactly one reply frame, and a ``run()`` is one request however
+    many loud windows it passes through.  ``reset()`` must be called before
+    the first ``run()`` (the proxy always does).  The first reset is a
+    request of its own and sets the baseline ``term`` and
+    ``window_ticks``; a later one only marks a reset as due, and the next
+    request carries it.  ``inject()`` queues its message, and the next
+    ``run()`` or ``observe()`` carries the queue; a reset that comes due
+    drops it, as the reset overwrites all that the messages could change.
+    ``close()`` sends a reset or queue that no request has carried.
     """
 
     def __init__(self, address, timeout: float = 30.0):
@@ -333,11 +356,14 @@ class TcpTransport:
         self.window_ticks: int | None = None
         self._term: int | None = None  # the baseline term of a fresh session
         self._reset_due = False
+        self._injects = []  # wire frames for the next request to carry
 
     def close(self):
         try:
             if self._reset_due:
                 self._call(CTRL_RESET, {})
+            elif self._injects:
+                self._call(CTRL_INJECT, {})
         finally:
             self._rfile.close()
             self._sock.close()
@@ -349,6 +375,7 @@ class TcpTransport:
         self.close()
 
     def reset(self) -> int:
+        self._injects = []
         if self.window_ticks is None:
             self.window_ticks, self._term = _baseline(self._call(CTRL_RESET, {}))
         else:
@@ -362,18 +389,31 @@ class TcpTransport:
         events, delivered = done.get("events"), done.get("delivered")
         if not isinstance(events, list):
             raise TransportError("reply carries no event list")
-        if not all(isinstance(event, list) and len(event) == 2 for event in events):
-            raise TransportError("reply event is not a [tick, frame] pair")
-        if not all(_is_int(tick) for tick, _ in events):
-            raise TransportError("reply event carries no integer tick")
+        if not all(isinstance(event, list) and len(event) == 3 for event in events):
+            raise TransportError("reply event is not an [index, tick, frame] triple")
+        if not all(_is_int(index) and _is_int(tick) for index, tick, _ in events):
+            raise TransportError("reply event carries no integer index and tick")
         if not _is_int(delivered) or not 1 <= delivered <= len(msgs):
             raise TransportError("reply carries no delivered count within the request")
-        if not events and delivered < len(msgs):
-            raise TransportError("run stopped after a silent window")
-        return delivered, [(tick, message_from_wire(frame)) for tick, frame in events]
+        windows, last = [], None
+        for index, tick, frame in events:
+            if index != last:
+                if not (0 if last is None else last + 1) <= index < delivered:
+                    raise TransportError("reply event indices are not ascending "
+                                         "and below the delivered count")
+                windows.append((index, []))
+                last = index
+            windows[-1][1].append((tick, message_from_wire(frame)))
+        stop = next((index for index, window in windows
+                     if any(m.msg_type in KEEPALIVE_WIRE_TYPES for _, m in window)), None)
+        if stop is not None and stop != delivered - 1:
+            raise TransportError("run went on after a keep-alive window")
+        if stop is None and delivered < len(msgs):
+            raise TransportError("run stopped after a window without a keep-alive")
+        return delivered, windows
 
     def inject(self, msg: ConcreteMessage):
-        self._call(CTRL_INJECT, {"frame": msg.to_wire()})
+        self._injects.append(msg.to_wire())
 
     def observe(self) -> ClusterObservation:
         done = self._call(CTRL_OBSERVE, {})
@@ -383,13 +423,16 @@ class TcpTransport:
             raise TransportError(f"malformed observation reply: {exc!r}") from exc
 
     def _call(self, msg_type: str, payload: dict) -> dict:
-        """One request, carrying the reset that is due; the payload of its
-        ``__done__`` reply.  A due reset rides on exactly one request, and a
-        failure of that reset surfaces from it."""
+        """One request, carrying the reset that is due and the queued
+        injects; the payload of its ``__done__`` reply.  Each rides on
+        exactly one request, and a failure of it surfaces from that one."""
         due = self._reset_due
         if due:
             payload["reset"] = True
             self._reset_due = False
+        if self._injects:
+            payload["inject"] = self._injects
+            self._injects = []
         self._send(msg_type, payload)
         done = self._read()
         if due and _baseline(done) != (self.window_ticks, self._term):

@@ -35,8 +35,8 @@ from .alphabet import (
     ALIVE, BREQ, BRES, DATA_APP, DATA_TOPO, DEAD, OP_ADD, OP_REMOVE, PREQ,
     PRES, RAREQ, RARES, RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES,
     RVREQ, RVRES, APPROVED, REJECTED, AlphabetConfig, ConcreteMessage,
-    ConfigError, DecodeError, Symbol, WIRE_TYPES, _is_int, _is_list, _is_str,
-    decode,
+    ConfigError, DecodeError, KEEPALIVE_WIRE_TYPES, Symbol, WIRE_TYPES, _is_int,
+    _is_list, _is_str, decode,
 )
 
 VULN_UNAUTH_JOIN = "unauth_join"
@@ -260,15 +260,19 @@ class ClusterHandle:
 
     def run(self, msgs) -> tuple:
         """Exchange ``msgs`` (at least one) in turn, up to the first window
-        in which anything reached the external peer; return how many were
-        delivered and that last window."""
-        count = 0
-        for msg in msgs:
-            count += 1
+        that holds a keep-alive wire type, which the peer may have to
+        answer before the next message.  Return how many were delivered and
+        ``[(index, window)]`` for every window in which anything reached the
+        external peer, ``index`` being its message's position in ``msgs``."""
+        loud = []
+        for index, msg in enumerate(msgs):
             window = self.exchange(msg)
             if window:
-                return count, window
-        return count, window
+                loud.append((index, window))
+                for _, sent in window:
+                    if sent.msg_type in KEEPALIVE_WIRE_TYPES:
+                        return index + 1, loud
+        return len(msgs), loud
 
     def inject(self, msg: ConcreteMessage):
         """Deliver ``msg`` without opening an observation window."""

@@ -9,9 +9,9 @@ import pytest
 
 from statefuzz.alphabet import (
     ALIVE, APPROVED, BREQ, BRES, DEAD, KNOWN, NO_RESPONSE, PREQ, PRES, RAREQ,
-    RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES, RVREQ, RVRES, REJECTED,
-    TERM_CURRENT, TERM_HIGHER, UNKNOWN, AlphabetConfig, ConcreteMessage,
-    DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD, decode, encode,
+    RARES, RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES, RVREQ, RVRES,
+    REJECTED, TERM_CURRENT, TERM_HIGHER, UNKNOWN, AlphabetConfig,
+    ConcreteMessage, DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD, decode, encode,
     enumerate_input_alphabet, is_keepalive, symbol_label, symbol_sort_key,
 )
 from statefuzz import proxy as proxy_module
@@ -127,6 +127,15 @@ class TestWindowCanonicalization:
         with pytest.raises(DecodeError):
             proxy.send_symbol(PREQ_N1)
 
+    def test_undecodable_window_counts_letters_through_it(self):
+        # The run goes on past a window that does not decode, so the target
+        # has seen the later letters; the counters stop at that window.
+        proxy, transport = scripted_proxy([[], [wire("Bogus", {}, 1)], [], []])
+        with pytest.raises(DecodeError):
+            proxy.query([PREQ_N1, RCONREQ_S, BREQ_FULL, RCONREQ_S])
+        assert len(transport.sent) == 4
+        assert proxy.symbols_sent == 2 and proxy.ticks_advanced == 2 * 5
+
     def test_query_returns_one_word_per_position(self):
         proxy, transport = scripted_proxy([[], [], []])
         out = proxy.query([PREQ_N1, RCONREQ_S, BREQ_FULL])
@@ -184,6 +193,42 @@ class TestKeeper:
         assert [m.logical_ts for m in transport.sent] == [1, 2]
         assert [m.logical_ts for m in transport.injected] == [3, 4]
         assert len(calls) == 2 + 2  # two letters, two answers
+
+    def test_letters_before_a_keepalive_window_are_encoded_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(proxy_module, "encode",
+                            lambda sym, ctx, _encode=encode: calls.append(sym) or _encode(sym, ctx))
+        loud = [wire("RaftConfigureResponse", {}, 1)]
+        proxy, transport = scripted_proxy(
+            [loud, [], list(self.KEEPALIVE_WIN), [], []], term=3)
+        word = [RVREQ_HI, RCONREQ_S, RVREQ_HI, RVREQ_HI, PREQ_N1]
+        out = proxy.query(word)
+        assert [[s.tag for s in w] for w in out] == [
+            [RCONRES], [NO_RESPONSE.tag], [RCOMRES], [NO_RESPONSE.tag], [NO_RESPONSE.tag]]
+        # Five letters, two answers, and the two letters after the window.
+        assert calls[:5] == word and calls[7:] == word[3:]
+        assert [sym.tag for sym in calls[5:7]] == [PRES, RARES]
+        assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 6, 7]
+        assert [m.payload["term"] for m in transport.sent if "term" in m.payload] == [4, 5, 6]
+
+    def test_probe_for_another_member_ends_a_run_without_a_rewind(self, monkeypatch):
+        rewinds = []
+        monkeypatch.setattr(SessionContext, "rewind", lambda ctx, mark: rewinds.append(mark))
+        probe_n2 = [wire("ProbeRequest", {"target": "n2"}, 1)]
+        proxy, transport = scripted_proxy([[], probe_n2, [], []])
+        runs = []
+        run = transport.run
+
+        def counting(msgs):
+            runs.append(len(msgs))
+            return run(msgs)
+
+        transport.run = counting
+        out = proxy.query([PREQ_N1, RCONREQ_S, BREQ_FULL, RCONREQ_S])
+        assert runs == [4, 2]  # the probe's window ends the first run
+        assert rewinds == [] and transport.injected == [] and proxy.keepalives_answered == 0
+        assert out[1] == (Symbol(PREQ, (NodeRef("n2", KNOWN),)),)
+        assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 4]
 
 
 class TestSessionCoupling:

@@ -95,6 +95,15 @@ BAD_FIELDS = [
 ]
 
 
+SCRIPTED_RESET = ("__done__", {"window_ticks": 5, "term": 1})
+SCRIPTED_RUN = [ConcreteMessage("sdwan", "dummy", ts, "RaftConfigureRequest", {})
+                for ts in (1, 2, 3)]
+RESPONSE_FRAME = ConcreteMessage("sdwan", "n1", 1, "RaftConfigureResponse", {}).to_wire()
+PROBE_N2_FRAME = ConcreteMessage("sdwan", "n1", 2, "ProbeRequest", {"target": "n2"}).to_wire()
+HEARTBEAT_FRAME = ConcreteMessage(
+    "sdwan", "n1", 3, "RaftAppendRequest", {"term": 1, "entries": []}).to_wire()
+
+
 def record_requests(transport) -> list:
     """``(verb, carries a reset)`` of each request ``transport`` sends from now on."""
     requests = []
@@ -167,7 +176,7 @@ class TestContract:
 
             proxy.transport._send = recording_send
             proxy.query(LADDER_ALPHABET[:2])
-        assert verbs == ["__reset__", "__deliver__", "__deliver__"]
+        assert verbs == ["__reset__", "__deliver__"]
 
     def test_refused_connection_raises_transport_error(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -187,9 +196,10 @@ class TestContract:
             transport.reset()
             bad = ConcreteMessage("wrong-cluster", "dummy", 1,
                                   "RaftConfigureRequest", {})
-            delivered, events = transport.run([bad])
+            delivered, windows = transport.run([bad])
             assert delivered == 1
-            assert [m.msg_type for _, m in events] == [ERROR_TYPE]
+            assert [(index, [m.msg_type for _, m in window])
+                    for index, window in windows] == [(0, [ERROR_TYPE])]
 
     def test_unknown_control_type_reports_error_and_connection_survives(self):
         with tcp_transport() as (transport, cfg):
@@ -209,23 +219,78 @@ class TestContract:
     @pytest.mark.parametrize("done, reason", [
         ({}, "no event list"),
         ({"events": {"1": []}}, "no event list"),
-        ({"events": [[1]]}, "not a \\[tick, frame\\] pair"),
-        ({"events": [[True, {}]]}, "no integer tick"),
-        ({"events": [["1", {}]]}, "no integer tick"),
+        ({"events": [[1]]}, "not an \\[index, tick, frame\\] triple"),
+        ({"events": [[1, {}]]}, "not an \\[index, tick, frame\\] triple"),
+        ({"events": [[0, True, {}]]}, "no integer index and tick"),
+        ({"events": [[0, "1", {}]]}, "no integer index and tick"),
         ({"events": []}, "no delivered count"),
         ({"events": [], "delivered": True}, "no delivered count"),
         ({"events": [], "delivered": 0}, "no delivered count"),
-        ({"events": [], "delivered": 3}, "no delivered count"),
-        ({"events": [], "delivered": 1}, "stopped after a silent window"),
+        ({"events": [], "delivered": 4}, "no delivered count"),
+        ({"events": [], "delivered": 1}, "stopped after a window without a keep-alive"),
     ])
     def test_malformed_exchange_reply_raises_transport_error(self, done, reason):
-        reset = ("__done__", {"window_ticks": 5, "term": 1})
-        with scripted_server(reset, ("__done__", done)) as transport:
+        with scripted_server(SCRIPTED_RESET, ("__done__", done)) as transport:
             transport.reset()
-            msgs = [ConcreteMessage("sdwan", "dummy", ts, "RaftConfigureRequest", {})
-                    for ts in (1, 2)]
             with pytest.raises(TransportError, match=reason):
-                transport.run(msgs)
+                transport.run(SCRIPTED_RUN)
+
+    @pytest.mark.parametrize("indices, delivered", [
+        ([None], 3), ([True], 3), ([0.0], 3), (["0"], 3),
+        ([1, 0], 3), ([0, 2, 1], 3),
+        ([-1], 3), ([1], 1), ([0, 2], 2), ([3], 3),
+    ], ids=["none", "bool", "float", "string", "descending", "back",
+            "negative", "at-delivered", "past-delivered", "past-run"])
+    def test_reply_index_must_be_an_ascending_integer_below_delivered(
+            self, indices, delivered):
+        events = [[index, 4, RESPONSE_FRAME] for index in indices]
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": events, "delivered": delivered})) \
+                as transport:
+            transport.reset()
+            with pytest.raises(TransportError, match="integer index|indices are not"):
+                transport.run(SCRIPTED_RUN)
+
+    def test_indices_of_one_window_may_repeat(self):
+        events = [[0, 4, RESPONSE_FRAME], [0, 5, RESPONSE_FRAME], [2, 14, RESPONSE_FRAME]]
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": events, "delivered": 3})) as transport:
+            transport.reset()
+            delivered, windows = transport.run(SCRIPTED_RUN)
+        assert delivered == 3
+        assert [(index, [tick for tick, _ in window]) for index, window in windows] == [
+            (0, [4, 5]), (2, [14])]
+
+    @pytest.mark.parametrize("events, delivered", [
+        ([[0, 4, RESPONSE_FRAME]], 1),
+        ([[0, 4, RESPONSE_FRAME]], 2),
+        ([[0, 4, PROBE_N2_FRAME], [1, 9, RESPONSE_FRAME]], 2),
+    ], ids=["loud", "silent-last", "keepalive-earlier"])
+    def test_run_that_stops_early_needs_a_keepalive_window_last(self, events, delivered):
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": events, "delivered": delivered})) \
+                as transport:
+            transport.reset()
+            with pytest.raises(TransportError, match="without a keep-alive|went on after"):
+                transport.run(SCRIPTED_RUN)
+
+    @pytest.mark.parametrize("frame", [PROBE_N2_FRAME, HEARTBEAT_FRAME],
+                             ids=["probe", "heartbeat"])
+    def test_run_may_stop_after_any_keepalive_wire_type(self, frame):
+        events = [[0, 4, RESPONSE_FRAME], [1, 9, RESPONSE_FRAME], [1, 9, frame]]
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": events, "delivered": 2})) as transport:
+            transport.reset()
+            delivered, windows = transport.run(SCRIPTED_RUN)
+        assert delivered == 2 and [index for index, _ in windows] == [0, 1]
+
+    def test_keepalive_window_after_the_run_went_on_is_rejected(self):
+        events = [[0, 4, HEARTBEAT_FRAME], [2, 14, RESPONSE_FRAME]]
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": events, "delivered": 3})) as transport:
+            transport.reset()
+            with pytest.raises(TransportError, match="went on after a keep-alive window"):
+                transport.run(SCRIPTED_RUN)
 
     @pytest.mark.parametrize("verb, done, reason", [
         ("reset", {}, "no positive integer window_ticks"),
@@ -362,19 +427,21 @@ class TestParity:
         assert any(windows)
 
     def test_runs_of_several_messages_match_in_process(self):
-        # A whole word at a time: each run stops at the same loud window.
-        local = spawn_cluster(cluster_config())
+        # A whole word at a time: each run stops at the same keep-alive window.
+        vulns = sorted(ALL_VULNERABILITIES)
+        local = spawn_cluster(cluster_config(vulns))
         ctx = SessionContext("sdwan", "dummy", local.reset())
         rest = [encode(sym, ctx) for sym in LADDER_ALPHABET * 2]
         counts = []
-        with tcp_transport() as (transport, _):
+        with tcp_transport(vulns) as (transport, _):
             transport.reset()
             while rest:
                 delivered, window = transport.run(rest)
                 assert (delivered, window) == local.run(rest)
                 counts.append(delivered)
                 rest = rest[delivered:]
-        assert sum(counts) == 2 * len(LADDER_ALPHABET) and max(counts) > 1
+        assert sum(counts) == 2 * len(LADDER_ALPHABET)
+        assert max(counts) > 1 and len(counts) > 1
 
 
 class TestCampaignOverSocket:
@@ -436,11 +503,11 @@ class TestKeepaliveParity:
 class TestRequestCounts:
     """Noise-free gates on the number of requests a session costs."""
 
-    def test_hardened_campaign_makes_at_most_1200_requests(self):
+    def test_hardened_campaign_makes_at_most_720_requests(self):
         with tcp_proxy() as remote:
             requests = record_requests(remote.transport)
             remote_report, _ = reference_campaign(remote, seed=1, cases=400)
-        assert len(requests) <= 1_200
+        assert len(requests) <= 720
         assert remote_report == reference_campaign(inproc_proxy(), seed=1, cases=400)[0]
 
     def test_silent_word_after_the_first_session_costs_one_request(self):
@@ -456,26 +523,172 @@ class TestRequestCounts:
                 assert remote.query(word) == ((NO_RESPONSE,),) * 6
             assert requests == [("__deliver__", True)] * 3
 
-    def test_each_loud_window_before_the_last_letter_costs_one_request(self):
-        # The hardened cluster sends no keep-alives, so a window is loud
-        # exactly when its output word is not NoResponse.
+    def test_each_keepalive_window_before_the_last_letter_costs_one_request(self):
+        # Counted in process: a window that holds a keep-alive wire type
+        # ends a run, so each one before a word's last letter costs a request.
+        vulns = sorted(ALL_VULNERABILITIES)
         rng = random.Random(23)
-        letters = enumerate_input_alphabet(default_alphabet(cluster_config()))
+        letters = enumerate_input_alphabet(default_alphabet(cluster_config(vulns)))
         words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
                  for _ in range(200)]
-        local = inproc_proxy()
-        with tcp_proxy() as remote:
+        local = inproc_proxy(vulns)
+        windows = []
+        exchange = local.transport.exchange
+
+        def recording(msg):
+            windows.append(exchange(msg))
+            return windows[-1]
+
+        local.transport.exchange = recording
+        with tcp_proxy(vulns) as remote:
             remote.query(words[0])
             requests = record_requests(remote.transport)
-            loud_before_last = []
+            stops_before_last = []
             for word in words:
                 before = len(requests)
-                outputs = remote.query(word)
-                assert outputs == local.query(word)
-                loud = sum(out != (NO_RESPONSE,) for out in outputs[:-1])
-                assert len(requests) - before == loud + 1, word
-                loud_before_last.append(loud)
-        assert max(loud_before_last) >= 3 and loud_before_last.count(0) >= 10
+                del windows[:]
+                assert remote.query(word) == local.query(word)
+                stops = sum(any(m.msg_type in ("ProbeRequest", "RaftAppendRequest")
+                                for _, m in window) for window in windows[:-1])
+                assert len(requests) - before == stops + 1, word
+                stops_before_last.append(stops)
+        assert max(stops_before_last) >= 3 and stops_before_last.count(0) >= 10
+
+    def test_keepalive_campaign_makes_at_most_1500_requests(self):
+        vulns = sorted(ALL_VULNERABILITIES)
+        with tcp_proxy(vulns) as remote:
+            requests = record_requests(remote.transport)
+            remote_report, _ = reference_campaign(remote, seed=7, cases=600)
+            assert remote.keepalives_answered == 1_122
+        assert len(requests) <= 1_500
+        assert ("__inject__", False) not in requests
+
+
+class LoggingCluster(ClusterHandle):
+    """A cluster that logs each reset, inject, exchange and observe."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.log = []
+
+    def reset(self):
+        self.log.append(("reset",))
+        return super().reset()
+
+    def inject(self, msg):
+        self.log.append(("inject", msg.msg_type, msg.logical_ts))
+        super().inject(msg)
+
+    def exchange(self, msg):
+        self.log.append(("exchange", msg.msg_type, msg.logical_ts))
+        return super().exchange(msg)
+
+    def observe(self):
+        self.log.append(("observe",))
+        return super().observe()
+
+
+@contextlib.contextmanager
+def logged_tcp_proxy(vulns):
+    """A proxy over TCP to a served :class:`LoggingCluster`, the cluster,
+    and the payload of each request the proxy sends from now on."""
+    cfg = cluster_config(vulns)
+    cluster = LoggingCluster(cfg)
+    payloads = []
+    with ClusterServer(cluster) as srv, TcpTransport(srv.address) as transport:
+        send = transport._send
+        transport._send = lambda kind, payload: (
+            payloads.append((kind, dict(payload))), send(kind, payload))
+        yield ClusterProxy(transport, default_alphabet(cfg)), cluster, payloads
+
+
+class TestQueuedInjects:
+    """Keep-alive answers ride on the next request, as a due reset does."""
+
+    JOIN = LADDER_ALPHABET[2:4]  # its last window holds keep-alives on an open cluster
+
+    def test_answers_ride_on_the_next_request(self):
+        with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
+            remote.query(self.JOIN)
+            answered = remote.keepalives_answered
+            assert answered > 0 and [kind for kind, _ in payloads] == [
+                "__reset__", "__deliver__"]
+            assert ("inject",) not in {entry[:1] for entry in cluster.log}
+            observation = remote.observe()
+            kind, payload = payloads[-1]
+            assert kind == "__observe__" and len(payload["inject"]) == answered
+            assert [entry[0] for entry in cluster.log[-answered - 1:]] == \
+                ["inject"] * answered + ["observe"]
+        local = inproc_proxy(["unauth_join"])
+        local.query(self.JOIN)
+        assert observation == local.observe()
+
+    def test_a_due_reset_drops_the_queue(self):
+        with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
+            remote.query(self.JOIN)
+            remote.reset_session()
+            remote.observe()
+            assert payloads[-1] == ("__observe__", {"reset": True})
+            assert cluster.log[-3:] == [
+                ("exchange", "RaftJoinRequest", 2), ("reset",), ("observe",)]
+
+    def test_close_sends_what_is_still_queued(self):
+        with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
+            remote.query(self.JOIN)
+            answered = remote.keepalives_answered
+            remote.transport.close()
+            assert payloads[-1][0] == "__inject__"
+            assert [entry[0] for entry in cluster.log[-answered:]] == ["inject"] * answered
+
+    def test_the_served_cluster_sees_what_it_sees_in_process(self):
+        # The same words, cluster-side: equal logs, except that over TCP an
+        # answer that a reset would overwrite is never sent.
+        vulns = sorted(ALL_VULNERABILITIES)
+        rng = random.Random(5)
+        letters = enumerate_input_alphabet(default_alphabet(cluster_config(vulns)))
+        words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+                 for _ in range(100)]
+        cfg = cluster_config(vulns)
+        local_cluster = LoggingCluster(cfg)
+        local = ClusterProxy(local_cluster, default_alphabet(cfg))
+        with logged_tcp_proxy(vulns) as (remote, cluster, payloads):
+            for proxy in (local, remote):
+                for word in words:
+                    proxy.query(word)
+                    if len(word) % 3 == 0:
+                        proxy.observe()
+            assert remote.keepalives_answered == local.keepalives_answered > 0
+        expected = []
+        for entry in local_cluster.log:
+            if entry == ("reset",):
+                while expected and expected[-1][0] == "inject":
+                    expected.pop()
+            expected.append(entry)
+        assert cluster.log == expected
+        assert len(expected) < len(local_cluster.log)
+
+    @pytest.mark.parametrize("bad", ["inject", "frames"])
+    def test_one_malformed_frame_delivers_nothing(self, bad):
+        cfg = cluster_config()
+        cluster = LoggingCluster(cfg)
+        with ClusterServer(cluster) as srv, TcpTransport(srv.address) as transport:
+            ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
+            probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx).to_wire()
+            payload = {"frames": [probe], "inject": [probe]}
+            payload[bad] = [probe, {"nope": 1}]
+            transport._send("__deliver__", payload)
+            with pytest.raises(TransportError, match="missing keys"):
+                transport._read()
+            assert cluster.log == [("reset",)]
+
+    @pytest.mark.parametrize("payload", [{}, {"inject": []}, {"inject": {"a": 1}}],
+                             ids=["none", "empty", "not-a-list"])
+    def test_inject_request_needs_a_frame_list(self, payload):
+        with tcp_transport() as (transport, _):
+            transport.reset()
+            transport._send("__inject__", payload)
+            with pytest.raises(TransportError, match="no 'inject' list of frames"):
+                transport._read()
 
 
 class TestDeferredReset:
@@ -547,5 +760,7 @@ class TestDeferredReset:
             with pytest.raises(TransportError, match="missing keys"):
                 transport._read()
             # Had the probe been delivered, its timestamp would now be stale.
-            delivered, window = transport.run([probe])
-            assert delivered == 1 and [m.msg_type for _, m in window] == ["ProbeResponse"]
+            delivered, windows = transport.run([probe])
+            assert delivered == 1
+            assert [(index, [m.msg_type for _, m in window])
+                    for index, window in windows] == [(0, ["ProbeResponse"])]

@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy
 import pytest
 
+from statefuzz import learner
 from statefuzz.alphabet import (
     APPROVED, BREQ, BRES, DATA_APP, DATA_TOPO, DEAD, KNOWN, NO_RESPONSE,
     OP_ADD, OP_REMOVE, PREQ, PRES, RCOMREQ, RCOMRES, RCONREQ, RCONRES,
@@ -373,6 +374,27 @@ def test_learn_artifacts_pinned_across_builds(tmp_path):
     assert (out / "machine.json").read_bytes() == REFERENCE_MACHINE.read_bytes()
     print("PASS pinned artifacts: learn --seed 1 transcript digest and "
           "machine.json match the earlier build", flush=True)
+
+
+def test_reference_learn_tree_keeps_a_dict_only_where_it_branches(tmp_path, monkeypatch):
+    # The tree's layout as counts, which do not drift as RSS readings do:
+    # one dict for each of the 575 branching nodes of the reference learn's
+    # tree, and none for its 19,571 nodes with one child or 7,411 leaves.
+    trees = []
+    learn = learner.lstar_learn
+
+    def recording(oracle, *args, **kwargs):
+        trees.append(oracle.tree)
+        return learn(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(learner, "lstar_learn", recording)
+    assert cli_main(["learn", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    (tree,) = trees
+    assert len(tree) == 27_557
+    fanout = [len(tree.children(node)) for node in range(len(tree))]
+    branching = {node for node, n in enumerate(fanout) if n > 1}
+    assert (len(branching), fanout.count(1), fanout.count(0)) == (575, 19_571, 7_411)
+    assert sorted(tree._branches) == sorted(branching)
 
 
 # Recorded from an earlier build, as the learn pin above.  The campaign asks

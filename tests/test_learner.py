@@ -12,6 +12,8 @@ import sys
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statefuzz.alphabet import (
     ALIVE, DEAD, KNOWN, NO_RESPONSE, UNKNOWN, BREQ, BRES, PREQ, PRES, RCONREQ,
@@ -362,6 +364,147 @@ class TestObservationTree:
         with pytest.raises(ValueError):
             lstar_learn(MembershipOracle(lambda w: (), votes=1), (),
                         lambda hyp: None)
+
+
+class DictTree:
+    """The plain trie the tree's layout must agree with: one dict of
+    children per node, in insertion order, and outputs compared by value."""
+
+    def __init__(self):
+        self.kids = [{}]
+        self.out = [None]
+
+    def lookup(self, ids):
+        node, outputs = 0, []
+        for a in ids:
+            node = self.kids[node].get(a)
+            if node is None:
+                return None
+            outputs.append(self.out[node])
+        return tuple(outputs)
+
+    def conflict(self, ids, outcome):
+        """The length of the shortest stored prefix that ``outcome``
+        contradicts, or ``None``."""
+        node = 0
+        for depth, (a, output) in enumerate(zip(ids, outcome), 1):
+            node = self.kids[node].get(a)
+            if node is None:
+                return None
+            if self.out[node] != output:
+                return depth
+        return None
+
+    def insert(self, ids, outcome):
+        node = 0
+        for a, output in zip(ids, outcome):
+            child = self.kids[node].get(a)
+            if child is None:
+                child = self.kids[node][a] = len(self.out)
+                self.kids.append({})
+                self.out.append(output)
+            node = child
+
+    def witness(self, p, q):
+        level = [(p, q, ())]
+        while level:
+            deeper = []
+            for p, q, word in level:
+                for a, pc in self.kids[p].items():
+                    qc = self.kids[q].get(a)
+                    if qc is None:
+                        continue
+                    if self.out[pc] != self.out[qc]:
+                        return word + (a,)
+                    deeper.append((pc, qc, word + (a,)))
+            level = deeper
+        return None
+
+
+TREE_LETTERS = 4
+
+
+def letter_tree():
+    """An empty tree whose letter ids are the letters ``0 .. TREE_LETTERS-1``."""
+    tree = ObservationTree()
+    assert tree._ids(range(TREE_LETTERS)) == tuple(range(TREE_LETTERS))
+    return tree
+
+
+@st.composite
+def tree_inputs(draw):
+    """Words over ``TREE_LETTERS`` letters, each with the outputs of a small
+    random machine, some of them with one output replaced by one the machine
+    never gives, so that they may contradict what the tree holds."""
+    states = draw(st.integers(1, 3))
+    table = st.tuples(st.integers(0, states - 1), st.sampled_from("xy"))
+    rows = draw(st.lists(st.lists(table, min_size=TREE_LETTERS, max_size=TREE_LETTERS),
+                         min_size=states, max_size=states))
+    entries = []
+    for word in draw(st.lists(st.lists(st.integers(0, TREE_LETTERS - 1), max_size=7),
+                              max_size=30)):
+        state, outcome = 0, []
+        for a in word:
+            state, output = rows[state][a]
+            outcome.append((output,))  # a new object each time, equal by value
+        if word and draw(st.booleans()):
+            outcome[draw(st.integers(0, len(word) - 1))] = ("z",)
+        entries.append((tuple(word), tuple(outcome)))
+    return entries
+
+
+class TestTreeLayout:
+    """The tree keeps a node's one child in two arrays and a dict only where
+    it branches; what it answers must be what a dict per node answers."""
+
+    @given(tree_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_a_dict_per_node(self, entries):
+        tree, ref = letter_tree(), DictTree()
+        for ids, outcome in entries:
+            depth = ref.conflict(ids, outcome)
+            size = len(tree)
+            if depth is None:
+                assert tree._insert(ids, outcome) == outcome
+                ref.insert(ids, outcome)
+            else:
+                with pytest.raises(NondeterminismError) as err:
+                    tree._insert(ids, outcome)
+                assert err.value.word == ids[:depth]
+                assert len(tree) == size
+        assert len(tree) == len(ref.out)
+        for node, kids in enumerate(ref.kids):
+            assert list(tree.children(node)) == list(kids.items())
+            for a in range(TREE_LETTERS + 1):
+                assert tree.child(node, a) == kids.get(a)
+        for ids, _ in entries:
+            for word in (ids, ids + (0,), ids[:-1] + (TREE_LETTERS,)):
+                assert tree._lookup(word) == ref.lookup(word)
+        nodes = range(min(len(tree), 40))
+        for p, q in itertools.product(nodes, nodes):
+            assert tree._witness(p, q) == ref.witness(p, q)
+
+    def test_a_contradiction_stores_nothing_below_one_child_or_a_branch(self):
+        x, y, z = ("x",), ("y",), ("z",)
+        tree = letter_tree()
+        tree._insert((0, 1), (x, y))  # node 1 has one child
+        tree._insert((2,), (x,))      # the root branches
+        held = [list(tree.children(node)) for node in range(len(tree))]
+        for ids, outcome in [((0, 1, 3), (x, z, x)), ((2, 0), (y, x))]:
+            with pytest.raises(NondeterminismError) as err:
+                tree._insert(ids, outcome)
+            assert err.value.word == ids[:len(ids) - 1]
+            assert [list(tree.children(node)) for node in range(len(tree))] == held
+        assert held == [[(0, 1), (2, 3)], [(1, 2)], [], []]
+
+    def test_a_missing_child_is_none_at_a_leaf_one_child_and_a_branch(self):
+        tree = letter_tree()
+        tree._insert((0, 1), (("x",), ("y",)))
+        tree._insert((2,), (("x",),))
+        assert tree.child(2, 0) is None  # a leaf
+        assert tree.child(1, 1) == 2 and tree.child(1, 0) is None  # one child
+        assert tree.child(0, 2) == 3 and tree.child(0, 1) is None  # branches
+        assert tree._lookup((0, 0)) is None and tree._lookup((1,)) is None
 
 
 # ---------------------------------------------------------------------------

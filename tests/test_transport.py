@@ -401,15 +401,18 @@ class TestParity:
                 assert remote.query(word) == local.query(word)
 
     def test_keeper_replies_flow_through_inject(self):
-        # The announce probe draws keep-alive traffic that the keeper must
-        # answer across the socket exactly as it does in process.
-        announce = LADDER_ALPHABET[:1]
+        # A boot then a join draws keep-alive traffic that the keeper must
+        # answer across the socket exactly as it does in process.  No single
+        # letter draws any, so a one-letter word would compare 0 with 0.
+        join = LADDER_ALPHABET[2:4]
         local = inproc_proxy(["unauth_join"])
-        outputs_local = local.query(announce)
+        outputs_local = local.query(join)
+        assert local.keepalives_answered == 2
         with tcp_proxy(["unauth_join"]) as remote:
-            outputs_remote = remote.query(announce)
+            outputs_remote = remote.query(join)
             assert outputs_remote == outputs_local
             assert remote.keepalives_answered == local.keepalives_answered
+            assert remote.observe() == local.observe()
 
     def test_exchange_windows_match_in_process(self):
         # The same messages, sent to a served handle and to a local one,

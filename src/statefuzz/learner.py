@@ -169,7 +169,8 @@ class ObservationTree:
     largest learns the tree takes about a seventh of the memory a dict per
     node would.  The slots are 64-bit, so the layout caps neither the
     alphabet nor the node count.  :meth:`child` and :meth:`children` read
-    the layout for the learner.
+    the layout for the learner and for :meth:`_witness`; :meth:`_find` and
+    :meth:`_insert` are the only other code that reads or writes it.
     """
 
     def __init__(self):
@@ -284,45 +285,18 @@ class ObservationTree:
         when some word answered from both gets different outputs.  Of the
         shortest, the first in the insertion order of ``p``'s children,
         level by level."""
-        one_letter, one_child, out = self._one_letter, self._one_child, self._out
+        out = self._out
         level = [(p, q, ())]
         while level:
             deeper = []
             for p, q, word in level:
-                a = one_letter[p]
-                if a >= 0:
-                    qa = one_letter[q]
-                    if qa == a:
-                        pc, qc = one_child[p], one_child[q]
-                    elif qa == _BRANCH:
-                        pc, qc = one_child[p], self._branches[q].get(a)
-                        if qc is None:
-                            continue
-                    else:
-                        continue  # q is a leaf or has another one child
-                elif a == _LEAF:
-                    continue
-                else:
-                    qa = one_letter[q]
-                    if qa >= 0:  # one letter is shared at most
-                        a, pc, qc = qa, self._branches[p].get(qa), one_child[q]
-                        if pc is None:
-                            continue
-                    elif qa == _LEAF:
+                for a, pc in self.children(p):
+                    qc = self.child(q, a)
+                    if qc is None:
                         continue
-                    else:
-                        qk = self._branches[q]
-                        for a, pc in self._branches[p].items():
-                            qc = qk.get(a)
-                            if qc is None:
-                                continue
-                            if out[pc] is not out[qc]:
-                                return word + (a,)
-                            deeper.append((pc, qc, word + (a,)))
-                        continue
-                if out[pc] is not out[qc]:
-                    return word + (a,)
-                deeper.append((pc, qc, word + (a,)))
+                    if out[pc] is not out[qc]:
+                        return word + (a,)
+                    deeper.append((pc, qc, word + (a,)))
             level = deeper
         return None
 
@@ -864,7 +838,7 @@ class _Worker:
         try:
             self.sock.sendall(data)
         except OSError as exc:
-            raise TransportError(f"suite worker {self.pid} is gone: {exc}") from exc
+            raise TransportError(f"suite worker {self.pid} exited") from exc
 
     def receive(self):
         try:

@@ -6,8 +6,9 @@ transport, collects the reply window, and collapses it into a canonical
 output word.  Keep-alive traffic aimed at the controlled identity is
 answered politely in the background and never surfaces in output words, so
 query results depend only on protocol-relevant reactions.  The proxy hands
-the transport every letter it can send before it may need to answer: the
-rest of the word, up to the first window that holds a keep-alive.
+the transport the rest of the word, encoded only as the transport takes
+it, and the transport sends it up to the first window that holds a
+keep-alive, which the proxy may need to answer.
 
 A transport is any object with:
 
@@ -18,13 +19,19 @@ A transport is any object with:
     Put the cluster back into its converged baseline state and return the
     leader term of that fresh session.
 ``run(msgs) -> (delivered, [(index, [(tick, ConcreteMessage)])])``
-    Deliver ``msgs`` (one or more) in turn, each followed by its
-    observation window, and stop after the first window that holds a
-    keep-alive wire type (``KEEPALIVE_WIRE_TYPES``), since the peer may
-    have to answer it before the next message.  Return how many messages
-    were delivered and, in order, every window in which anything reached
-    the peer, each with the index in ``msgs`` of the message it followed.
-    Windows that are not listed were empty.
+    Take messages from the iterable ``msgs`` (one or more) and deliver them
+    in turn, each followed by its observation window, and stop after the
+    first window that holds a keep-alive wire type
+    (``KEEPALIVE_WIRE_TYPES``), since the peer may have to answer it before
+    the next message.  Return how many messages were delivered and, in
+    order, every window in which anything reached the peer, each with the
+    index in ``msgs`` of the message it followed.  Windows that are not
+    listed were empty.  A transport takes as many messages as it delivers,
+    or more: the simulator takes each one as it delivers it, the TCP
+    transport takes them all for one request.  Each message takes a
+    timestamp of the session as it is encoded, so the proxy puts its
+    session context back only when the transport took more than it
+    delivered.
 ``observe() -> ClusterObservation``
     Read the cluster health snapshot without disturbing it.
 ``inject(msg)``
@@ -46,10 +53,11 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .alphabet import (
     ALIVE, KEEPALIVE_WIRE_TYPES, NO_RESPONSE, PREQ, PRES, RAREQ, RARES,
-    AlphabetConfig, ConcreteMessage, FrameError, OutputWord, Symbol,
+    AlphabetConfig, ConcreteMessage, FrameError, Symbol,
     TERM_CURRENT, _is_int, canonical_output, decode, encode, frame_encode,
     message_from_wire, read_frame,
 )
@@ -120,12 +128,6 @@ class ClusterProxy:
         self.ctx = SessionContext(self.cfg.cluster_id, self.cfg.self_id, term)
         self.resets += 1
 
-    def send_symbol(self, sym: Symbol) -> OutputWord:
-        """Send one input symbol; return the canonical reaction word."""
-        if self.ctx is None:
-            self.reset_session()
-        return self._send((sym,))[0]
-
     def query(self, word) -> tuple:
         """Output words for every position of ``word``, from a fresh session."""
         self.reset_session()
@@ -134,47 +136,35 @@ class ClusterProxy:
     def _send(self, word) -> list:
         """Send ``word`` in the current session; one output word per letter.
 
-        The transport runs the encoded letters up to the first window that
-        holds a keep-alive wire type.  Keep-alive answers take the next
-        timestamps, so the session context goes back to its mark just after
-        the letter that drew them, and the letters after it are encoded
-        again once they are answered."""
-        cfg, transport = self.cfg, self.transport
-        msgs, marks = self._encode(word)
-        out = [_SILENT] * len(msgs)
-        base = done = 0  # ``msgs[0]`` is ``word[base]``
+        The transport takes the rest of the word as it is encoded and runs it
+        up to the first window that holds a keep-alive wire type.  Each
+        ``encode`` takes one timestamp, so a clock past ``mark + sent`` shows
+        that the transport took letters it did not deliver: the context goes
+        back to the mark and the delivered letters are encoded again, so the
+        keep-alive answers take the timestamps just after them."""
+        cfg, ctx, transport = self.cfg, self.ctx, self.transport
+        out = [_SILENT] * len(word)
+        done = counted = 0
         try:
-            while msgs:
-                sent, windows = transport.run(msgs)
+            while done < len(word):
+                mark = ctx.mark()
+                sent, windows = transport.run(map(encode, word[done:], repeat(ctx)))
                 keepalives = []
                 for index, window in windows:
-                    done = base + index + 1
-                    out[done - 1] = canonical_output(
+                    counted = done + index + 1
+                    out[counted - 1] = canonical_output(
                         [(ts, decode(m, cfg)) for ts, m in window], cfg, keepalives)
-                done = base + sent
-                if keepalives:  # from the last window: the run stopped there
-                    self.ctx.rewind(marks[sent - 1])
-                    for reply_sym in keepalives:
-                        self._answer_keepalive(reply_sym)
-                    msgs, marks = self._encode(word[done:])
-                elif sent < len(msgs):
-                    msgs, marks = msgs[sent:], marks[sent:]
-                else:
-                    break
-                base = done
+                if ctx.mark()[0] > mark[0] + sent:
+                    ctx.rewind(mark)
+                    for sym in word[done:done + sent]:
+                        encode(sym, ctx)
+                done = counted = done + sent
+                for reply_sym in keepalives:  # from the last window: the run stopped there
+                    self._answer_keepalive(reply_sym)
         finally:  # a reply that does not decode counts letters through its window
-            self.symbols_sent += done
-            self.ticks_advanced += done * transport.window_ticks
+            self.symbols_sent += counted
+            self.ticks_advanced += counted * transport.window_ticks
         return out
-
-    def _encode(self, word) -> tuple:
-        """The messages of ``word``, and the session context just after each."""
-        ctx = self.ctx
-        msgs, marks = [], []
-        for sym in word:
-            msgs.append(encode(sym, ctx))
-            marks.append(ctx.mark())
-        return msgs, marks
 
     def observe(self):
         return self.transport.observe()
@@ -385,7 +375,8 @@ class TcpTransport:
     def run(self, msgs) -> tuple:
         if self.window_ticks is None:
             raise TransportError("run before the first reset")
-        done = self._call(CTRL_DELIVER, {"frames": [msg.to_wire() for msg in msgs]})
+        frames = [msg.to_wire() for msg in msgs]
+        done = self._call(CTRL_DELIVER, {"frames": frames})
         events, delivered = done.get("events"), done.get("delivered")
         if not isinstance(events, list):
             raise TransportError("reply carries no event list")
@@ -393,7 +384,7 @@ class TcpTransport:
             raise TransportError("reply event is not an [index, tick, frame] triple")
         if not all(_is_int(index) and _is_int(tick) for index, tick, _ in events):
             raise TransportError("reply event carries no integer index and tick")
-        if not _is_int(delivered) or not 1 <= delivered <= len(msgs):
+        if not _is_int(delivered) or not 1 <= delivered <= len(frames):
             raise TransportError("reply carries no delivered count within the request")
         windows, last = [], None
         for index, tick, frame in events:
@@ -408,7 +399,7 @@ class TcpTransport:
                      if any(m.msg_type in KEEPALIVE_WIRE_TYPES for _, m in window)), None)
         if stop is not None and stop != delivered - 1:
             raise TransportError("run went on after a keep-alive window")
-        if stop is None and delivered < len(msgs):
+        if stop is None and delivered < len(frames):
             raise TransportError("run stopped after a window without a keep-alive")
         return delivered, windows
 

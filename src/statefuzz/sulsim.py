@@ -259,12 +259,15 @@ class ClusterHandle:
         return self.tick(self.window_ticks)
 
     def run(self, msgs) -> tuple:
-        """Exchange ``msgs`` (at least one) in turn, up to the first window
-        that holds a keep-alive wire type, which the peer may have to
-        answer before the next message.  Return how many were delivered and
-        ``[(index, window)]`` for every window in which anything reached the
-        external peer, ``index`` being its message's position in ``msgs``."""
+        """Exchange the messages of the iterable ``msgs`` (at least one) in
+        turn, up to the first window that holds a keep-alive wire type,
+        which the peer may have to answer before the next message.  Each
+        message is taken as it is delivered, so none past that window is
+        taken.  Return how many were delivered and ``[(index, window)]`` for
+        every window in which anything reached the external peer, ``index``
+        being its message's position in ``msgs``."""
         loud = []
+        index = -1
         for index, msg in enumerate(msgs):
             window = self.exchange(msg)
             if window:
@@ -272,7 +275,7 @@ class ClusterHandle:
                 for _, sent in window:
                     if sent.msg_type in KEEPALIVE_WIRE_TYPES:
                         return index + 1, loud
-        return len(msgs), loud
+        return index + 1, loud
 
     def inject(self, msg: ConcreteMessage):
         """Deliver ``msg`` without opening an observation window."""

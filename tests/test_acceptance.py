@@ -471,7 +471,7 @@ def test_proxy_ordering_transparency_and_reset_equivalence():
         shuffled = list(window)
         rng.shuffle(shuffled)
         proxy = ClusterProxy(WindowStub([shuffled]), ALPHABET_CFG)
-        word = proxy.send_symbol(Symbol(RCONREQ))
+        word = proxy.query((Symbol(RCONREQ),))[0]
         expected = tuple(
             decode(msg, ALPHABET_CFG)
             for _, msg in sorted(window, key=lambda pair: pair[0]))
@@ -483,7 +483,7 @@ def test_proxy_ordering_transparency_and_reset_equivalence():
         for _ in range(3):
             rng.shuffle(tied)
             proxy = ClusterProxy(WindowStub([list(tied)]), ALPHABET_CFG)
-            words.add(proxy.send_symbol(Symbol(RCONREQ)))
+            words.add(proxy.query((Symbol(RCONREQ),))[0])
         assert len(words) == 1
 
     # (b) Keep-alive transparency on the live cluster: a cluster that sends

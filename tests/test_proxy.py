@@ -2,6 +2,7 @@
 keep-alive keeper behavior, and end-to-end queries against the simulator."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -11,8 +12,9 @@ from statefuzz.alphabet import (
     ALIVE, APPROVED, BREQ, BRES, DEAD, KNOWN, NO_RESPONSE, PREQ, PRES, RAREQ,
     RARES, RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES, RVREQ, RVRES,
     REJECTED, TERM_CURRENT, TERM_HIGHER, UNKNOWN, AlphabetConfig,
-    ConcreteMessage, DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD, decode, encode,
-    enumerate_input_alphabet, is_keepalive, symbol_label, symbol_sort_key,
+    ConcreteMessage, ConfigError, DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD,
+    decode, encode, enumerate_input_alphabet, is_keepalive, symbol_label,
+    symbol_sort_key,
 )
 from statefuzz import proxy as proxy_module
 from statefuzz.proxy import ClusterProxy, SessionContext
@@ -101,31 +103,40 @@ class TestWindowCanonicalization:
         win = [wire("RaftConfigureResponse", {}, 5),
                wire("ProbeResponse", {"node": "n1", "status": ALIVE}, 2)]
         proxy, _ = scripted_proxy([win])
-        out = proxy.send_symbol(RCONREQ_S)
+        out = proxy.query((RCONREQ_S,))[0]
         assert [s.tag for s in out] == [PRES, RCONRES]
 
     def test_timestamp_ties_break_on_symbol_order(self):
         win = [wire("RaftConfigureResponse", {}, 4),
                wire("ProbeResponse", {"node": "n1", "status": ALIVE}, 4)]
         proxy, _ = scripted_proxy([win])
-        out = proxy.send_symbol(RCONREQ_S)
+        out = proxy.query((RCONREQ_S,))[0]
         assert [s.tag for s in out] == [PRES, RCONRES]
 
     def test_empty_window_is_no_response(self):
         proxy, _ = scripted_proxy([[]])
-        assert proxy.send_symbol(PREQ_N1) == (NO_RESPONSE,)
+        assert proxy.query((PREQ_N1,)) == ((NO_RESPONSE,),)
 
     def test_late_reply_lands_in_next_window(self):
         win2 = [wire("ProbeResponse", {"node": "n1", "status": ALIVE}, 2)]
-        proxy, _ = scripted_proxy([[], win2])
-        assert proxy.send_symbol(PREQ_N1) == (NO_RESPONSE,)
-        out = proxy.send_symbol(RCONREQ_S)
-        assert [s.tag for s in out] == [PRES]
+        proxy, transport = scripted_proxy([[], win2])
+        first, second = proxy.query((PREQ_N1, RCONREQ_S))
+        assert first == (NO_RESPONSE,)
+        assert [s.tag for s in second] == [PRES]
+        assert transport.resets == 1 and len(transport.sent) == 2
 
     def test_unknown_reply_type_raises(self):
         proxy, _ = scripted_proxy([[wire("Bogus", {}, 1)]])
         with pytest.raises(DecodeError):
-            proxy.send_symbol(PREQ_N1)
+            proxy.query((PREQ_N1,))
+
+    def test_a_letter_that_does_not_encode_raises(self):
+        # The transport takes each letter as it delivers it, so the letters
+        # before the one that does not encode reach the target first.
+        proxy, transport = scripted_proxy([[], []])
+        with pytest.raises(ConfigError):
+            proxy.query((PREQ_N1, RCONREQ_S, NO_RESPONSE, PREQ_N1))
+        assert [m.logical_ts for m in transport.sent] == [1, 2]
 
     def test_undecodable_window_counts_letters_through_it(self):
         # The run goes on past a window that does not decode, so the target
@@ -152,12 +163,12 @@ class TestKeeper:
 
     def test_keepalives_filtered_from_output(self):
         proxy, _ = scripted_proxy([list(self.KEEPALIVE_WIN)])
-        out = proxy.send_symbol(RCOM_ADD)
+        out = proxy.query((RCOM_ADD,))[0]
         assert [s.tag for s in out] == [RCOMRES]
 
     def test_keeper_answers_probe_and_heartbeat(self):
         proxy, transport = scripted_proxy([list(self.KEEPALIVE_WIN)])
-        proxy.send_symbol(RCOM_ADD)
+        proxy.query((RCOM_ADD,))
         assert proxy.keepalives_answered == 2
         types = [m.msg_type for m in transport.injected]
         assert types == ["ProbeResponse", "RaftAppendResponse"]
@@ -165,16 +176,16 @@ class TestKeeper:
 
     def test_keeper_replies_use_the_session_clock(self):
         proxy, transport = scripted_proxy([list(self.KEEPALIVE_WIN)])
-        proxy.send_symbol(RCOM_ADD)
+        proxy.query((RCOM_ADD,))
         sent_ts = transport.sent[-1].logical_ts
         injected_ts = [m.logical_ts for m in transport.injected]
         assert injected_ts == sorted(injected_ts)
         assert all(ts > sent_ts for ts in injected_ts)
 
     def test_letters_after_a_keepalive_window_follow_the_answers(self):
-        # The rest of the word was encoded before the keep-alives arrived;
-        # it is encoded again after the answers, from just after the letter
-        # that drew them, so no vote escalates twice.
+        # The rest of the word is encoded after the answers, which take the
+        # timestamps just after the letter that drew them; no vote
+        # escalates twice.
         proxy, transport = scripted_proxy([[], list(self.KEEPALIVE_WIN), [], []], term=3)
         out = proxy.query([RVREQ_HI, RCOM_ADD, RVREQ_HI, RCONREQ_S])
         assert [[s.tag for s in word] for word in out] == [
@@ -205,11 +216,34 @@ class TestKeeper:
         out = proxy.query(word)
         assert [[s.tag for s in w] for w in out] == [
             [RCONRES], [NO_RESPONSE.tag], [RCOMRES], [NO_RESPONSE.tag], [NO_RESPONSE.tag]]
-        # Five letters, two answers, and the two letters after the window.
-        assert calls[:5] == word and calls[7:] == word[3:]
-        assert [sym.tag for sym in calls[5:7]] == [PRES, RARES]
+        # The letters through the window, the two answers, then the rest.
+        assert calls[:3] == word[:3] and calls[5:] == word[3:]
+        assert [sym.tag for sym in calls[3:5]] == [PRES, RARES]
         assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 6, 7]
         assert [m.payload["term"] for m in transport.sent if "term" in m.payload] == [4, 5, 6]
+
+    def test_a_transport_that_takes_more_than_it_delivers_sends_the_same(self, monkeypatch):
+        # As over TCP: the transport takes the whole rest of the word but
+        # delivers it only through the keep-alive window, so the context goes
+        # back to the mark before the run and the delivered letters are
+        # encoded again before the answers.
+        rewinds = []
+        rewind = SessionContext.rewind
+        monkeypatch.setattr(SessionContext, "rewind",
+                            lambda ctx, mark: rewinds.append(mark) or rewind(ctx, mark))
+        loud = [wire("RaftConfigureResponse", {}, 1)]
+        proxy, transport = scripted_proxy(
+            [loud, [], list(self.KEEPALIVE_WIN), [], []], term=3)
+        transport.run = lambda msgs: ClusterHandle.run(transport, list(msgs))
+        word = [RVREQ_HI, RCONREQ_S, RVREQ_HI, RVREQ_HI, PREQ_N1]
+        out = proxy.query(word)
+        assert [[s.tag for s in w] for w in out] == [
+            [RCONRES], [NO_RESPONSE.tag], [RCOMRES], [NO_RESPONSE.tag], [NO_RESPONSE.tag]]
+        assert rewinds == [(0, None)]
+        assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 6, 7]
+        assert [m.logical_ts for m in transport.injected] == [4, 5]
+        assert [m.payload["term"] for m in transport.sent if "term" in m.payload] == [4, 5, 6]
+        assert proxy.symbols_sent == 5 and proxy.keepalives_answered == 2
 
     def test_probe_for_another_member_ends_a_run_without_a_rewind(self, monkeypatch):
         rewinds = []
@@ -220,12 +254,18 @@ class TestKeeper:
         run = transport.run
 
         def counting(msgs):
-            runs.append(len(msgs))
-            return run(msgs)
+            runs.append(0)
+
+            def taking():
+                for msg in msgs:
+                    runs[-1] += 1
+                    yield msg
+
+            return run(taking())
 
         transport.run = counting
         out = proxy.query([PREQ_N1, RCONREQ_S, BREQ_FULL, RCONREQ_S])
-        assert runs == [4, 2]  # the probe's window ends the first run
+        assert runs == [2, 2]  # the letters each run took: the probe's window ends the first
         assert rewinds == [] and transport.injected == [] and proxy.keepalives_answered == 0
         assert out[1] == (Symbol(PREQ, (NodeRef("n2", KNOWN),)),)
         assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 4]
@@ -234,7 +274,7 @@ class TestKeeper:
 class TestSessionCoupling:
     def test_current_vote_uses_observed_term(self):
         proxy, transport = scripted_proxy([[]], term=9)
-        proxy.send_symbol(RVREQ_CUR)
+        proxy.query((RVREQ_CUR,))
         payload = transport.sent[0].payload
         assert payload["term"] == 9 and payload["base_term"] == 9
 
@@ -368,18 +408,19 @@ class TestSilentWindows:
         proxy, handle, calls, windows = self.counted(monkeypatch)
         silent = loud = 0
         for word in self.words(proxy.cfg, 150):
-            proxy.reset_session()
-            for sym in word:
-                before = len(calls)
-                out = proxy.send_symbol(sym)
-                advance, window = windows[-1]
+            before, start = len(calls), len(windows)
+            outs = proxy.query(word)
+            assert len(windows) - start == len(word)
+            expected = []
+            for out, (advance, window) in zip(outs, windows[start:]):
                 assert advance == handle.window_ticks
                 if window:
                     loud += 1
-                    assert calls[before:] == ["decode"] * len(window) + ["canonical_output"]
+                    expected += ["decode"] * len(window) + ["canonical_output"]
                 else:
                     silent += 1
-                    assert calls[before:] == [] and out == (NO_RESPONSE,)
+                    assert out == (NO_RESPONSE,)
+            assert calls[before:] == expected
         assert silent > 2 * loud > 0
 
     @pytest.mark.parametrize("vulns", [(), tuple(sorted(ALL_VULNERABILITIES))],
@@ -408,10 +449,19 @@ class TestSilentWindows:
 
     def test_replies_emitted_out_of_order_come_back_sorted(self, monkeypatch):
         proxy, handle, calls, _ = self.counted(monkeypatch)
-        proxy.reset_session()
+        acfg = proxy.cfg
+        reset = handle.reset
+
+        def reset_then_vote():
+            # A vote lands ahead of the session's first letter, stamped below it.
+            term = reset()
+            vote = encode(RVREQ_CUR, SessionContext(acfg.cluster_id, acfg.self_id, term))
+            handle.inject(dataclasses.replace(vote, logical_ts=0))
+            return term
+
+        monkeypatch.setattr(handle, "reset", reset_then_vote)
         # The vote is answered first, yet its reply sorts after the
         # announcement's two, which reach the peer on the same tick.
-        handle.inject(encode(RVREQ_CUR, proxy.ctx))
-        out = proxy.send_symbol(PREQ_SELF)
+        out = proxy.query((PREQ_SELF,))[0]
         assert [s.tag for s in out] == [PRES, BREQ, RVRES]
         assert calls == ["decode"] * 3 + ["canonical_output"]

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from statefuzz.cli import (
 )
 from statefuzz.learner import (
     MembershipOracle, NondeterminismError, PartialResultError, SuitePool,
-    lstar_learn, wmethod_counterexample,
+    _Worker, lstar_learn, wmethod_counterexample,
 )
 from statefuzz.mealy import MealyMachine
 from statefuzz.proxy import ClusterProxy, TransportError
@@ -256,6 +257,23 @@ class TestFailuresSurfaceAtTheirWord:
             assert wmethod_counterexample(machine, fresh, 1, pool) is None
             assert fresh.trials > 6_000
         assert children_reaped()
+
+
+@pytest.mark.parametrize("end", ["send", "receive"])
+def test_a_gone_worker_exited_whichever_end_notices(end):
+    # A worker that is gone fails the parent's next send or its next
+    # receive, whichever comes first; both say the same.
+    parent_end, worker_end = socket.socketpair()
+    worker_end.close()
+    worker = _Worker(4242, parent_end)
+    try:
+        with pytest.raises(TransportError, match=r"^suite worker 4242 exited$"):
+            if end == "send":
+                worker.send(b"chunk")
+            else:
+                worker.receive()
+    finally:
+        worker.close()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from statefuzz.fuzzer import (
     MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE, MUT_SWAP_ARG, run_campaign,
 )
 from statefuzz.mealy import MealyMachine, PrunePolicy
+from statefuzz import proxy as proxy_module
 from statefuzz.proxy import (
     ClusterProxy, ClusterServer, SessionContext, TcpTransport, TransportError,
 )
@@ -474,20 +475,31 @@ VULNS_ALL_SEED7_OUTPUTS_SHA256 = (
 
 class TestKeepaliveParity:
     def test_campaign_with_keepalives_matches_in_process(self, monkeypatch):
-        # Keep-alives that arrive before a word's last letter send the
-        # session context back and encode the rest of the word again.
-        rewinds = []
-        rewind = SessionContext.rewind
+        # Keep-alives that arrive before a word's last letter end a run.  In
+        # process the transport takes each letter as it delivers it, so every
+        # message is encoded once; over TCP it takes the whole rest, and the
+        # proxy sends its session context back to encode the delivered
+        # letters again.
+        rewinds, encodes, delivers = [], [], []
+        rewind, deliver = SessionContext.rewind, ClusterHandle.deliver
 
-        def counting(ctx, mark):
+        def rewinding(ctx, mark):
             rewinds.append(mark)
             rewind(ctx, mark)
 
-        monkeypatch.setattr(SessionContext, "rewind", counting)
+        def delivering(handle, msg):
+            delivers.append(msg)
+            deliver(handle, msg)
+
+        monkeypatch.setattr(SessionContext, "rewind", rewinding)
+        monkeypatch.setattr(proxy_module, "encode",
+                            lambda sym, ctx: encodes.append(sym) or encode(sym, ctx))
+        monkeypatch.setattr(ClusterHandle, "deliver", delivering)
         vulns = sorted(ALL_VULNERABILITIES)
         local = inproc_proxy(vulns)
         local_report, local_outputs = reference_campaign(local, seed=7, cases=600)
-        local_rewinds = len(rewinds)
+        local_rewinds, local_encodes, local_delivers = (
+            len(rewinds), len(encodes), len(delivers))
         with tcp_proxy(vulns) as remote:
             remote_report, remote_outputs = reference_campaign(remote, seed=7, cases=600)
         assert len(remote_outputs) == len(local_outputs) == 600
@@ -500,7 +512,10 @@ class TestKeepaliveParity:
         assert remote.symbols_sent == local.symbols_sent
         assert remote.ticks_advanced == local.ticks_advanced
         assert remote_report == local_report
-        assert len(rewinds) == 2 * local_rewinds > 0
+        # One encoding per delivered message, keep-alive answers included.
+        assert local_encodes == local_delivers == (
+            local.symbols_sent + local.keepalives_answered)
+        assert local_rewinds == 0 < len(rewinds)
 
 
 class TestRequestCounts:

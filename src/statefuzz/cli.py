@@ -271,7 +271,7 @@ def cmd_learn(args) -> int:
     log.info("learning over %d letters (votes=%s, depth=%s, budget=%s)",
              len(letters), lcfg["votes"], lcfg["eq_depth"], budget)
     with open(out_dir / "transcript.jsonl", "w", encoding="utf-8") as transcript:
-        oracle = MembershipOracle(proxy.query, votes=lcfg["votes"],
+        oracle = MembershipOracle(proxy.query, letters, votes=lcfg["votes"],
                                   max_trials=budget, transcript=transcript)
         # The conformance suite's sessions run on one forked worker per CPU.
         # On one CPU a worker would only take turns with this process, so
@@ -287,7 +287,7 @@ def cmd_learn(args) -> int:
                 if workers > 1 and threading.active_count() == 1 else None)
         try:
             result = lstar_learn(
-                oracle, letters,
+                oracle,
                 lambda m: wmethod_counterexample(m, oracle,
                                                  depth=lcfg["eq_depth"], pool=pool),
                 max_rounds=lcfg["max_rounds"])

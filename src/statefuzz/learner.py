@@ -37,7 +37,7 @@ told apart falls back to the pair's shortest separating word, which is the
 identification sets when it gets stuck at once.  Either way the identifiers
 are harmonized, which keeps the suite complete for targets with up to
 ``depth`` extra states.  The suite is built, sorted, asked and checked over
-the letter and state indices of the hypothesis's int tables, and only a
+the letter ids and state indices of the hypothesis's int tables, and only a
 counterexample becomes letters.  Suite words the tree already holds cost no
 session.  The suite is asked in a seeded order derived from the hypothesis
 (its number of states), not shortest first: counterexamples tend to be long
@@ -50,11 +50,12 @@ words asked, the transcript and the session count do not depend on the
 number of workers, and a worker's error is raised at the word where a loop
 without workers raises it.
 
-The oracle takes words as tuples of the tree's letter ids, as the learner
-holds them; letters appear only where a word goes to the target, in errors
-and in artifacts.  Every resolved word writes one ``query`` line to the
-transcript, assembled from the JSON of each distinct letter and output word,
-which is built once.
+The oracle holds the alphabet, and a letter's id is its rank by
+``symbol_sort_key`` in the tree, the learner, each hypothesis's tables and
+the suite alike; letters appear only where a word goes to the target, in
+errors and in artifacts.  Every resolved word writes one ``query`` line to
+the transcript, assembled from the JSON of each letter and distinct output
+word, which is built once.
 
 Noise handling: every distinct word is asked up to ``votes`` times (odd),
 stopping early once one reaction transcript holds a strict majority.  If
@@ -156,9 +157,10 @@ class ObservationTree:
     """Every resolved word, prefix-shared.
 
     Node 0 is the empty word; every other node holds the output of the letter
-    that leads to it, so each distinct prefix is stored once.  Letters are
-    interned to small ints and outputs to one object per distinct value: a
-    walk looks children up by int and compares outputs by identity.
+    that leads to it, so each distinct prefix is stored once.  Words are
+    tuples of indices into ``letters``, which only names the word of a
+    ``NondeterminismError``.  Outputs are interned to one object per distinct
+    value: a walk looks children up by int and compares outputs by identity.
 
     Most nodes have one child: 19,571 of the 27,557 after the reference
     learn, against 575 that branch.  So a node's one child is kept in two
@@ -173,9 +175,8 @@ class ObservationTree:
     :meth:`_insert` are the only other code that reads or writes it.
     """
 
-    def __init__(self):
-        self._letter_ids: dict = {}
-        self._letters: list = []
+    def __init__(self, letters):
+        self._letters = tuple(letters)
         # node -> letter id of its one child, or _LEAF, or _BRANCH
         self._one_letter = array("q", (_LEAF,))
         self._one_child = array("q", (0,))  # node -> its one child
@@ -205,17 +206,6 @@ class ObservationTree:
         if a == _LEAF:
             return ()
         return self._branches[node].items()
-
-    def _letter(self, letter) -> int:
-        lid = self._letter_ids.get(letter)
-        if lid is None:
-            lid = self._letter_ids[letter] = len(self._letters)
-            self._letters.append(letter)
-        return lid
-
-    def _ids(self, word) -> tuple:
-        ids = tuple(self._letter_ids.get(a) for a in word)
-        return tuple(self._letter(a) for a in word) if None in ids else ids
 
     def _find(self, ids):
         """The node of the longest prefix of the word that the tree holds,
@@ -304,7 +294,8 @@ class ObservationTree:
 class MembershipOracle:
     """Majority-voting frontend over ``query_fn(word) -> outputs``.
 
-    A word is asked as a sequence of its tree's letter ids, which
+    ``letters`` is the alphabet sorted by ``symbol_sort_key``, and a letter's
+    id is its index there.  A word is asked as a tuple of letter ids, which
     :meth:`ids` gives for a word of letters; ``query_fn`` gets the letters.
     It must answer with one reaction word per input position from a fresh
     session.  Resolved words go into an :class:`ObservationTree`, the
@@ -313,28 +304,35 @@ class MembershipOracle:
     spent.
     """
 
-    def __init__(self, query_fn, votes: int, max_trials: int | None = None,
-                 transcript=None):
+    def __init__(self, query_fn, alphabet, votes: int,
+                 max_trials: int | None = None, transcript=None):
         if votes < 1 or votes % 2 == 0:
             raise ValueError("votes must be a positive odd number")
+        self.letters = tuple(sorted(alphabet, key=symbol_sort_key))
+        self._rank = {a: i for i, a in enumerate(self.letters)}
+        if not self.letters or len(self._rank) != len(self.letters):
+            raise ValueError("the alphabet must name at least one letter, each once")
         self.query_fn = query_fn
         self.votes = votes
         self.max_trials = max_trials
         self.transcript = transcript
-        self.tree = ObservationTree()
+        self.tree = ObservationTree(self.letters)
         self.trials = 0
         self.cache_hits = 0
-        self._letter_json: list = []  # tree letter id -> the letter's JSON
+        self._letter_json = [_json(symbol_to_obj(a)) for a in self.letters]
         self._output_json: dict = {}  # id of a tree-held output word -> its JSON
 
     def ids(self, word) -> tuple:
-        """The tree's letter ids of a word of letters, as :meth:`query`
-        takes it."""
-        return self.tree._ids(word)
+        """The letter ids of a word of letters, as :meth:`query` takes it.
+        ``ValueError`` for a letter outside the alphabet."""
+        try:
+            return tuple(map(self._rank.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"letter outside the alphabet: {exc.args[0]!r}") from None
 
     def query(self, ids, voted=None) -> tuple:
-        """The outputs of the word with these tree letter ids, one reaction
-        word per letter, from the tree or from as many sessions as the vote
+        """The outputs of the word with these letter ids, one reaction word
+        per letter, from the tree or from as many sessions as the vote
         takes.
 
         ``voted``, if given, is called when the tree lacks the word, for a
@@ -350,7 +348,7 @@ class MembershipOracle:
             return tuple(found[1])
         reply = None if voted is None else voted()
         if reply is None:
-            word = tuple(map(tree._letters.__getitem__, ids))
+            word = tuple(map(self.letters.__getitem__, ids))
             outcome, attempts = _vote(self._session, word, self.votes)
         else:
             attempts, outcome, error = reply
@@ -380,11 +378,9 @@ class MembershipOracle:
         """Write the ``query`` event of a resolved word.  The line is what
         :func:`_emit` writes for ``{"event": "query", "outputs": ...,
         "trials": ..., "word": ...}``, assembled from the JSON of each
-        distinct letter and output word, which is built once.  ``outcome``
+        letter and distinct output word, which is built once.  ``outcome``
         holds the tree's own output words, so each is found by identity."""
         letters = self._letter_json
-        for letter in self.tree._letters[len(letters):]:
-            letters.append(_json(symbol_to_obj(letter)))
         outputs = self._output_json
         parts = []
         for out in outcome:
@@ -401,23 +397,20 @@ class MembershipOracle:
 class _LSharp:
     """Basis, frontier and hypothesis over the oracle's observation tree.
 
-    Words are tuples of the tree's letter ids.  ``frontier`` maps each
+    Words are tuples of the oracle's letter ids.  ``frontier`` maps each
     frontier node to its candidates in basis order; the root starts there
     with none, so the first promotion makes it the basis.
     """
 
-    def __init__(self, oracle: MembershipOracle, alphabet):
-        self.alphabet = tuple(sorted(alphabet, key=symbol_sort_key))
-        if not self.alphabet:
-            raise ValueError("alphabet must not be empty")
+    def __init__(self, oracle: MembershipOracle):
         self.oracle = oracle
         self.tree = oracle.tree
-        self.letters = oracle.ids(self.alphabet)
+        self.letters = range(len(oracle.letters))
         self.basis: dict = {}      # basis node -> state name, in promotion order
         self.frontier: dict = {0: []}
         self.access: dict = {0: ()}  # basis or frontier node -> its word
         self.separators: dict = {}
-        self.rows: dict = {}       # basis node -> {letter: (basis node, output)}
+        self.rows: dict = {}       # basis node -> [(basis node, output) per letter id]
 
     def _refresh(self, node):
         """Drop the candidates the frontier node has become apart from."""
@@ -474,14 +467,15 @@ class _LSharp:
         child_of, out = self.tree.child, self.tree._out
         transitions = {}
         for b, name in self.basis.items():
-            row = self.rows[b] = {}
-            for a, letter in zip(self.letters, self.alphabet):
+            row = self.rows[b] = []
+            for a, letter in enumerate(self.oracle.letters):
                 child = child_of(b, a)
                 target = child if child in self.basis else self.frontier[child][0]
-                row[a] = (target, out[child])
+                row.append((target, out[child]))
                 transitions[(name, letter)] = (self.basis[target], out[child])
         return MealyMachine(states=tuple(self.basis.values()), initial="q0",
-                            input_alphabet=self.alphabet, transitions=transitions)
+                            input_alphabet=self.oracle.letters,
+                            transitions=transitions)
 
     def _inconsistency(self):
         """A shortest word on which the tree and the hypothesis disagree, as
@@ -493,9 +487,7 @@ class _LSharp:
             for node, state, path in level:
                 row = rows[state]
                 for a, child in children(node):
-                    step = row.get(a)
-                    if step is None:
-                        continue  # a letter outside the learner's alphabet
+                    step = row[a]
                     if out[child] is not step[1]:
                         prefix = []
                         while path is not None:
@@ -545,19 +537,19 @@ class LearnResult:
     rounds: int
 
 
-def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
+def lstar_learn(oracle: MembershipOracle, find_counterexample,
                 max_rounds: int = 100) -> LearnResult:
     """Refine L# hypotheses until ``find_counterexample`` comes up empty.
 
-    ``find_counterexample(machine)`` returns a disagreeing input word or
-    ``None``.  Events go to the oracle's transcript.  On budget exhaustion,
-    round overrun, a failed transport or an interrupt the best hypothesis is
-    attached to a ``PartialResultError``.
+    ``find_counterexample(machine)`` returns a disagreeing word over the
+    oracle's alphabet, or ``None``.  Events go to the oracle's transcript.
+    On budget exhaustion, round overrun, a failed transport or an interrupt
+    the best hypothesis is attached to a ``PartialResultError``.
     """
-    learner = _LSharp(oracle, alphabet)
+    learner = _LSharp(oracle)
     transcript = oracle.transcript
     _emit(transcript, {"event": "start",
-                       "alphabet": word_to_obj(learner.alphabet),
+                       "alphabet": word_to_obj(oracle.letters),
                        "votes": oracle.votes})
     hypothesis = None
     rounds = 0
@@ -581,10 +573,10 @@ def lstar_learn(oracle: MembershipOracle, alphabet, find_counterexample,
                 _emit(transcript, {"event": "done", "rounds": rounds,
                                    "states": len(hypothesis.states)})
                 return LearnResult(machine=minimize(hypothesis), rounds=rounds)
-            cex = tuple(cex)
+            ids = oracle.ids(cex)
             _emit(transcript, {"event": "counterexample", "round": rounds,
                                "word": word_to_obj(cex)})
-            oracle.query(oracle.ids(cex))
+            oracle.query(ids)
     except _BudgetExhausted:
         raise PartialResultError(
             f"query budget of {oracle.max_trials} trials exhausted",
@@ -766,39 +758,35 @@ def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
     The suite is almost prefix-free, so a passing suite costs the same in
     any order, while a failing one stops sooner than shortest first.
     Completeness rests on the set of words, not on their order.  The words
-    stay letter indices: each is asked in the tree's letter ids and checked
-    against the hypothesis's tables, and only a counterexample becomes
-    letters.  Each call writes one ``suite`` event: the suite's size, the
-    words asked, the sessions they cost and whether one disagreed.
+    stay letter ids, which the tables share with the oracle (else
+    ``ValueError``), and only a counterexample becomes letters.  Each call
+    writes one ``suite`` event: the suite's size, the words asked, the
+    sessions they cost and whether one disagreed.
 
-    With a ``pool``, its workers vote on the words the tree lacks ahead of
-    this loop, which still asks every word in the same order, so the tree,
-    the transcript and the sessions charged are the same.
+    With a ``pool``, made for this oracle, its workers vote on the words
+    the tree lacks ahead of this loop, which still asks every word in the
+    same order, so the tree, the transcript and the sessions charged are
+    the same.
     """
     suite = wmethod_suite(machine, depth)
     t = suite.tables
+    if t.letters != oracle.letters:
+        raise ValueError("the machine's input alphabet is not the oracle's")
+    if pool is not None and pool._tree is not oracle.tree:
+        raise ValueError("the suite pool serves another oracle")
     words = list(suite.words)
     random.Random(len(machine.states)).shuffle(words)
-    # Each word in the tree's letter ids, built once and shared with the pool.
-    # A learn's tree numbers the letters in the tables' order, so there each
-    # word is its own tree-id word: a mapped copy of every suite word would
-    # only add memory (1.1-1.7 MB of peak RSS in `learn --seed 1`).
-    tree_ids = tuple(map(oracle.tree._letter, t.letters))
-    if tree_ids == tuple(range(len(tree_ids))):
-        ids_of = words
-    else:
-        ids_of = [tuple(map(tree_ids.__getitem__, word)) for word in words]
     trials = oracle.trials
     found, asked = None, 0
     try:
-        if pool is not None and not pool._begin(t, words, ids_of, oracle.tree):
+        if pool is not None and not pool._begin(t, words):
             pool = None
-        for asked, (word, ids) in enumerate(zip(words, ids_of), 1):
+        for asked, word in enumerate(words, 1):
             # With a pool, ``query`` looks the word up again, though the pool
             # did when it handed the word out: a word that missed then may
             # be a tree hit by now, and a hit costs no session.
-            answers = (oracle.query(ids) if pool is None else
-                       oracle.query(ids, lambda: pool._reply(asked - 1, word)))
+            answers = (oracle.query(word) if pool is None else
+                       oracle.query(word, lambda: pool._reply(asked - 1, word)))
             if not t.agrees(word, answers):
                 found = tuple(map(t.letters.__getitem__, word))
                 break
@@ -862,15 +850,15 @@ class SuitePool:
     would.  Workers ignore SIGINT; the parent's interrupt ends them through
     :meth:`close`.
 
-    Per suite, the parent hands out the words its tree lacks in the seeded
-    order, in chunks that start at one word and double, at most one more
-    chunk than there are workers at a time.  A worker checks each answer
-    against the hypothesis and sends back only how many sessions each vote
-    took, and the answer that disagrees or the error that ends its chunk;
-    the parent rebuilds an agreeing answer from the hypothesis's tables,
-    whose output words are the tree's own.  A shared counter, the generation
-    of work still wanted, stops every worker within one session once the
-    suite is decided.
+    Per suite, the parent hands out the words that the tree of the pool's
+    oracle lacks in the seeded order, in chunks that start at one word and
+    double, at most one more chunk than there are workers at a time.  A
+    worker checks each answer against the hypothesis and sends back only
+    how many sessions each vote took, and the answer that disagrees or the
+    error that ends its chunk; the parent rebuilds an agreeing answer from
+    the hypothesis's tables, whose output words are the tree's own.  A
+    shared counter, the generation of work still wanted, stops every worker
+    within one session once the suite is decided.
     """
 
     def __init__(self, oracle: MembershipOracle, workers: int):
@@ -882,6 +870,7 @@ class SuitePool:
         self._workers: list = []
         self._pending: deque = deque()  # (worker, positions), oldest first
         self._replies: dict = {}
+        self._tree = oracle.tree
         try:
             for _ in range(workers):
                 self._fork(oracle)
@@ -934,14 +923,12 @@ class SuitePool:
         self._wanted.release()
         self._shared.close()
 
-    def _begin(self, tables, words, ids_of, tree) -> bool:
-        """Start on a suite: ``words`` in table letter indices and, at the
-        same positions, the same words in ``tree``'s letter ids.  ``False``
-        if the pool is closed."""
+    def _begin(self, tables, words) -> bool:
+        """Start on a suite: ``words`` in letter ids, asked in this order.
+        ``False`` if the pool is closed."""
         if not self._workers:
             return False
         self._tables, self._words = tables, words
-        self._ids_of, self._tree = ids_of, tree
         self._next = 0   # the first position not yet handed out
         self._size = 1
         data = pickle.dumps(tables)
@@ -953,11 +940,11 @@ class SuitePool:
     def _hand_out(self):
         """Hand out chunks of the words the tree lacks, in the seeded order,
         until one more chunk than there are workers is out."""
-        words, lookup, ids_of = self._words, self._tree._lookup, self._ids_of
+        words, lookup = self._words, self._tree._lookup
         while len(self._pending) <= len(self._workers) and self._next < len(words):
             positions = []
             while len(positions) < self._size and self._next < len(words):
-                if lookup(ids_of[self._next]) is None:
+                if lookup(words[self._next]) is None:
                     positions.append(self._next)
                 self._next += 1
             if not positions:

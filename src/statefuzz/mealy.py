@@ -76,17 +76,17 @@ class MealyMachine:
         except KeyError:
             raise ModelError(f"no transition for {(state, letter)!r}") from None
 
-    def run_outputs(self, word, start=None):
+    def run_outputs(self, word):
         """Per-position output words (one tuple per input letter)."""
-        state = self.initial if start is None else start
+        state = self.initial
         out = []
         for letter in word:
             state, piece = self.step(state, letter)
             out.append(piece)
         return tuple(out)
 
-    def state_after(self, word, start=None):
-        state = self.initial if start is None else start
+    def state_after(self, word):
+        state = self.initial
         for letter in word:
             state, _ = self.step(state, letter)
         return state

@@ -58,8 +58,8 @@ from itertools import repeat
 from .alphabet import (
     ALIVE, KEEPALIVE_WIRE_TYPES, NO_RESPONSE, PREQ, PRES, RAREQ, RARES,
     AlphabetConfig, ConcreteMessage, FrameError, Symbol,
-    TERM_CURRENT, _is_int, canonical_output, decode, encode, frame_encode,
-    message_from_wire, read_frame,
+    TERM_CURRENT, WIRE_TYPES, _is_int, canonical_output, decode, encode,
+    frame_encode, message_from_wire, read_frame,
 )
 from .sulsim import ClusterHandle, ClusterObservation
 
@@ -120,7 +120,11 @@ class ClusterProxy:
         self.resets = 0
         self.symbols_sent = 0
         self.keepalives_answered = 0
-        self.ticks_advanced = 0
+
+    @property
+    def ticks_advanced(self) -> int:
+        """Virtual ticks of the sent letters' windows, fixed per transport."""
+        return self.symbols_sent and self.symbols_sent * self.transport.window_ticks
 
     def reset_session(self):
         """Fresh converged cluster, fresh session identity."""
@@ -130,6 +134,9 @@ class ClusterProxy:
 
     def query(self, word) -> tuple:
         """Output words for every position of ``word``, from a fresh session."""
+        for sym in word:
+            if sym.tag not in WIRE_TYPES:  # encode's ConfigError, before the session
+                encode(sym, self.ctx)
         self.reset_session()
         return tuple(self._send(word))
 
@@ -163,7 +170,6 @@ class ClusterProxy:
                     self._answer_keepalive(reply_sym)
         finally:  # a reply that does not decode counts letters through its window
             self.symbols_sent += counted
-            self.ticks_advanced += counted * transport.window_ticks
         return out
 
     def observe(self):

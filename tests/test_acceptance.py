@@ -84,10 +84,8 @@ def fresh_proxy(vulns=(), cluster=spawn_cluster):
 
 def learn_machine(vulns=(), transcript=None):
     proxy, _ = fresh_proxy(vulns)
-    oracle = MembershipOracle(proxy.query, votes=1, transcript=transcript)
-    result = lstar_learn(
-        oracle, FULL_ALPHABET,
-        lambda m: wmethod_counterexample(m, oracle, depth=1))
+    oracle = MembershipOracle(proxy.query, FULL_ALPHABET, votes=1, transcript=transcript)
+    result = lstar_learn(oracle, lambda m: wmethod_counterexample(m, oracle, depth=1))
     return result.machine, oracle
 
 

@@ -19,7 +19,7 @@ from statefuzz.alphabet import (
     ALIVE, DEAD, KNOWN, NO_RESPONSE, UNKNOWN, BREQ, BRES, PREQ, PRES, RCONREQ,
     RCONRES, RCOMREQ, RJREQ, RVREQ, RVRES, REJECTED, TERM_CURRENT,
     DATA_APP, OP_ADD, AlphabetConfig, NodeRef, Symbol, enumerate_input_alphabet,
-    word_to_obj,
+    symbol_sort_key, word_to_obj,
 )
 from statefuzz.learner import (
     LearnResult, MembershipOracle, NondeterminismError, ObservationTree,
@@ -31,7 +31,7 @@ from statefuzz.proxy import ClusterProxy, TransportError
 from statefuzz.sulsim import ClusterConfig, default_alphabet, spawn_cluster
 
 from helpers import (
-    GENERIC_OUTPUTS, T0_HEARTBEAT, T0_JOIN, T0_JOIN_ACK, T0_PROBE, build_t0,
+    GENERIC_OUTPUTS, T0_ALPHABET, T0_HEARTBEAT, T0_JOIN, T0_JOIN_ACK, T0_PROBE, build_t0,
     harmonized_identifiers, identification_sets, random_machine, splitting_word,
 )
 
@@ -72,19 +72,18 @@ class RecordingOracle(MembershipOracle):
     """A one-vote oracle that records every word it is asked, answered from
     its tree or not, as a word of letters."""
 
-    def __init__(self, query_fn, transcript=None):
-        super().__init__(query_fn, votes=1, transcript=transcript)
+    def __init__(self, query_fn, alphabet, transcript=None):
+        super().__init__(query_fn, alphabet, votes=1, transcript=transcript)
         self.asked = []
 
     def query(self, ids):
-        self.asked.append(tuple(self.tree._letters[a] for a in ids))
+        self.asked.append(tuple(self.letters[a] for a in ids))
         return super().query(ids)
 
 
 def learn_machine(truth, votes=1, **kw):
-    oracle = MembershipOracle(truth.run_outputs, votes=votes)
-    return lstar_learn(oracle, truth.input_alphabet,
-                       perfect_counterexample(truth), **kw)
+    oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=votes)
+    return lstar_learn(oracle, perfect_counterexample(truth), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +94,29 @@ class TestMembershipOracle:
     @pytest.mark.parametrize("votes", [0, -1, 2, 4])
     def test_rejects_even_or_nonpositive_votes(self, votes):
         with pytest.raises(ValueError):
-            MembershipOracle(lambda w: (), votes=votes)
+            MembershipOracle(lambda w: (), T0_ALPHABET, votes=votes)
+
+    @pytest.mark.parametrize("alphabet", [(), (T0_PROBE, T0_JOIN, T0_PROBE)])
+    def test_rejects_an_empty_alphabet_or_a_letter_named_twice(self, alphabet):
+        with pytest.raises(ValueError):
+            MembershipOracle(build_t0().run_outputs, alphabet, votes=1)
+
+    def test_a_letter_id_is_its_rank_in_the_sorted_alphabet(self):
+        oracle = MembershipOracle(build_t0().run_outputs, reversed(T0_ALPHABET), votes=1)
+        assert oracle.letters == tuple(sorted(T0_ALPHABET, key=symbol_sort_key))
+        assert oracle.ids(oracle.letters) == (0, 1, 2)
+        assert oracle.ids((T0_JOIN, T0_JOIN)) == (oracle.letters.index(T0_JOIN),) * 2
+
+    def test_a_foreign_letter_raises_and_costs_no_session(self):
+        query, calls = counting_backend(build_t0())
+        oracle = MembershipOracle(query, (T0_PROBE, T0_JOIN), votes=1)
+        with pytest.raises(ValueError, match="RAReq"):
+            oracle.ids((T0_PROBE, T0_HEARTBEAT))
+        assert calls == [] and oracle.trials == 0 and len(oracle.tree) == 1
 
     def test_caches_resolved_words(self):
         query, calls = counting_backend(build_t0())
-        oracle = MembershipOracle(query, votes=1)
+        oracle = MembershipOracle(query, T0_ALPHABET, votes=1)
         word = (T0_PROBE, T0_JOIN)
         first = oracle.query(oracle.ids(word))
         second = oracle.query(oracle.ids(word))
@@ -109,7 +126,7 @@ class TestMembershipOracle:
 
     def test_prefixes_come_for_free(self):
         query, calls = counting_backend(build_t0())
-        oracle = MembershipOracle(query, votes=1)
+        oracle = MembershipOracle(query, T0_ALPHABET, votes=1)
         word = (T0_PROBE, T0_JOIN, T0_HEARTBEAT)
         full = oracle.query(oracle.ids(word))
         assert oracle.query(oracle.ids(word[:2])) == full[:2]
@@ -127,20 +144,20 @@ class TestMembershipOracle:
                 return tuple(reversed(good)) if len(good) > 1 else ((NO_RESPONSE,),)
             return good
 
-        oracle = MembershipOracle(flaky, votes=3)
+        oracle = MembershipOracle(flaky, T0_ALPHABET, votes=3)
         word = (T0_PROBE, T0_JOIN)
         assert oracle.query(oracle.ids(word)) == machine.run_outputs(word)
         assert oracle.trials == 3
 
     def test_agreement_short_circuits(self):
         query, calls = counting_backend(build_t0())
-        oracle = MembershipOracle(query, votes=3)
+        oracle = MembershipOracle(query, T0_ALPHABET, votes=3)
         oracle.query(oracle.ids((T0_PROBE,)))
         assert len(calls) == 2  # two matching readings reach the majority
 
     def test_single_vote_accepts_first_reading(self):
         query, calls = counting_backend(build_t0())
-        oracle = MembershipOracle(query, votes=1)
+        oracle = MembershipOracle(query, T0_ALPHABET, votes=1)
         oracle.query(oracle.ids((T0_PROBE,)))
         assert len(calls) == 1
 
@@ -150,7 +167,7 @@ class TestMembershipOracle:
         def chaotic(word):
             return (((Symbol(PRES, (NodeRef(f"x{next(counter)}", UNKNOWN), ALIVE)),),))
 
-        oracle = MembershipOracle(chaotic, votes=3)
+        oracle = MembershipOracle(chaotic, T0_ALPHABET, votes=3)
         with pytest.raises(NondeterminismError) as err:
             oracle.query(oracle.ids((T0_PROBE,)))
         assert err.value.word == (T0_PROBE,)
@@ -162,7 +179,7 @@ class TestMembershipOracle:
         def chaotic(word):
             return (((Symbol(PRES, (NodeRef(f"x{next(counter)}", UNKNOWN), ALIVE)),),))
 
-        oracle = MembershipOracle(chaotic, votes=5)
+        oracle = MembershipOracle(chaotic, T0_ALPHABET, votes=5)
         with pytest.raises(NondeterminismError):
             oracle.query(oracle.ids((T0_PROBE,)))
         assert oracle.trials == 4  # 4 distinct readings cannot reach 3 of 5
@@ -176,25 +193,26 @@ class TestMembershipOracle:
                 out[0] = (NO_RESPONSE,)  # contradicts the answer for word[:1]
             return tuple(out)
 
-        oracle = MembershipOracle(backend, votes=1)
+        oracle = MembershipOracle(backend, T0_ALPHABET, votes=1)
         oracle.query(oracle.ids((T0_PROBE,)))
         with pytest.raises(NondeterminismError):
             oracle.query(oracle.ids((T0_PROBE, T0_JOIN)))
 
     def test_budget_is_enforced(self):
-        oracle = MembershipOracle(build_t0().run_outputs, votes=1, max_trials=2)
+        oracle = MembershipOracle(build_t0().run_outputs, T0_ALPHABET, votes=1,
+                                  max_trials=2)
         oracle.query(oracle.ids((T0_PROBE,)))
         oracle.query(oracle.ids((T0_JOIN,)))
         with pytest.raises(_BudgetExhausted):
             oracle.query(oracle.ids((T0_HEARTBEAT,)))
 
     def test_wrong_arity_backend_rejected(self):
-        oracle = MembershipOracle(lambda word: ((NO_RESPONSE,),), votes=1)
+        oracle = MembershipOracle(lambda word: ((NO_RESPONSE,),), T0_ALPHABET, votes=1)
         with pytest.raises(ValueError):
             oracle.query(oracle.ids((T0_PROBE, T0_JOIN)))
 
     def test_stats_shape(self):
-        oracle = MembershipOracle(build_t0().run_outputs, votes=1)
+        oracle = MembershipOracle(build_t0().run_outputs, T0_ALPHABET, votes=1)
         oracle.query(oracle.ids((T0_PROBE,)))
         oracle.query(oracle.ids((T0_PROBE,)))
         assert (oracle.trials, oracle.cache_hits) == (1, 1)
@@ -245,7 +263,7 @@ class TestObservationTree:
         build = _LSharp._hypothesis
 
         def checking_build(learner):
-            letters = learner.tree._letters
+            letters = learner.oracle.letters
             access = {node: tuple(letters[a] for a in word)
                       for node, word in learner.access.items()}
             basis = [access[b] for b in learner.basis]
@@ -263,9 +281,10 @@ class TestObservationTree:
         for seed in range(10):
             truth = random_machine(random.Random(seed))
             answers = {}
-            oracle = MembershipOracle(recording_backend(truth, answers), votes=1)
+            oracle = MembershipOracle(recording_backend(truth, answers),
+                                      truth.input_alphabet, votes=1)
             result = lstar_learn(
-                oracle, truth.input_alphabet,
+                oracle,
                 lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
             assert isomorphic(result.machine, minimize(truth)), seed
         assert len(checked) > 10 and max(checked) > 4
@@ -296,7 +315,7 @@ class TestObservationTree:
         targets = [random_machine(random.Random(seed)) for seed in range(12)]
         targets += [lock_machine(n) for n in range(3, 10)]
         for seed, truth in enumerate(targets):
-            oracle = MembershipOracle(truth.run_outputs, votes=1)
+            oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1)
             exact = perfect_counterexample(truth)
             rng = random.Random(seed)
 
@@ -310,7 +329,7 @@ class TestObservationTree:
                     asked.append(oracle.trials)
                 return cex
 
-            result = lstar_learn(oracle, truth.input_alphabet, find)
+            result = lstar_learn(oracle, find)
             assert isomorphic(result.machine, minimize(truth)), seed
             assert not asked
         assert len(costs) >= 20 and max(n for _, n in costs) >= 24
@@ -321,9 +340,8 @@ class TestObservationTree:
         for seed in range(10):
             truth = random_machine(random.Random(seed))
             query, calls = counting_backend(truth)
-            oracle = MembershipOracle(query, votes=1)
-            lstar_learn(oracle, truth.input_alphabet,
-                        lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
+            oracle = MembershipOracle(query, truth.input_alphabet, votes=1)
+            lstar_learn(oracle, lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
             assert len(calls) == len(set(calls))
             prefixes = {word[:i] for word in calls for i in range(len(word) + 1)}
             assert len(oracle.tree) == len(prefixes)
@@ -340,7 +358,7 @@ class TestObservationTree:
                 out[1] = (NO_RESPONSE,)  # contradicts the answer for word[:2]
             return tuple(out)
 
-        oracle = MembershipOracle(backend, votes=1)
+        oracle = MembershipOracle(backend, T0_ALPHABET, votes=1)
         oracle.query(oracle.ids((T0_PROBE, T0_JOIN)))
         size = len(oracle.tree)
         with pytest.raises(NondeterminismError) as err:
@@ -352,18 +370,13 @@ class TestObservationTree:
     def test_rerunning_a_passed_suite_sends_no_session(self):
         for seed in range(5):
             truth = random_machine(random.Random(seed))
-            oracle = MembershipOracle(truth.run_outputs, votes=1)
+            oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1)
             result = lstar_learn(
-                oracle, truth.input_alphabet,
+                oracle,
                 lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
             trials = oracle.trials
             assert wmethod_counterexample(result.machine, oracle, depth=1) is None
             assert oracle.trials == trials
-
-    def test_empty_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            lstar_learn(MembershipOracle(lambda w: (), votes=1), (),
-                        lambda hyp: None)
 
 
 class DictTree:
@@ -425,10 +438,8 @@ TREE_LETTERS = 4
 
 
 def letter_tree():
-    """An empty tree whose letter ids are the letters ``0 .. TREE_LETTERS-1``."""
-    tree = ObservationTree()
-    assert tree._ids(range(TREE_LETTERS)) == tuple(range(TREE_LETTERS))
-    return tree
+    """An empty tree whose letters are their ids ``0 .. TREE_LETTERS-1``."""
+    return ObservationTree(range(TREE_LETTERS))
 
 
 @st.composite
@@ -514,8 +525,8 @@ class TestTreeLayout:
 class TestLStar:
     def test_learns_three_state_fixture(self):
         truth = build_t0()
-        oracle = MembershipOracle(truth.run_outputs, votes=1)
-        result = lstar_learn(oracle, truth.input_alphabet, perfect_counterexample(truth))
+        oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1)
+        result = lstar_learn(oracle, perfect_counterexample(truth))
         assert isinstance(result, LearnResult)
         assert isomorphic(result.machine, truth)
         assert result.rounds >= 1
@@ -529,19 +540,43 @@ class TestLStar:
 
     def test_budget_exhaustion_carries_partial_result(self):
         truth = build_t0()
-        oracle = MembershipOracle(truth.run_outputs, votes=1, max_trials=4)
+        oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1,
+                                  max_trials=4)
         with pytest.raises(PartialResultError) as err:
-            lstar_learn(oracle, truth.input_alphabet, perfect_counterexample(truth))
+            lstar_learn(oracle, perfect_counterexample(truth))
         assert oracle.trials == 4
 
     def test_round_limit_carries_partial_result(self):
         truth = build_t0()
-        oracle = MembershipOracle(truth.run_outputs, votes=1)
+        oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1)
         with pytest.raises(PartialResultError) as err:
-            lstar_learn(oracle, truth.input_alphabet,
-                        lambda hyp: (T0_PROBE,) * 3, max_rounds=2)
+            lstar_learn(oracle, lambda hyp: (T0_PROBE,) * 3, max_rounds=2)
         assert err.value.hypothesis is not None
         assert "2" in str(err.value)
+
+    def test_a_counterexample_with_a_foreign_letter_raises_before_a_session(self):
+        truth = build_t0()
+        query, calls = counting_backend(truth)
+        oracle = MembershipOracle(query, truth.input_alphabet, votes=1)
+        sessions = []
+
+        def find(hyp):
+            sessions.append(len(calls))
+            return (T0_PROBE, Symbol(RCONREQ, ()))
+
+        with pytest.raises(ValueError, match="RConReq"):
+            lstar_learn(oracle, find)
+        assert sessions == [len(calls)] == [oracle.trials]
+
+    def test_the_order_the_alphabet_is_given_in_changes_nothing(self):
+        def run(alphabet):
+            sink = io.StringIO()
+            oracle = MembershipOracle(sim_query_fn(), alphabet, votes=1, transcript=sink)
+            result = lstar_learn(
+                oracle, lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
+            return sink.getvalue(), oracle.trials, result.machine.to_json()
+
+        assert run(tuple(reversed(LADDER_ALPHABET))) == run(LADDER_ALPHABET)
 
     def test_transport_failure_carries_partial_result(self):
         truth = build_t0()
@@ -552,10 +587,9 @@ class TestLStar:
                 raise TransportError("link down")
             return truth.run_outputs(word)
 
-        oracle = MembershipOracle(dropping, votes=1)
+        oracle = MembershipOracle(dropping, truth.input_alphabet, votes=1)
         with pytest.raises(PartialResultError) as err:
-            lstar_learn(oracle, truth.input_alphabet,
-                        lambda hyp: wmethod_counterexample(hyp, oracle, depth=2))
+            lstar_learn(oracle, lambda hyp: wmethod_counterexample(hyp, oracle, depth=2))
         assert isinstance(err.value.__cause__, TransportError)
         assert "link down" in str(err.value)
         assert err.value.hypothesis is not None
@@ -571,16 +605,17 @@ class TestLStar:
                        else (Symbol(PRES, (NodeRef(f"r{rng.randint(0, 999)}", UNKNOWN), ALIVE)),))
             return tuple(out)
 
-        oracle = MembershipOracle(jittery, votes=3)
+        oracle = MembershipOracle(jittery, truth.input_alphabet, votes=3)
         with pytest.raises(NondeterminismError):
-            lstar_learn(oracle, truth.input_alphabet, perfect_counterexample(truth))
+            lstar_learn(oracle, perfect_counterexample(truth))
 
     def test_transcript_is_deterministic_and_structured(self):
         def run():
             sink = io.StringIO()
             truth = build_t0()
-            oracle = MembershipOracle(truth.run_outputs, votes=1, transcript=sink)
-            lstar_learn(oracle, truth.input_alphabet, perfect_counterexample(truth))
+            oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1,
+                                      transcript=sink)
+            lstar_learn(oracle, perfect_counterexample(truth))
             return sink.getvalue()
 
         first, second = run(), run()
@@ -629,7 +664,7 @@ class TestQueryLines:
             return out
 
         sink = io.StringIO()
-        oracle = MembershipOracle(flaky, votes=3, transcript=sink)
+        oracle = MembershipOracle(flaky, letters, votes=3, transcript=sink)
         expected = []
         for _ in range(200):
             word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
@@ -663,15 +698,24 @@ def t0_without_join_ack():
 class TestConformance:
     def test_no_counterexample_for_equivalent_target(self):
         truth = build_t0()
-        oracle = MembershipOracle(truth.run_outputs, votes=1)
+        oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1)
         assert wmethod_counterexample(truth, oracle, depth=1) is None
 
     def test_finds_flipped_output(self):
         truth, broken = build_t0(), t0_without_join_ack()
-        oracle = MembershipOracle(truth.run_outputs, votes=1)
+        oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1)
         word = wmethod_counterexample(broken, oracle, depth=1)
         assert word is not None
         assert truth.run_outputs(word) != broken.run_outputs(word)
+
+    @pytest.mark.parametrize("letters", [(T0_PROBE, T0_JOIN),
+                                         T0_ALPHABET + (Symbol(RCONREQ, ()),)])
+    def test_a_machine_over_another_alphabet_raises_before_a_session(self, letters):
+        query, calls = counting_backend(build_t0())
+        oracle = MembershipOracle(query, letters, votes=1)
+        with pytest.raises(ValueError, match="alphabet"):
+            wmethod_counterexample(build_t0(), oracle, depth=1)
+        assert calls == [] and oracle.trials == 0
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -688,7 +732,7 @@ class TestConformance:
             })
         flat = MealyMachine(states=("h0",), initial="h0", input_alphabet=(a,),
                             transitions={("h0", a): ("h0", (NO_RESPONSE,))})
-        oracle = MembershipOracle(truth.run_outputs, votes=1)
+        oracle = MembershipOracle(truth.run_outputs, truth.input_alphabet, votes=1)
         assert wmethod_counterexample(flat, oracle, depth=1) is None
         word = wmethod_counterexample(flat, oracle, depth=2)
         assert word == (a, a, a)
@@ -706,7 +750,7 @@ class TestConformance:
         machine = next(m for m in (minimize(random_machine(random.Random(seed)))
                                    for seed in itertools.count())
                        if len(m.states) >= 6 and len(m.input_alphabet) >= 2)
-        oracle = RecordingOracle(machine.run_outputs)
+        oracle = RecordingOracle(machine.run_outputs, machine.input_alphabet)
         assert wmethod_counterexample(machine, oracle, depth=1) is None
         first = oracle.asked[:]
         assert wmethod_counterexample(machine, oracle, depth=1) is None
@@ -719,7 +763,7 @@ class TestConformance:
     def test_suite_event_counts_words_asked_and_sessions(self):
         truth, broken = build_t0(), t0_without_join_ack()
         sink = io.StringIO()
-        oracle = RecordingOracle(truth.run_outputs, transcript=sink)
+        oracle = RecordingOracle(truth.run_outputs, truth.input_alphabet, transcript=sink)
         word = wmethod_counterexample(broken, oracle, depth=1)
         sessions = oracle.trials
         assert wmethod_counterexample(truth, oracle, depth=1) is None
@@ -903,7 +947,7 @@ class TestConformance:
         target = MealyMachine(states=hyp.states + ("clone",), initial=hyp.initial,
                               input_alphabet=hyp.input_alphabet,
                               transitions=transitions)
-        oracle = MembershipOracle(target.run_outputs, votes=1)
+        oracle = MembershipOracle(target.run_outputs, target.input_alphabet, votes=1)
         word = wmethod_counterexample(hyp, oracle, depth=1)
         assert word is not None
         assert target.run_outputs(word) != hyp.run_outputs(word)
@@ -928,12 +972,12 @@ class TestSuiteWork:
     tree or through the hypothesis."""
 
     def test_rerun_on_a_warm_tree_hashes_no_letter_of_a_word(self, monkeypatch):
-        oracle = MembershipOracle(sim_query_fn(), votes=1)
+        oracle = MembershipOracle(sim_query_fn(), LADDER_ALPHABET, votes=1)
         result = lstar_learn(
-            oracle, LADDER_ALPHABET,
+            oracle,
             lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
         trials = oracle.trials
-        gated = {MembershipOracle.query.__code__, ObservationTree._ids.__code__,
+        gated = {MembershipOracle.query.__code__, MembershipOracle.ids.__code__,
                  MealyMachine.step.__code__}
         hashes = []  # per hash, the gated function it is made under, or None
         original = Symbol.__hash__
@@ -947,7 +991,7 @@ class TestSuiteWork:
 
         monkeypatch.setattr(Symbol, "__hash__", counting_hash)
         oracle.ids((L_BOOT,))
-        assert hashes and set(hashes) == {"_ids"}  # the counter sees its caller
+        assert hashes and set(hashes) == {"ids"}  # the counter sees its caller
         hashes.clear()
         assert wmethod_counterexample(result.machine, oracle, depth=1) is None
         assert oracle.trials == trials
@@ -958,9 +1002,9 @@ class TestSuiteWork:
             self, seed, monkeypatch):
         truth = minimize(random_machine(random.Random(seed)))
         oracle = MembershipOracle(lambda word: _run_from(truth, truth.initial, word),
-                                  votes=1)
+                                  truth.input_alphabet, votes=1)
         steps = counted(monkeypatch, MealyMachine, "step")
-        lookups = counted(monkeypatch, ObservationTree, "_ids")
+        lookups = counted(monkeypatch, MembershipOracle, "ids")
         assert wmethod_counterexample(truth, oracle, depth=1) is None
         assert oracle.trials > 0
         assert steps == lookups == []
@@ -1064,15 +1108,15 @@ def sim_query_fn():
 
 class TestLearnSimulatedCluster:
     def test_restricted_alphabet_learn_matches_hand_model(self):
-        oracle = MembershipOracle(sim_query_fn(), votes=1)
+        oracle = MembershipOracle(sim_query_fn(), LADDER_ALPHABET, votes=1)
         result = lstar_learn(
-            oracle, LADDER_ALPHABET,
+            oracle,
             lambda hyp: wmethod_counterexample(hyp, oracle, depth=1))
         assert len(result.machine.states) == 6
         assert isomorphic(result.machine, expected_ladder_machine())
 
     def test_majority_voting_against_live_simulator(self):
-        oracle = MembershipOracle(sim_query_fn(), votes=3)
+        oracle = MembershipOracle(sim_query_fn(), LADDER_ALPHABET, votes=3)
         out = oracle.query(oracle.ids((L_BOOT, L_JOIN, L_VOTE)))
         assert out == (OUT_BOOT, OUT_NONE, OUT_VOTE)
         assert oracle.trials == 2  # deterministic target: majority after two

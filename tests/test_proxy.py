@@ -130,13 +130,21 @@ class TestWindowCanonicalization:
         with pytest.raises(DecodeError):
             proxy.query((PREQ_N1,))
 
-    def test_a_letter_that_does_not_encode_raises(self):
-        # The transport takes each letter as it delivers it, so the letters
-        # before the one that does not encode reach the target first.
-        proxy, transport = scripted_proxy([[], []])
-        with pytest.raises(ConfigError):
-            proxy.query((PREQ_N1, RCONREQ_S, NO_RESPONSE, PREQ_N1))
-        assert [m.logical_ts for m in transport.sent] == [1, 2]
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize("bad", [NO_RESPONSE, Symbol("Bogus")])
+    def test_a_letter_that_does_not_encode_raises(self, eager, bad):
+        # The tags are checked before the session opens, so neither the
+        # simulator's run, which takes each letter as it delivers it, nor
+        # an eager one, as over TCP, gets any letter of the word.
+        proxy, transport = scripted_proxy([[], [], [], []])
+        if eager:
+            transport.run = lambda msgs: ClusterHandle.run(transport, list(msgs))
+        proxy.query((RCONREQ_S,))
+        with pytest.raises(ConfigError, match="NoResponse" if bad is NO_RESPONSE else "Bogus"):
+            proxy.query((PREQ_N1, RCONREQ_S, bad, PREQ_N1))
+        assert transport.resets == proxy.resets == 1
+        assert proxy.symbols_sent == 1 and proxy.ticks_advanced == 5
+        assert [m.msg_type for m in transport.sent] == ["RaftConfigureRequest"]
 
     def test_undecodable_window_counts_letters_through_it(self):
         # The run goes on past a window that does not decode, so the target

@@ -38,9 +38,10 @@ from statefuzz.sulsim import (
 )
 
 from test_acceptance import LEARN_SEED1_TRANSCRIPT_SHA256, REFERENCE_MACHINE
-from test_learner import LADDER_ALPHABET, sim_query_fn
+from test_learner import LADDER_ALPHABET
 
 WORKERS = (1, 2, 3)  # three is more workers than a 2-CPU host has
+REFERENCE = MealyMachine.from_json(REFERENCE_MACHINE.read_text(encoding="utf-8"))
 ALL_VULNERABILITIES_TRANSCRIPT_SHA256 = (
     "2dbc4fe6fead0a5eee4c17d43e0a230fea8f58e6ea9cfcf4c77f019a7531c6bd")
 SEIZE_LEADER_TRANSCRIPT_SHA256 = (
@@ -73,12 +74,12 @@ def learn(workers, vulns=frozenset(), votes=1, budget=None, wrap=None):
     proxy = ClusterProxy(spawn_cluster(ccfg), acfg)
     query = proxy.query if wrap is None else wrap(proxy.query)
     transcript = io.StringIO()
-    oracle = MembershipOracle(query, votes=votes, max_trials=budget,
-                              transcript=transcript)
+    oracle = MembershipOracle(query, enumerate_input_alphabet(acfg), votes=votes,
+                              max_trials=budget, transcript=transcript)
     try:
         with SuitePool(oracle, workers) if workers else contextlib.nullcontext() as pool:
             result = lstar_learn(
-                oracle, tuple(enumerate_input_alphabet(acfg)),
+                oracle,
                 lambda m: wmethod_counterexample(m, oracle, depth=1, pool=pool))
     except Exception as exc:  # the learn's outcome, compared by the test
         result = exc
@@ -155,23 +156,6 @@ class TestSameArtifacts:
         assert oracle.trials == expected[1].trials
         assert result.machine.to_json() == expected[2].machine.to_json()
 
-    @pytest.mark.parametrize("workers", (0, 2))
-    def test_tree_that_numbers_letters_in_another_order(self, workers):
-        """The suite is built over the tables' letter indices and asked in
-        the tree's letter ids.  Where the two numberings differ, the same
-        words are asked: the same transcript, sessions and model."""
-        def run(first_seen):
-            transcript = io.StringIO()
-            oracle = MembershipOracle(sim_query_fn(), votes=1, transcript=transcript)
-            oracle.ids(first_seen)
-            with SuitePool(oracle, workers) if workers else contextlib.nullcontext() as pool:
-                result = lstar_learn(
-                    oracle, LADDER_ALPHABET,
-                    lambda m: wmethod_counterexample(m, oracle, depth=1, pool=pool))
-            return transcript.getvalue(), oracle.trials, result.machine.to_json()
-
-        assert run(tuple(reversed(LADDER_ALPHABET))) == run(LADDER_ALPHABET)
-
 
 @dataclass(frozen=True)
 class FailingOn:
@@ -242,21 +226,56 @@ class TestFailuresSurfaceAtTheirWord:
         assert "exited" in str(error)
 
     def test_workers_ignore_sigint(self):
+        # The workers get SIGINT once they have served the first suite, and
+        # then run most sessions of the later ones, the final suite's among
+        # them.
+        parent = os.getpid()
         ccfg = ClusterConfig(seed=1)
         acfg = default_alphabet(ccfg, self_id="dummy", unknown_id="nz")
         query = ClusterProxy(spawn_cluster(ccfg), acfg).query
-        letters = tuple(enumerate_input_alphabet(acfg))
-        oracle = MembershipOracle(query, votes=1)
+        here = []  # one entry per session this process runs
+
+        def counting(word):
+            if os.getpid() == parent:
+                here.append(None)
+            return query(word)
+
+        oracle = MembershipOracle(counting, enumerate_input_alphabet(acfg), votes=1)
+        hypotheses, marks = [], []
         with SuitePool(oracle, 2) as pool:
-            machine = lstar_learn(
-                oracle, letters,
-                lambda m: wmethod_counterexample(m, oracle, 1, pool)).machine
-            for worker in pool._workers:
-                os.kill(worker.pid, signal.SIGINT)
-            fresh = MembershipOracle(query, votes=1)
-            assert wmethod_counterexample(machine, fresh, 1, pool) is None
-            assert fresh.trials > 6_000
+            def find(machine):
+                hypotheses.append(machine)
+                if len(hypotheses) == 2:
+                    for worker in pool._workers:
+                        os.kill(worker.pid, signal.SIGINT)
+                    marks.extend((oracle.trials, len(here)))
+                return wmethod_counterexample(machine, oracle, 1, pool)
+
+            machine = lstar_learn(oracle, find).machine
         assert children_reaped()
+        assert machine.to_json() == REFERENCE_MACHINE.read_text(encoding="utf-8")
+        trials, sessions_here = marks
+        assert oracle.trials - trials > 6_000
+        assert len(here) - sessions_here < (oracle.trials - trials) / 4
+
+    def test_a_pool_made_for_another_oracle_is_refused_before_a_session(self):
+        # The pool looks suite words up in its own oracle's tree, so with
+        # another oracle its workers would vote on the wrong words.
+        asked = []
+
+        def query(word):
+            asked.append(word)
+            return REFERENCE.run_outputs(word)
+
+        mine = MembershipOracle(query, REFERENCE.input_alphabet, votes=1)
+        other = MembershipOracle(query, REFERENCE.input_alphabet, votes=1)
+        with SuitePool(mine, 1) as pool:
+            with pytest.raises(ValueError, match="another oracle"):
+                wmethod_counterexample(REFERENCE, other, 1, pool)
+            assert other.trials == 0 and asked == []
+            assert wmethod_counterexample(REFERENCE, mine, 1, pool) is None
+        assert children_reaped()
+        assert mine.trials > 6_000
 
 
 @pytest.mark.parametrize("end", ["send", "receive"])

@@ -388,6 +388,7 @@ class TestParity:
         word = LADDER_ALPHABET
         local = inproc_proxy()
         with tcp_proxy() as remote:
+            assert remote.ticks_advanced == 0  # no reset yet: no window length
             assert remote.query(word) == local.query(word)
             assert remote.symbols_sent == local.symbols_sent
             assert remote.keepalives_answered == local.keepalives_answered

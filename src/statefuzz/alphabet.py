@@ -15,9 +15,10 @@ must hold, checked in a fixed order, and the ``DecodeError`` text for the
 first bad one, which the simulator sends back to the peer in ``__error__``
 frames.
 
-Wire format: a 4-byte big-endian length prefix followed by UTF-8 canonical
-JSON (stable key order) with the keys ``cluster_id``, ``sender``, ``ts``,
-``type`` and ``payload``.
+A concrete message is the object its frame carries: a dict with exactly the
+keys ``FRAME_KEYS``, ``cluster_id``, ``sender``, ``ts``, ``type`` and
+``payload``.  Wire format: a 4-byte big-endian length prefix followed by
+that dict as UTF-8 canonical JSON (stable key order).
 """
 from __future__ import annotations
 
@@ -130,41 +131,6 @@ class Symbol:
 NO_RESPONSE = Symbol(NORESPONSE)
 
 OutputWord = tuple  # tuple[Symbol, ...]
-
-
-@dataclass(frozen=True, init=False)
-class ConcreteMessage:
-    """A single wire-level message prior to framing."""
-
-    cluster_id: str
-    sender: str
-    logical_ts: int
-    msg_type: str
-    payload: dict
-
-    def __init__(self, cluster_id: str, sender: str, logical_ts: int, msg_type: str,
-                 payload: dict):
-        # Every letter sent and every reply is one message.  Filling the
-        # instance dict in place takes 0.26 us, replacing it with a new one
-        # 0.39 us, and the generated frozen __init__, which calls
-        # object.__setattr__ once per field, 0.58 us (CPython 3.11).
-        # Equality, hashing and repr still come from the fields above, so a
-        # field added there must be set here too.
-        fields = self.__dict__
-        fields["cluster_id"] = cluster_id
-        fields["sender"] = sender
-        fields["logical_ts"] = logical_ts
-        fields["msg_type"] = msg_type
-        fields["payload"] = payload
-
-    def to_wire(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "sender": self.sender,
-            "ts": self.logical_ts,
-            "type": self.msg_type,
-            "payload": self.payload,
-        }
 
 
 @dataclass(frozen=True)
@@ -317,7 +283,7 @@ def canonical_output(events, cfg: AlphabetConfig,
     """Collapse raw (tick, Symbol) events into one canonical word.
 
     The proxy passes the virtual tick at which each reply reached the peer;
-    a message's own ``logical_ts`` plays no part.  Events are ordered by
+    a message's own ``ts`` plays no part.  Events are ordered by
     that tick, with a stable symbol ordering as the tie-break.  Keep-alive
     symbols carry no protocol meaning and are filtered out; if
     ``keepalives`` is a list, they are appended to it in event order.  An
@@ -339,7 +305,7 @@ def canonical_output(events, cfg: AlphabetConfig,
 # Abstract symbol <-> concrete message
 # ---------------------------------------------------------------------------
 
-def encode(sym: Symbol, ctx) -> ConcreteMessage:
+def encode(sym: Symbol, ctx) -> dict:
     """Concretize an input symbol under a session context.
 
     ``ctx`` supplies identity (cluster_id, self_id), the logical clock and
@@ -353,7 +319,8 @@ def encode(sym: Symbol, ctx) -> ConcreteMessage:
             raise ConfigError("NoResponse is not an input symbol")
         raise ConfigError(f"unknown symbol tag: {tag!r}")
     payload = _ENCODERS[tag](sym.params, ctx)
-    return ConcreteMessage(ctx.cluster_id, ctx.self_id, ctx.next_ts(), msg_type, payload)
+    return {"cluster_id": ctx.cluster_id, "sender": ctx.self_id, "ts": ctx.next_ts(),
+            "type": msg_type, "payload": payload}
 
 
 def _no_payload(params, ctx) -> dict:
@@ -380,24 +347,25 @@ _ENCODERS = {
 }
 
 
-def decode(msg: ConcreteMessage, cfg: AlphabetConfig) -> Symbol:
+def decode(msg: dict, cfg: AlphabetConfig) -> Symbol:
     """Map a concrete message back to its abstract symbol.
 
     Node ids outside the configured member set decode with kind=unknown.
     Unknown message types and malformed payloads raise DecodeError; nothing
     is silently dropped.  ``NoResponse`` is never decoded from the wire.
     """
-    entry = _DECODERS.get(msg.msg_type)
+    msg_type = msg["type"]
+    entry = _DECODERS.get(msg_type)
     if entry is None:
-        raise DecodeError(f"unknown message type: {msg.msg_type!r}")
-    p = msg.payload
+        raise DecodeError(f"unknown message type: {msg_type!r}")
+    p = msg["payload"]
     if not isinstance(p, dict):
         raise DecodeError("payload must be an object")
     tag, read = entry
     try:
         return Symbol(tag, read(p, cfg))
     except (KeyError, TypeError) as exc:  # defensive: malformed payload shapes
-        raise DecodeError(f"malformed payload for {msg.msg_type}: {exc}") from exc
+        raise DecodeError(f"malformed payload for {msg_type}: {exc}") from exc
 
 
 def _probe_request(p: dict, cfg: AlphabetConfig) -> tuple:
@@ -510,13 +478,13 @@ def _req_int(payload: dict, key: str) -> int:
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def frame_encode(msg: ConcreteMessage) -> bytes:
+def frame_encode(msg: dict) -> bytes:
     """Length-prefixed canonical JSON frame for one message."""
-    body = _canonical_json(msg.to_wire()).encode("utf-8")
+    body = _canonical_json(msg).encode("utf-8")
     return _LEN_PREFIX.pack(len(body)) + body
 
 
-def frame_decode(data: bytes) -> ConcreteMessage:
+def frame_decode(data: bytes) -> dict:
     """Parse exactly one frame.  Trailing bytes are a framing error."""
     stream = io.BytesIO(data)
     msg = read_frame(stream.read)
@@ -528,16 +496,9 @@ def frame_decode(data: bytes) -> ConcreteMessage:
     return msg
 
 
-def parse_frame_body(body: bytes) -> ConcreteMessage:
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"frame body is not canonical JSON: {exc}") from exc
-    return message_from_wire(obj)
-
-
-def message_from_wire(obj) -> ConcreteMessage:
-    """Validate one decoded wire object and build the message."""
+def message_from_wire(obj) -> dict:
+    """Validate one decoded wire object; the message, with exactly the keys
+    ``FRAME_KEYS``."""
     if not isinstance(obj, dict):
         raise FrameError("frame body must be a JSON object")
     missing = [k for k in FRAME_KEYS if k not in obj]
@@ -551,16 +512,12 @@ def message_from_wire(obj) -> ConcreteMessage:
         raise FrameError("ts must be an integer")
     if not isinstance(obj["payload"], dict):
         raise FrameError("payload must be an object")
-    return ConcreteMessage(
-        cluster_id=obj["cluster_id"],
-        sender=obj["sender"],
-        logical_ts=obj["ts"],
-        msg_type=obj["type"],
-        payload=obj["payload"],
-    )
+    if len(obj) == len(FRAME_KEYS):
+        return obj
+    return {k: obj[k] for k in FRAME_KEYS}
 
 
-def read_frame(read) -> ConcreteMessage | None:
+def read_frame(read) -> dict | None:
     """Read one frame through ``read(n) -> bytes`` (a blocking reader that
     returns fewer bytes only at end of stream).  Returns None on a clean end
     of stream at a frame boundary; raises FrameError if the stream ends
@@ -576,7 +533,11 @@ def read_frame(read) -> ConcreteMessage | None:
     body = read(length)
     if len(body) < length:
         raise FrameError("stream ended inside frame body")
-    return parse_frame_body(body)
+    try:
+        obj = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"frame body is not canonical JSON: {exc}") from exc
+    return message_from_wire(obj)
 
 
 # ---------------------------------------------------------------------------

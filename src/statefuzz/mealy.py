@@ -55,7 +55,8 @@ class MealyMachine:
             raise ModelError("duplicate states")
         if self.initial not in state_set:
             raise ModelError(f"initial state {self.initial!r} not in states")
-        if len(set(self.input_alphabet)) != len(self.input_alphabet):
+        letter_set = set(self.input_alphabet)
+        if len(letter_set) != len(self.input_alphabet):
             raise ModelError("duplicate input letters")
         for s in self.states:
             for a in self.input_alphabet:
@@ -64,6 +65,8 @@ class MealyMachine:
         for (s, a), (nxt, out) in self.transitions.items():
             if s not in state_set or nxt not in state_set:
                 raise ModelError(f"transition {(s, a)!r} touches unknown state")
+            if a not in letter_set:
+                raise ModelError(f"transition {(s, a)!r} is on a letter outside the alphabet")
             if not isinstance(out, tuple):
                 raise ModelError(f"output of {(s, a)!r} must be a tuple word")
 
@@ -216,10 +219,7 @@ class _Tables:
         delta = [[0] * len(letters) for _ in machine.states]
         out = [[0] * len(letters) for _ in machine.states]
         for (s, a), (dst, word) in machine.transitions.items():
-            i = rank.get(a)
-            if i is None:
-                continue  # a letter outside the alphabet
-            c = index.setdefault(word, len(index))
+            i, c = rank[a], index.setdefault(word, len(index))
             delta[number[s]][i] = number[dst]
             out[number[s]][i] = c
         # Moore's partition refinement, then the blocks the initial state

@@ -1,7 +1,8 @@
 """Bridge between abstract protocol symbols and a live cluster endpoint.
 
 The proxy owns the sender-side session state (logical clock, vote terms),
-turns each input symbol into one concrete message, delivers it through a
+turns each input symbol into one concrete message (the dict of the five
+frame keys that its frame carries), delivers it through a
 transport, collects the reply window, and collapses it into a canonical
 output word.  Keep-alive traffic aimed at the controlled identity is
 answered politely in the background and never surfaces in output words, so
@@ -18,7 +19,7 @@ A transport is any object with:
 ``reset() -> int``
     Put the cluster back into its converged baseline state and return the
     leader term of that fresh session.
-``run(msgs) -> (delivered, [(index, [(tick, ConcreteMessage)])])``
+``run(msgs) -> (delivered, [(index, [(tick, message)])])``
     Take messages from the iterable ``msgs`` (one or more) and deliver them
     in turn, each followed by its observation window, and stop after the
     first window that holds a keep-alive wire type
@@ -56,8 +57,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .alphabet import (
-    ALIVE, KEEPALIVE_WIRE_TYPES, NO_RESPONSE, PREQ, PRES, RAREQ, RARES,
-    AlphabetConfig, ConcreteMessage, FrameError, Symbol,
+    ALIVE, KEEPALIVE_WIRE_TYPES, NO_RESPONSE, PREQ, PRES, RARES,
+    AlphabetConfig, FrameError, Symbol,
     TERM_CURRENT, WIRE_TYPES, _is_int, canonical_output, decode, encode,
     frame_encode, message_from_wire, read_frame,
 )
@@ -176,12 +177,12 @@ class ClusterProxy:
         return self.transport.observe()
 
     def _answer_keepalive(self, sym: Symbol):
+        """Answer a keep-alive that ``canonical_output`` collected: a probe
+        aimed at the proxy's identity, or a heartbeat."""
         if sym.tag == PREQ:
             reply = Symbol(PRES, (self.cfg.self_ref, ALIVE))
-        elif sym.tag == RAREQ:
-            reply = Symbol(RARES, ())
         else:
-            return
+            reply = Symbol(RARES)
         self.transport.inject(encode(reply, self.ctx))
         self.keepalives_answered += 1
 
@@ -206,13 +207,13 @@ class TransportError(RuntimeError):
     """Transport-level failure reported by, or while talking to, the far end."""
 
 
-def _control(msg_type: str, payload: dict) -> ConcreteMessage:
+def _control(msg_type: str, payload: dict) -> dict:
     """One control frame; requests and replies alike."""
-    return ConcreteMessage(cluster_id="__transport__", sender="__control__",
-                           logical_ts=0, msg_type=msg_type, payload=payload)
+    return {"cluster_id": "__transport__", "sender": "__control__", "ts": 0,
+            "type": msg_type, "payload": payload}
 
 
-def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage) -> ConcreteMessage:
+def _serve_request(cluster: ClusterHandle, msg: dict) -> dict:
     """Run one control request on ``cluster``; return its one reply frame,
     ``__done__`` or ``__error__``.
 
@@ -223,7 +224,7 @@ def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage) -> ConcreteMess
     ``__inject__`` is nothing else.  Every frame of a request is checked
     before the cluster sees any of them."""
     try:
-        kind, payload = msg.msg_type, msg.payload
+        kind, payload = msg["type"], msg["payload"]
         if kind not in (CTRL_RESET, CTRL_DELIVER, CTRL_INJECT, CTRL_OBSERVE):
             return _control(CTRL_ERROR, {"reason": f"unknown control type: {kind!r}"})
         done = {}
@@ -235,8 +236,7 @@ def _serve_request(cluster: ClusterHandle, msg: ConcreteMessage) -> ConcreteMess
             cluster.inject(inject)
         if msgs:
             done["delivered"], windows = cluster.run(msgs)
-            done["events"] = [[index, t, m.to_wire()]
-                              for index, window in windows for t, m in window]
+            done["events"] = [[index, t, m] for index, window in windows for t, m in window]
         elif kind == CTRL_OBSERVE:
             done["observation"] = cluster.observe().to_dict()
         return _control(CTRL_DONE, done)
@@ -381,7 +381,7 @@ class TcpTransport:
     def run(self, msgs) -> tuple:
         if self.window_ticks is None:
             raise TransportError("run before the first reset")
-        frames = [msg.to_wire() for msg in msgs]
+        frames = list(msgs)
         done = self._call(CTRL_DELIVER, {"frames": frames})
         events, delivered = done.get("events"), done.get("delivered")
         if not isinstance(events, list):
@@ -402,15 +402,15 @@ class TcpTransport:
                 last = index
             windows[-1][1].append((tick, message_from_wire(frame)))
         stop = next((index for index, window in windows
-                     if any(m.msg_type in KEEPALIVE_WIRE_TYPES for _, m in window)), None)
+                     if any(m["type"] in KEEPALIVE_WIRE_TYPES for _, m in window)), None)
         if stop is not None and stop != delivered - 1:
             raise TransportError("run went on after a keep-alive window")
         if stop is None and delivered < len(frames):
             raise TransportError("run stopped after a window without a keep-alive")
         return delivered, windows
 
-    def inject(self, msg: ConcreteMessage):
-        self._injects.append(msg.to_wire())
+    def inject(self, msg: dict):
+        self._injects.append(msg)
 
     def observe(self) -> ClusterObservation:
         done = self._call(CTRL_OBSERVE, {})
@@ -451,11 +451,12 @@ class TcpTransport:
             raise TransportError(f"read from the server failed: {exc}") from exc
         if msg is None:
             raise TransportError("server closed the connection")
-        if msg.msg_type == CTRL_ERROR:
-            raise TransportError(msg.payload.get("reason", "unspecified failure"))
-        if msg.msg_type != CTRL_DONE:
-            raise TransportError(f"unexpected frame type {msg.msg_type!r}")
-        return msg.payload
+        kind, payload = msg["type"], msg["payload"]
+        if kind == CTRL_ERROR:
+            raise TransportError(payload.get("reason", "unspecified failure"))
+        if kind != CTRL_DONE:
+            raise TransportError(f"unexpected frame type {kind!r}")
+        return payload
 
 
 def _baseline(done: dict) -> tuple:

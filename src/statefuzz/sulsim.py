@@ -34,7 +34,7 @@ from functools import cached_property
 from .alphabet import (
     ALIVE, BREQ, BRES, DATA_APP, DATA_TOPO, DEAD, OP_ADD, OP_REMOVE, PREQ,
     PRES, RAREQ, RARES, RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES,
-    RVREQ, RVRES, APPROVED, REJECTED, AlphabetConfig, ConcreteMessage,
+    RVREQ, RVRES, APPROVED, REJECTED, FRAME_KEYS, AlphabetConfig,
     ConfigError, DecodeError, KEEPALIVE_WIRE_TYPES, Symbol, WIRE_TYPES, _is_int,
     _is_list, _is_str, decode,
 )
@@ -60,6 +60,7 @@ ALL_VULNERABILITIES = frozenset(
 BASE_NODE_LOAD = 2
 BASELINE_TERM = 1  # the term the bootstrap election always ends in
 ERROR_TYPE = "__error__"
+_FRAME_KEY_SET = frozenset(FRAME_KEYS)
 # The switches' real links, and the link a forged topology add fabricates
 # under ``fake_link``.
 REAL_LINKS = (("a1", "a2"), ("a2", "b1"), ("b1", "b2"))
@@ -252,7 +253,7 @@ class ClusterHandle:
         self._restore(self._steady_snapshot)
         return self.cluster_term
 
-    def exchange(self, msg: ConcreteMessage) -> list:
+    def exchange(self, msg: dict) -> list:
         """Deliver ``msg``; return [(tick, message)] emitted to the external
         peer during the ``window_ticks`` that follow."""
         self.deliver(msg)
@@ -273,11 +274,11 @@ class ClusterHandle:
             if window:
                 loud.append((index, window))
                 for _, sent in window:
-                    if sent.msg_type in KEEPALIVE_WIRE_TYPES:
+                    if sent["type"] in KEEPALIVE_WIRE_TYPES:
                         return index + 1, loud
         return index + 1, loud
 
-    def inject(self, msg: ConcreteMessage):
+    def inject(self, msg: dict):
         """Deliver ``msg`` without opening an observation window."""
         self.deliver(msg)
 
@@ -388,17 +389,17 @@ class ClusterHandle:
 
     # -- message intake ----------------------------------------------------
 
-    def deliver(self, msg: ConcreteMessage):
+    def deliver(self, msg: dict):
         """Inject one external message.  Replies surface via :meth:`tick`.
 
         Malformed messages are rejected with an error emission, never
         silently dropped and never fatal to the cluster.
         """
-        if not isinstance(msg, ConcreteMessage):
-            raise TypeError("deliver expects a ConcreteMessage")
-        sender, ts = msg.sender, msg.logical_ts
-        if msg.cluster_id != self.cfg.cluster_id:
-            self._reject(f"wrong cluster id {msg.cluster_id!r}")
+        if not isinstance(msg, dict) or msg.keys() != _FRAME_KEY_SET:
+            raise TypeError(f"deliver expects a message with exactly the keys {FRAME_KEYS}")
+        sender, ts, cluster_id = msg["sender"], msg["ts"], msg["cluster_id"]
+        if cluster_id != self.cfg.cluster_id:
+            self._reject(f"wrong cluster id {cluster_id!r}")
             return
         if not sender or sender in self._members:
             self._reject(f"bad sender {sender!r}")
@@ -425,7 +426,7 @@ class ClusterHandle:
 
     # -- protocol reaction -------------------------------------------------
 
-    def _react(self, msg: ConcreteMessage, sym: Symbol):
+    def _react(self, msg: dict, sym: Symbol):
         tag = sym.tag
         vulns = self.cfg.vulnerabilities
         d = self.dummy
@@ -433,7 +434,7 @@ class ClusterHandle:
 
         if tag == PREQ:
             target = sym.params[0].id
-            if target == msg.sender:
+            if target == msg["sender"]:
                 # Contact announcement: liveness ack plus bootstrap invite.
                 invite = tuple(sorted(members)) if VULN_UNAUTH_JOIN in vulns else ()
                 self._emit(PRES, node=target, status=ALIVE)
@@ -472,7 +473,7 @@ class ClusterHandle:
             return
 
         if tag == RJREQ:
-            if d.locked or sym.params[0].id != msg.sender:
+            if d.locked or sym.params[0].id != msg["sender"]:
                 return
             if VULN_UNAUTH_JOIN in vulns:
                 if d.admitted:
@@ -496,10 +497,10 @@ class ClusterHandle:
         if tag == RVREQ:
             if d.locked:
                 return
-            term = msg.payload["term"]
+            term = msg["payload"]["term"]
             candidate = sym.params[0].id
             if VULN_SEIZE_LEADER in vulns and term > self.cluster_term:
-                new_leader = candidate if candidate in members else msg.sender
+                new_leader = candidate if candidate in members else msg["sender"]
                 self._set_leader(new_leader, term)
                 self._emit(RVRES, verdict=APPROVED)
             elif d.join_wait and not d.vote_seen:
@@ -559,8 +560,8 @@ class ClusterHandle:
 
     def _emit_raw(self, msg_type: str, payload: dict):
         self._emit_ts += 1
-        self._replies.append(ConcreteMessage(
-            self.cfg.cluster_id, self._host, self._emit_ts, msg_type, payload))
+        self._replies.append({"cluster_id": self.cfg.cluster_id, "sender": self._host,
+                              "ts": self._emit_ts, "type": msg_type, "payload": payload})
 
     # -- observation -------------------------------------------------------
 

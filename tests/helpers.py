@@ -21,6 +21,12 @@ T0_HEARTBEAT = Symbol(RAREQ)
 T0_ALPHABET = (T0_PROBE, T0_JOIN, T0_HEARTBEAT)
 
 
+def message(cluster_id: str, sender: str, ts: int, msg_type: str, payload: dict) -> dict:
+    """A concrete message: the object its frame carries."""
+    return {"cluster_id": cluster_id, "sender": sender, "ts": ts, "type": msg_type,
+            "payload": payload}
+
+
 def build_t0() -> MealyMachine:
     """Tiny three-state fixture: probe moves q0->q1, join moves q1->q2."""
     nr = (NO_RESPONSE,)

@@ -424,6 +424,22 @@ class TestFuzz:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_machine_with_a_transition_outside_its_alphabet_exits_usage(
+            self, tmp_path, capsys):
+        # The reference model with RARes dropped from its alphabet but not
+        # from its transitions.
+        doc = json.loads((REPO_ROOT / "perfbench" / "reference" / "machine.json")
+                         .read_text(encoding="utf-8"))
+        doc["alphabet"].remove({"tag": "RARes", "params": []})
+        stray = write_json(tmp_path / "machine.json", doc)
+        out = tmp_path / "out"
+        rc = main(["fuzz", stray, "--budget", "50", "--out-dir", str(out)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "invalid machine file" in captured.err and "RARes" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_machine_with_no_feasible_seeds_exits_usage(self, workspace, tmp_path, capsys):
         cfg = fuzz_config(workspace, tmp_path, prune_others=list(cli._INPUT_TAGS))
         out = tmp_path / "out"

@@ -65,6 +65,14 @@ class TestExecution:
         with pytest.raises(ModelError):
             MealyMachine(t0.states, t0.initial, t0.input_alphabet, broken)
 
+    def test_transition_on_a_letter_outside_the_alphabet_rejected(self):
+        # minimize, to_json and so a from_json round trip would drop it.
+        stray = Symbol("RJRes")
+        transitions = {("a", Symbol("RConReq")): ("a", (NO_RESPONSE,)),
+                       ("a", stray): ("a", (NO_RESPONSE,))}
+        with pytest.raises(ModelError, match="outside the alphabet"):
+            MealyMachine(("a",), "a", (Symbol("RConReq"),), transitions)
+
 
 class TestPrune:
     def test_self_loops_hidden_from_traversal(self):

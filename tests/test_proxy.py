@@ -2,7 +2,6 @@
 keep-alive keeper behavior, and end-to-end queries against the simulator."""
 from __future__ import annotations
 
-import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -12,7 +11,7 @@ from statefuzz.alphabet import (
     ALIVE, APPROVED, BREQ, BRES, DEAD, KNOWN, NO_RESPONSE, PREQ, PRES, RAREQ,
     RARES, RCOMREQ, RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES, RVREQ, RVRES,
     REJECTED, TERM_CURRENT, TERM_HIGHER, UNKNOWN, AlphabetConfig,
-    ConcreteMessage, ConfigError, DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD,
+    ConfigError, DecodeError, NodeRef, Symbol, DATA_APP, OP_ADD,
     decode, encode, enumerate_input_alphabet, is_keepalive, symbol_label,
     symbol_sort_key,
 )
@@ -23,13 +22,14 @@ from statefuzz.sulsim import (
     spawn_cluster,
 )
 
+from helpers import message
+
 MEMBERS = ("n1", "n2", "n3", "n4")
 ACFG = AlphabetConfig(members=MEMBERS, self_id="dummy", cluster_id="sdwan")
 
 
 def wire(msg_type, payload, ts):
-    return (ts, ConcreteMessage(cluster_id="sdwan", sender="n1", logical_ts=ts,
-                                msg_type=msg_type, payload=payload))
+    return (ts, message("sdwan", "n1", ts, msg_type, payload))
 
 
 class ScriptedTransport:
@@ -144,7 +144,7 @@ class TestWindowCanonicalization:
             proxy.query((PREQ_N1, RCONREQ_S, bad, PREQ_N1))
         assert transport.resets == proxy.resets == 1
         assert proxy.symbols_sent == 1 and proxy.ticks_advanced == 5
-        assert [m.msg_type for m in transport.sent] == ["RaftConfigureRequest"]
+        assert [m["type"] for m in transport.sent] == ["RaftConfigureRequest"]
 
     def test_undecodable_window_counts_letters_through_it(self):
         # The run goes on past a window that does not decode, so the target
@@ -178,15 +178,15 @@ class TestKeeper:
         proxy, transport = scripted_proxy([list(self.KEEPALIVE_WIN)])
         proxy.query((RCOM_ADD,))
         assert proxy.keepalives_answered == 2
-        types = [m.msg_type for m in transport.injected]
+        types = [m["type"] for m in transport.injected]
         assert types == ["ProbeResponse", "RaftAppendResponse"]
-        assert transport.injected[0].payload == {"node": "dummy", "status": ALIVE}
+        assert transport.injected[0]["payload"] == {"node": "dummy", "status": ALIVE}
 
     def test_keeper_replies_use_the_session_clock(self):
         proxy, transport = scripted_proxy([list(self.KEEPALIVE_WIN)])
         proxy.query((RCOM_ADD,))
-        sent_ts = transport.sent[-1].logical_ts
-        injected_ts = [m.logical_ts for m in transport.injected]
+        sent_ts = transport.sent[-1]["ts"]
+        injected_ts = [m["ts"] for m in transport.injected]
         assert injected_ts == sorted(injected_ts)
         assert all(ts > sent_ts for ts in injected_ts)
 
@@ -198,9 +198,9 @@ class TestKeeper:
         out = proxy.query([RVREQ_HI, RCOM_ADD, RVREQ_HI, RCONREQ_S])
         assert [[s.tag for s in word] for word in out] == [
             [NO_RESPONSE.tag], [RCOMRES], [NO_RESPONSE.tag], [NO_RESPONSE.tag]]
-        assert [m.logical_ts for m in transport.sent] == [1, 2, 5, 6]
-        assert [m.logical_ts for m in transport.injected] == [3, 4]
-        assert [m.payload["term"] for m in transport.sent if "term" in m.payload] == [4, 5]
+        assert [m["ts"] for m in transport.sent] == [1, 2, 5, 6]
+        assert [m["ts"] for m in transport.injected] == [3, 4]
+        assert [m["payload"]["term"] for m in transport.sent if "term" in m["payload"]] == [4, 5]
         assert proxy.symbols_sent == 4 and proxy.ticks_advanced == 4 * 5
 
     def test_keepalives_on_the_last_letter_need_no_second_encoding(self, monkeypatch):
@@ -209,8 +209,8 @@ class TestKeeper:
                             lambda sym, ctx, _encode=encode: calls.append(sym) or _encode(sym, ctx))
         proxy, transport = scripted_proxy([[], list(self.KEEPALIVE_WIN)])
         proxy.query([PREQ_N1, RCOM_ADD])
-        assert [m.logical_ts for m in transport.sent] == [1, 2]
-        assert [m.logical_ts for m in transport.injected] == [3, 4]
+        assert [m["ts"] for m in transport.sent] == [1, 2]
+        assert [m["ts"] for m in transport.injected] == [3, 4]
         assert len(calls) == 2 + 2  # two letters, two answers
 
     def test_letters_before_a_keepalive_window_are_encoded_once(self, monkeypatch):
@@ -227,8 +227,8 @@ class TestKeeper:
         # The letters through the window, the two answers, then the rest.
         assert calls[:3] == word[:3] and calls[5:] == word[3:]
         assert [sym.tag for sym in calls[3:5]] == [PRES, RARES]
-        assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 6, 7]
-        assert [m.payload["term"] for m in transport.sent if "term" in m.payload] == [4, 5, 6]
+        assert [m["ts"] for m in transport.sent] == [1, 2, 3, 6, 7]
+        assert [m["payload"]["term"] for m in transport.sent if "term" in m["payload"]] == [4, 5, 6]
 
     def test_a_transport_that_takes_more_than_it_delivers_sends_the_same(self, monkeypatch):
         # As over TCP: the transport takes the whole rest of the word but
@@ -248,9 +248,9 @@ class TestKeeper:
         assert [[s.tag for s in w] for w in out] == [
             [RCONRES], [NO_RESPONSE.tag], [RCOMRES], [NO_RESPONSE.tag], [NO_RESPONSE.tag]]
         assert rewinds == [(0, None)]
-        assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 6, 7]
-        assert [m.logical_ts for m in transport.injected] == [4, 5]
-        assert [m.payload["term"] for m in transport.sent if "term" in m.payload] == [4, 5, 6]
+        assert [m["ts"] for m in transport.sent] == [1, 2, 3, 6, 7]
+        assert [m["ts"] for m in transport.injected] == [4, 5]
+        assert [m["payload"]["term"] for m in transport.sent if "term" in m["payload"]] == [4, 5, 6]
         assert proxy.symbols_sent == 5 and proxy.keepalives_answered == 2
 
     def test_probe_for_another_member_ends_a_run_without_a_rewind(self, monkeypatch):
@@ -276,39 +276,39 @@ class TestKeeper:
         assert runs == [2, 2]  # the letters each run took: the probe's window ends the first
         assert rewinds == [] and transport.injected == [] and proxy.keepalives_answered == 0
         assert out[1] == (Symbol(PREQ, (NodeRef("n2", KNOWN),)),)
-        assert [m.logical_ts for m in transport.sent] == [1, 2, 3, 4]
+        assert [m["ts"] for m in transport.sent] == [1, 2, 3, 4]
 
 
 class TestSessionCoupling:
     def test_current_vote_uses_observed_term(self):
         proxy, transport = scripted_proxy([[]], term=9)
         proxy.query((RVREQ_CUR,))
-        payload = transport.sent[0].payload
+        payload = transport.sent[0]["payload"]
         assert payload["term"] == 9 and payload["base_term"] == 9
 
     def test_session_term_comes_from_reset_without_observe(self):
         proxy, transport = scripted_proxy([[], []], term=6)
         transport.observe = None  # calling it would raise TypeError
         proxy.query([RVREQ_CUR, RVREQ_HI])
-        assert [m.payload["term"] for m in transport.sent] == [6, 7]
+        assert [m["payload"]["term"] for m in transport.sent] == [6, 7]
 
     def test_higher_votes_escalate_per_session(self):
         proxy, transport = scripted_proxy([[], [], []], term=4)
         proxy.query([RVREQ_HI, RVREQ_HI, RVREQ_HI])
-        terms = [m.payload["term"] for m in transport.sent]
+        terms = [m["payload"]["term"] for m in transport.sent]
         assert terms == [5, 6, 7]
 
     def test_reset_restarts_clock_and_terms(self):
         proxy, transport = scripted_proxy([[], [], [], []], term=4)
         proxy.query([RVREQ_HI])
         proxy.query([RVREQ_HI])
-        assert [m.payload["term"] for m in transport.sent] == [5, 5]
-        assert [m.logical_ts for m in transport.sent] == [1, 1]
+        assert [m["payload"]["term"] for m in transport.sent] == [5, 5]
+        assert [m["ts"] for m in transport.sent] == [1, 1]
 
     def test_sent_timestamps_strictly_increase_within_session(self):
         proxy, transport = scripted_proxy([[], [], []])
         proxy.query([PREQ_N1, BREQ_FULL, RCONREQ_S])
-        ts = [m.logical_ts for m in transport.sent]
+        ts = [m["ts"] for m in transport.sent]
         assert ts == sorted(set(ts))
 
 
@@ -464,7 +464,7 @@ class TestSilentWindows:
             # A vote lands ahead of the session's first letter, stamped below it.
             term = reset()
             vote = encode(RVREQ_CUR, SessionContext(acfg.cluster_id, acfg.self_id, term))
-            handle.inject(dataclasses.replace(vote, logical_ts=0))
+            handle.inject({**vote, "ts": 0})
             return term
 
         monkeypatch.setattr(handle, "reset", reset_then_vote)

@@ -11,7 +11,7 @@ import pytest
 from statefuzz.alphabet import (
     ALIVE, DEAD, APPROVED, REJECTED, BREQ, BRES, PREQ, PRES, RAREQ, RCOMREQ,
     RCOMRES, RCONREQ, RCONRES, RJREQ, RJRES, RVRES, RVREQ,
-    DATA_APP, DATA_TOPO, OP_ADD, OP_REMOVE, ConcreteMessage, ConfigError,
+    DATA_APP, DATA_TOPO, OP_ADD, OP_REMOVE, ConfigError,
     Symbol, decode, encode, enumerate_input_alphabet, frame_encode, is_keepalive,
 )
 from statefuzz.proxy import SessionContext
@@ -68,7 +68,7 @@ def send(handle, ctx, sym, acfg=None):
     handle.deliver(encode(sym, ctx))
     out = []
     for _, msg in handle.tick(H):
-        assert msg.msg_type != ERROR_TYPE, msg.payload
+        assert msg["type"] != ERROR_TYPE, msg["payload"]
         decoded = decode(msg, acfg)
         if not is_keepalive(decoded, acfg):
             out.append(decoded)
@@ -595,7 +595,7 @@ class TestDeterminism:
         out = []
         for sym in self.WORD:
             handle.deliver(encode(sym, ctx))
-            out.extend((t, m.to_wire()) for t, m in handle.tick(H))
+            out.extend(handle.tick(H))
         out.append(handle.session_fingerprint())
         out.append(handle.observe().to_dict())
         return out
@@ -640,10 +640,6 @@ class TestClockSplits:
         return rng, handles, a
 
     @staticmethod
-    def wire(events):
-        return [(tick, msg.to_wire()) for tick, msg in events]
-
-    @staticmethod
     def state(handle):
         timers = sorted((at, seq, handler.__name__, args)
                         for at, seq, handler, args in handle._events)
@@ -655,16 +651,16 @@ class TestClockSplits:
         rng, (split, whole), a = self.session(seed)
         b = rng.randint(0, 3 * H)
         events = split.tick(a) + split.tick(b)
-        assert self.wire(events) == self.wire(whole.tick(a + b))
+        assert events == whole.tick(a + b)
         assert self.state(split) == self.state(whole)
-        assert self.wire(split.tick(4 * H)) == self.wire(whole.tick(4 * H))
+        assert split.tick(4 * H) == whole.tick(4 * H)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_advance_equals_single_ticks(self, seed):
         rng, (single, whole), _ = self.session(seed)
         n = rng.randint(0, 4 * H)
         events = [e for _ in range(n) for e in single.tick(1)]
-        assert self.wire(events) == self.wire(whole.tick(n))
+        assert events == whole.tick(n)
         assert self.state(single) == self.state(whole)
 
     def test_sessions_cover_replies_in_flight_and_timers_on_the_edge(self):
@@ -875,13 +871,11 @@ class TestObservation:
 
 class TestRejection:
     def msg(self, **kw):
-        base = dict(cluster_id="sdwan", sender="dummy", logical_ts=1,
-                    msg_type="ProbeRequest", payload={"target": "n1"})
-        base.update(kw)
-        return ConcreteMessage(**base)
+        return {"cluster_id": "sdwan", "sender": "dummy", "ts": 1,
+                "type": "ProbeRequest", "payload": {"target": "n1"}, **kw}
 
     def errors(self, handle):
-        return [m for _, m in handle.tick(H) if m.msg_type == ERROR_TYPE]
+        return [m for _, m in handle.tick(H) if m["type"] == ERROR_TYPE]
 
     def test_wrong_cluster_rejected(self):
         handle = steady()
@@ -895,14 +889,14 @@ class TestRejection:
 
     def test_nonmonotonic_ts_rejected(self):
         handle = steady()
-        handle.deliver(self.msg(logical_ts=5))
+        handle.deliver(self.msg(ts=5))
         handle.tick(H)
-        handle.deliver(self.msg(logical_ts=5))
+        handle.deliver(self.msg(ts=5))
         assert len(self.errors(handle)) == 1
 
     def test_unknown_type_rejected(self):
         handle = steady()
-        handle.deliver(self.msg(msg_type="Bogus", payload={}))
+        handle.deliver(self.msg(type="Bogus", payload={}))
         assert len(self.errors(handle)) == 1
 
     def test_malformed_payload_rejected(self):
@@ -917,3 +911,16 @@ class TestRejection:
         handle.tick(H)
         assert handle.observe().to_dict() == before
         assert tags(send(handle, Ctx(), PREQ_N1)) == [PRES]
+
+    @pytest.mark.parametrize("bad", ["not a message", "no ts", "a sixth key"])
+    def test_anything_but_a_message_raises(self, bad):
+        msg = self.msg()
+        if bad == "no ts":
+            del msg["ts"]
+        elif bad == "a sixth key":
+            msg["extra"] = 1
+        else:
+            msg = tuple(msg.values())
+        handle = steady()
+        with pytest.raises(TypeError):
+            handle.deliver(msg)

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from statefuzz.alphabet import (
-    KNOWN, NO_RESPONSE, PREQ, RVREQ, TERM_HIGHER, ConcreteMessage, NodeRef,
+    KNOWN, NO_RESPONSE, PREQ, RVREQ, TERM_HIGHER, NodeRef,
     Symbol, encode, enumerate_input_alphabet, frame_encode, input_domains,
     read_frame, word_to_obj,
 )
@@ -33,6 +33,7 @@ from statefuzz.sulsim import (
     SimulationError, default_alphabet, spawn_cluster,
 )
 
+from helpers import message
 from test_acceptance import REFERENCE_MACHINE
 from test_learner import LADDER_ALPHABET, expected_ladder_machine
 
@@ -74,7 +75,7 @@ def scripted_server(*replies):
                 for msg_type, payload in replies:
                     if read_frame(rfile.read) is None:
                         return
-                    conn.sendall(frame_encode(ConcreteMessage(
+                    conn.sendall(frame_encode(message(
                         "__transport__", "__control__", 0, msg_type, payload)))
 
         server = threading.Thread(target=serve, daemon=True)
@@ -97,12 +98,11 @@ BAD_FIELDS = [
 
 
 SCRIPTED_RESET = ("__done__", {"window_ticks": 5, "term": 1})
-SCRIPTED_RUN = [ConcreteMessage("sdwan", "dummy", ts, "RaftConfigureRequest", {})
+SCRIPTED_RUN = [message("sdwan", "dummy", ts, "RaftConfigureRequest", {})
                 for ts in (1, 2, 3)]
-RESPONSE_FRAME = ConcreteMessage("sdwan", "n1", 1, "RaftConfigureResponse", {}).to_wire()
-PROBE_N2_FRAME = ConcreteMessage("sdwan", "n1", 2, "ProbeRequest", {"target": "n2"}).to_wire()
-HEARTBEAT_FRAME = ConcreteMessage(
-    "sdwan", "n1", 3, "RaftAppendRequest", {"term": 1, "entries": []}).to_wire()
+RESPONSE_FRAME = message("sdwan", "n1", 1, "RaftConfigureResponse", {})
+PROBE_N2_FRAME = message("sdwan", "n1", 2, "ProbeRequest", {"target": "n2"})
+HEARTBEAT_FRAME = message("sdwan", "n1", 3, "RaftAppendRequest", {"term": 1, "entries": []})
 
 
 def record_requests(transport) -> list:
@@ -188,19 +188,30 @@ class TestContract:
 
     def test_exchange_before_reset_is_rejected(self):
         with tcp_transport() as (transport, _):
-            msg = ConcreteMessage("sdwan", "dummy", 1, "RaftConfigureRequest", {})
+            msg = message("sdwan", "dummy", 1, "RaftConfigureRequest", {})
             with pytest.raises(TransportError):
                 transport.run([msg])
 
     def test_rejected_input_surfaces_as_error_message(self):
         with tcp_transport() as (transport, _):
             transport.reset()
-            bad = ConcreteMessage("wrong-cluster", "dummy", 1,
-                                  "RaftConfigureRequest", {})
+            bad = message("wrong-cluster", "dummy", 1, "RaftConfigureRequest", {})
             delivered, windows = transport.run([bad])
             assert delivered == 1
-            assert [(index, [m.msg_type for _, m in window])
+            assert [(index, [m["type"] for _, m in window])
                     for index, window in windows] == [(0, [ERROR_TYPE])]
+
+    def test_frames_with_a_sixth_key_are_served(self):
+        # The server keeps the five frame keys of a request and of each
+        # message it carries, and drops any other.
+        with tcp_transport() as (transport, cfg):
+            ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
+            probe = {**encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx), "extra": 1}
+            request = {**proxy_module._control("__deliver__", {"frames": [probe]}), "extra": 1}
+            transport._sock.sendall(frame_encode(request))
+            done = transport._read()
+            assert done["delivered"] == 1
+            assert [frame["type"] for _, _, frame in done["events"]] == ["ProbeResponse"]
 
     def test_unknown_control_type_reports_error_and_connection_survives(self):
         with tcp_transport() as (transport, cfg):
@@ -567,7 +578,7 @@ class TestRequestCounts:
                 before = len(requests)
                 del windows[:]
                 assert remote.query(word) == local.query(word)
-                stops = sum(any(m.msg_type in ("ProbeRequest", "RaftAppendRequest")
+                stops = sum(any(m["type"] in ("ProbeRequest", "RaftAppendRequest")
                                 for _, m in window) for window in windows[:-1])
                 assert len(requests) - before == stops + 1, word
                 stops_before_last.append(stops)
@@ -595,11 +606,11 @@ class LoggingCluster(ClusterHandle):
         return super().reset()
 
     def inject(self, msg):
-        self.log.append(("inject", msg.msg_type, msg.logical_ts))
+        self.log.append(("inject", msg["type"], msg["ts"]))
         super().inject(msg)
 
     def exchange(self, msg):
-        self.log.append(("exchange", msg.msg_type, msg.logical_ts))
+        self.log.append(("exchange", msg["type"], msg["ts"]))
         return super().exchange(msg)
 
     def observe(self):
@@ -692,7 +703,7 @@ class TestQueuedInjects:
         cluster = LoggingCluster(cfg)
         with ClusterServer(cluster) as srv, TcpTransport(srv.address) as transport:
             ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
-            probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx).to_wire()
+            probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx)
             payload = {"frames": [probe], "inject": [probe]}
             payload[bad] = [probe, {"nope": 1}]
             transport._send("__deliver__", payload)
@@ -775,11 +786,11 @@ class TestDeferredReset:
         with tcp_transport() as (transport, cfg):
             ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
             probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx)
-            transport._send("__deliver__", {"frames": [probe.to_wire(), {"nope": 1}]})
+            transport._send("__deliver__", {"frames": [probe, {"nope": 1}]})
             with pytest.raises(TransportError, match="missing keys"):
                 transport._read()
             # Had the probe been delivered, its timestamp would now be stale.
             delivered, windows = transport.run([probe])
             assert delivered == 1
-            assert [(index, [m.msg_type for _, m in window])
+            assert [(index, [m["type"] for _, m in window])
                     for index, window in windows] == [(0, ["ProbeResponse"])]

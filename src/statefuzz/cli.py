@@ -22,7 +22,9 @@ diagnostic verbosity on stderr.
 Exit codes: 0 success; 1 replay verdict mismatch or --fail-on-finding
 triggered; 2 bad usage, configuration, or input files; 3 learning budget
 exhausted; 4 nondeterministic target; 5 transport failure while learning;
-130 ``learn`` interrupted (Ctrl-C), after saving ``machine-partial.json``.
+130 interrupted (Ctrl-C).  Exits 3, 4, 5 and 130 of ``learn`` save
+``machine-partial.json`` when a hypothesis exists; exit 130 of ``fuzz``
+saves ``report-partial.json`` and the case files of the finished cases.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ from .alphabet import (
 )
 from .detector import ALL_CRITERIA, Baseline, Detector, Finding
 from .fuzzer import (
-    ALL_MUTATIONS, MUT_DUPLICATE, MUT_REMOVE, CampaignReport, FuzzCase,
-    replay_case, run_campaign, sdfs_extract,
+    ALL_MUTATIONS, MUT_DUPLICATE, MUT_REMOVE, CampaignInterrupted,
+    CampaignReport, FuzzCase, replay_case, run_campaign, sdfs_extract,
 )
 from .mealy import MealyMachine, PrunePolicy
 from .proxy import ClusterProxy, TransportError
@@ -116,7 +118,7 @@ SETTINGS = {
                     lambda v: v is None or isinstance(v, list)),
     },
     "fuzz": {
-        "budget": _INT,
+        "budget": _AT_LEAST_1,
         "seed": _INT,
         "weights": (f"null or an object giving each of {list(ALL_MUTATIONS)} "
                     f"a non-negative number, with {MUT_DUPLICATE} + {MUT_REMOVE} > 0 "
@@ -291,19 +293,19 @@ def cmd_learn(args) -> int:
                 lambda m: wmethod_counterexample(m, oracle,
                                                  depth=lcfg["eq_depth"], pool=pool),
                 max_rounds=lcfg["max_rounds"])
-        except PartialResultError as exc:
+        except (PartialResultError, NondeterminismError) as exc:
             if exc.hypothesis is not None:
                 write_artifact(out_dir / "machine-partial.json",
                                exc.hypothesis.to_json())
+            if isinstance(exc, NondeterminismError):
+                print(f"target answered nondeterministically: {exc}", file=sys.stderr)
+                return EXIT_NONDETERMINISM
             print(f"learning stopped early: {exc}", file=sys.stderr)
             if isinstance(exc.__cause__, TransportError):
                 return EXIT_TRANSPORT
             if isinstance(exc.__cause__, KeyboardInterrupt):
                 return EXIT_INTERRUPTED
             return EXIT_BUDGET_EXHAUSTED
-        except NondeterminismError as exc:
-            print(f"target answered nondeterministically: {exc}", file=sys.stderr)
-            return EXIT_NONDETERMINISM
         finally:
             if pool is not None:
                 pool.close()
@@ -330,22 +332,6 @@ def load_machine(path: str) -> MealyMachine:
         raise ConfigFileError(f"invalid machine file {path}: {exc}") from exc
 
 
-def merge_reports(reports: list, seed: int, shards: int) -> CampaignReport:
-    stats: dict = {}
-    for report in reports:
-        for key, value in report.stats.items():
-            stats[key] = stats.get(key, 0) + value
-    stats["shards"] = shards
-    return CampaignReport(
-        origin=reports[0].origin,
-        rng_seed=seed,
-        cases_run=sum(r.cases_run for r in reports),
-        findings=tuple(f for r in reports for f in r.findings),
-        errors=tuple(e for r in reports for e in r.errors),
-        stats=stats,
-    )
-
-
 def print_summary(report: CampaignReport):
     counts = {criterion: 0 for criterion in ALL_CRITERIA}
     for _, finding in report.findings:
@@ -367,6 +353,8 @@ def case_document(origin: str, case: FuzzCase, finding: Finding) -> str:
 def cmd_fuzz(args) -> int:
     config = load_config(args.config)
     fcfg = config["fuzz"]
+    if args.budget is not None and args.budget < 1:
+        raise ConfigFileError(f"--budget must be >= 1, not {args.budget}")
     machine = load_machine(args.machine)
     ccfg = cluster_from_config(config, args)
     acfg = alphabet_from(ccfg, config["alphabet"])
@@ -377,40 +365,32 @@ def cmd_fuzz(args) -> int:
             f"this configuration: {stray}")
     seed = args.seed if args.seed is not None else fcfg["seed"]
     budget = args.budget if args.budget is not None else fcfg["budget"]
-    if budget < 1:
-        raise ConfigFileError("budget must be positive")
-    if not 1 <= args.shards <= budget:
-        raise ConfigFileError(f"--shards must be between 1 and the budget ({budget})")
     pruned = machine.prune(PrunePolicy(others_labels=frozenset(fcfg["prune_others"])))
     if not sdfs_extract(pruned):
         raise ConfigFileError("campaign cannot run: model yields no feasible sequences to mutate")
-    domains = input_domains(acfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    reports = []
-    for shard in range(args.shards):
-        shard_budget = budget // args.shards + (1 if shard < budget % args.shards else 0)
-        shard_seed = seed if args.shards == 1 else (seed << 16) | shard
-        proxy = ClusterProxy(spawn_cluster(ccfg), acfg)
-        proxy.reset_session()
-        detector = Detector(Baseline.capture(proxy))
-        log.info("shard %d: %d cases, seed %d", shard, shard_budget, shard_seed)
-        reports.append(run_campaign(
-            proxy, pruned, detector, rng_seed=shard_seed,
-            max_cases=shard_budget, domains=domains, weights=fcfg["weights"]))
-
-    merged = reports[0] if len(reports) == 1 else merge_reports(reports, seed, args.shards)
-    write_artifact(out_dir / "report.json", merged.to_json())
-    for shard, report in enumerate(reports):
-        if len(reports) > 1:
-            write_artifact(out_dir / f"report-shard-{shard:02d}.json", report.to_json())
-        for case, finding in report.findings:
-            name = (f"case-{case.case_id:05d}.json" if len(reports) == 1
-                    else f"case-s{shard:02d}-{case.case_id:05d}.json")
-            write_artifact(out_dir / name, case_document(report.origin, case, finding))
-    print_summary(merged)
-    if args.fail_on_finding and merged.findings:
+    proxy = ClusterProxy(spawn_cluster(ccfg), acfg)
+    proxy.reset_session()
+    detector = Detector(Baseline.capture(proxy))
+    log.info("campaign: %d cases, seed %d", budget, seed)
+    try:
+        report = run_campaign(proxy, pruned, detector, rng_seed=seed, max_cases=budget,
+                              domains=input_domains(acfg), weights=fcfg["weights"])
+        name = "report.json"
+    except CampaignInterrupted as exc:
+        report, name = exc.report, "report-partial.json"
+    write_artifact(out_dir / name, report.to_json())
+    for case, finding in report.findings:
+        write_artifact(out_dir / f"case-{case.case_id:05d}.json",
+                       case_document(report.origin, case, finding))
+    if name != "report.json":
+        print(f"fuzzing interrupted after {report.cases_run} cases; "
+              f"wrote {out_dir / name}", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    print_summary(report)
+    if args.fail_on_finding and report.findings:
         return EXIT_VERDICT_MISMATCH
     return EXIT_OK
 
@@ -496,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, help="override the campaign seed")
     fuzz.add_argument("--budget", type=int, help="total campaign cases")
     fuzz.add_argument("--out-dir", default="out", metavar="DIR")
-    fuzz.add_argument("--shards", type=int, default=1,
-                      help="split the budget over N independent cluster "
-                           "instances with derived seeds")
     fuzz.add_argument("--fail-on-finding", action="store_true",
                       help="exit 1 when the campaign reports any finding")
 

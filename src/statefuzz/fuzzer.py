@@ -254,6 +254,14 @@ class CampaignReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
 
 
+class CampaignInterrupted(KeyboardInterrupt):
+    """Ctrl-C ended a campaign; ``report`` holds the cases that finished."""
+
+    def __init__(self, report: CampaignReport):
+        super().__init__("interrupted")
+        self.report = report
+
+
 def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
                  rng_seed: int, max_cases: int, domains: dict,
                  weights: dict | None = None,
@@ -264,7 +272,8 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
     traversal end state has been exercised least.  Stops after ``max_cases``
     or once ``until_criteria`` (a set of criterion names) have all been
     witnessed.  A case whose reply does not decode is recorded and skipped;
-    the campaign continues.
+    the campaign continues.  An interrupt raises ``CampaignInterrupted``
+    with the report of the cases before the one in flight.
     """
     if max_cases < 1:
         raise ValueError("max_cases must be positive")
@@ -281,32 +290,36 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
     wanted = frozenset(until_criteria) if until_criteria else None
     found = set()
     cases_run = 0
-    for case_id in range(max_cases):
-        bias = [1.0 / (1 + hits[state]) for state in end_states]
-        seed_index = scheduler.choices(range(len(seeds)), weights=bias)[0]
-        hits[end_states[seed_index]] += 1
-        case_rng = random.Random((rng_seed << 32) ^ case_id)
-        word = seeds[seed_index]
-        records = []
-        for _ in range(case_rng.randint(MIN_MUTATIONS_PER_CASE, MAX_MUTATIONS_PER_CASE)):
-            if not word:
-                break
-            word, record = mutate(word, case_rng, domains, weights)
-            records.append(record)
-        case = FuzzCase(case_id=case_id, seed_index=seed_index,
-                        base=seeds[seed_index], mutations=tuple(records), word=word)
-        cases_run += 1
-        try:
-            outputs = proxy.query(case.word)
-            finding = detector.evaluate(proxy.observe(), received=outputs)
-        except DecodeError as exc:
-            errors.append((case_id, str(exc)))
-            continue
-        if finding is not None:
-            findings.append((case, finding))
-            found.update(finding.criteria)
+    interrupt = None
+    try:
+        for case_id in range(max_cases):
+            bias = [1.0 / (1 + hits[state]) for state in end_states]
+            seed_index = scheduler.choices(range(len(seeds)), weights=bias)[0]
+            hits[end_states[seed_index]] += 1
+            case_rng = random.Random((rng_seed << 32) ^ case_id)
+            word = seeds[seed_index]
+            records = []
+            for _ in range(case_rng.randint(MIN_MUTATIONS_PER_CASE, MAX_MUTATIONS_PER_CASE)):
+                if not word:
+                    break
+                word, record = mutate(word, case_rng, domains, weights)
+                records.append(record)
+            case = FuzzCase(case_id=case_id, seed_index=seed_index,
+                            base=seeds[seed_index], mutations=tuple(records), word=word)
+            try:
+                outputs = proxy.query(case.word)
+                finding = detector.evaluate(proxy.observe(), received=outputs)
+            except DecodeError as exc:
+                errors.append((case_id, str(exc)))
+                finding = None
+            if finding is not None:
+                findings.append((case, finding))
+                found.update(finding.criteria)
+            cases_run += 1
             if wanted is not None and wanted <= found:
                 break
+    except KeyboardInterrupt as exc:
+        interrupt = exc
     stats = {
         "cases": cases_run,
         "findings": len(findings),
@@ -315,9 +328,12 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
         "resets": proxy.resets,
         "virtual_ticks": proxy.ticks_advanced,
     }
-    return CampaignReport(origin=detector.baseline.origin, rng_seed=rng_seed,
-                          cases_run=cases_run, findings=tuple(findings),
-                          errors=tuple(errors), stats=stats)
+    report = CampaignReport(origin=detector.baseline.origin, rng_seed=rng_seed,
+                            cases_run=cases_run, findings=tuple(findings),
+                            errors=tuple(errors), stats=stats)
+    if interrupt is not None:
+        raise CampaignInterrupted(report) from interrupt
+    return report
 
 
 def replay_case(proxy, detector: Detector, case: FuzzCase):

@@ -87,6 +87,8 @@ from .proxy import TransportError
 class NondeterminismError(RuntimeError):
     """The target answered the same word in conflicting ways."""
 
+    hypothesis = None  # lstar_learn attaches its last hypothesis, if any
+
     def __init__(self, word, observations):
         self.word = tuple(word)
         self.observations = tuple(observations)
@@ -544,7 +546,8 @@ def lstar_learn(oracle: MembershipOracle, find_counterexample,
     ``find_counterexample(machine)`` returns a disagreeing word over the
     oracle's alphabet, or ``None``.  Events go to the oracle's transcript.
     On budget exhaustion, round overrun, a failed transport or an interrupt
-    the best hypothesis is attached to a ``PartialResultError``.
+    the best hypothesis is attached to a ``PartialResultError``, and on a
+    contradicting answer to the ``NondeterminismError``.
     """
     learner = _LSharp(oracle)
     transcript = oracle.transcript
@@ -585,6 +588,9 @@ def lstar_learn(oracle: MembershipOracle, find_counterexample,
         raise PartialResultError(f"transport failed: {exc}", hypothesis) from exc
     except KeyboardInterrupt as exc:
         raise PartialResultError("interrupted", hypothesis) from exc
+    except NondeterminismError as exc:
+        exc.hypothesis = hypothesis
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Command-line workflows: learn/fuzz/replay round trips, exit codes,
-deterministic outputs, sharding, and config validation."""
+deterministic outputs, partial results, and config validation."""
 from __future__ import annotations
 
 import argparse
@@ -117,9 +117,15 @@ class TestLearn:
         assert "learner." in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_budget_exits_usage_before_any_session(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["learn", "--budget", "-1"],
+        ["fuzz", str(REPO_ROOT / "perfbench" / "reference" / "machine.json"),
+         "--budget", "0"],
+    ], ids=["learn", "fuzz"])
+    def test_budget_out_of_range_exits_usage_before_any_session(
+            self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert main(["learn", "--budget", "-1", "--out-dir", str(out)]) == EXIT_USAGE
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
         assert "--budget" in capsys.readouterr().err
         assert not out.exists()
 
@@ -266,6 +272,36 @@ class TestLearn:
             machine = MealyMachine.from_json(partial.read_text())
             assert 1 < len(machine.states) < 6
 
+    def test_nondeterministic_target_exits_nondeterminism_with_partial_model(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # The cluster falls silent after 300 sessions, which contradicts the
+        # answers stored before; the learn has a hypothesis by then.  One CPU:
+        # a forked suite worker would count its sessions on its own.
+        class FallingSilent(ClusterHandle):
+            resets = 0
+
+            def reset(self):
+                FallingSilent.resets += 1
+                return super().reset()
+
+            def exchange(self, msg):
+                window = super().exchange(msg)
+                return window if FallingSilent.resets <= 300 else []
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(cli, "spawn_cluster", FallingSilent)
+        out = tmp_path / "t"
+        rc = main(["learn", "--config", config_path(workspace),
+                   "--out-dir", str(out)])
+        assert rc == EXIT_NONDETERMINISM
+        assert "nondeterministically" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "machine-partial.json", "transcript.jsonl"]
+        machine = MealyMachine.from_json((out / "machine-partial.json").read_text())
+        events = [json.loads(line) for line in (out / "transcript.jsonl").open()]
+        hypotheses = [e for e in events if e.get("event") == "hypothesis"]
+        assert hypotheses and hypotheses[-1]["states"] == len(machine.states) > 1
+
     def test_unknown_vulnerability_flag_exits_usage(self, workspace, tmp_path,
                                                     capsys):
         rc = main(["learn", "--config", config_path(workspace),
@@ -328,32 +364,34 @@ class TestFuzz:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_sharded_run_merges_deterministically(self, workspace, tmp_path):
-        cfg = fuzz_config(workspace, tmp_path)
-        reports = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            rc = main(["fuzz", machine_path(workspace), "--config", cfg,
-                       "--vulns", "clear_store", "--budget", "101",
-                       "--shards", "2", "--out-dir", str(out)])
-            assert rc == EXIT_OK
-            assert (out / "report-shard-00.json").exists()
-            assert (out / "report-shard-01.json").exists()
-            reports.append((out / "report.json").read_bytes())
-        assert reports[0] == reports[1]
-        doc = json.loads(reports[0])
-        assert doc["cases_run"] == 101
-        assert doc["stats"]["shards"] == 2
+    def test_interrupt_exits_interrupted_with_the_finished_cases(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        # Ctrl-C in the reset of the 200th case: one reset took the
+        # baseline, so 199 cases finished.
+        class InterruptingCluster(ClusterHandle):
+            resets = 0
 
-    @pytest.mark.parametrize("shards, budget", [("0", "5"), ("2", "1"), ("3", "2")])
-    def test_shard_count_outside_budget_exits_usage(self, workspace, tmp_path, capsys,
-                                                    shards, budget):
+            def reset(self):
+                if InterruptingCluster.resets == 200:
+                    raise KeyboardInterrupt
+                InterruptingCluster.resets += 1
+                return super().reset()
+
+        monkeypatch.setattr(cli, "spawn_cluster", InterruptingCluster)
+        cfg = fuzz_config(workspace, tmp_path)
         out = tmp_path / "out"
-        rc = main(["fuzz", machine_path(workspace), "--config", config_path(workspace),
-                   "--shards", shards, "--budget", budget, "--out-dir", str(out)])
-        assert rc == EXIT_USAGE
-        assert "--shards" in capsys.readouterr().err
-        assert not out.exists()
+        rc = main(["fuzz", machine_path(workspace), "--config", cfg,
+                   "--vulns", "clear_store", "--out-dir", str(out)])
+        assert rc == EXIT_INTERRUPTED
+        captured = capsys.readouterr()
+        assert "interrupted" in captured.err and captured.out == ""
+        report = json.loads((out / "report-partial.json").read_text())
+        assert report["cases_run"] == report["stats"]["cases"] == 199
+        assert report["findings"], "expected the store-clearing hit"
+        case_files = {f"case-{f['case_id']:05d}.json" for f in report["findings"]}
+        assert all(f["case_id"] < 199 for f in report["findings"])
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            {"report-partial.json", *case_files})
 
     def test_corrupt_machine_file_exits_usage(self, workspace, tmp_path, capsys):
         bad = tmp_path / "machine.json"
@@ -388,6 +426,7 @@ class TestFuzz:
         {"weights": {**SWAP_HEAVY, "duplicate": 1e308, "remove": 1e308}},
         {"weights": {**SWAP_HEAVY, "remove": 10 ** 400}},
         {"budget": None},
+        {"budget": 0},
         {"seed": True},
         {"prune_others": "RAReq"},
         {"prune_others": ["Bogus"]},

@@ -390,6 +390,8 @@ class TestCommandLine:
             monkeypatch.setattr(cli, "spawn_cluster", clusters[cluster])
         assert main(["learn", "--config", ladder_config, *extra,
                      "--out-dir", str(tmp_path)]) == code
+        if cluster == "answering-nothing":
+            assert (tmp_path / "machine-partial.json").exists()
         assert children_reaped()
 
 

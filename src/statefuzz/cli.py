@@ -25,6 +25,11 @@ exhausted; 4 nondeterministic target; 5 transport failure while learning;
 130 interrupted (Ctrl-C).  Exits 3, 4, 5 and 130 of ``learn`` save
 ``machine-partial.json`` when a hypothesis exists; exit 130 of ``fuzz``
 saves ``report-partial.json`` and the case files of the finished cases.
+Those exits 130 come from an interrupt in the learning or campaign loop;
+one anywhere else, before it or while the outputs are written, prints
+``interrupted`` and saves nothing more.  ``machine.json`` is written after
+``machine.dot``, and a report after its case files, so either exists only
+when its whole set does.
 """
 from __future__ import annotations
 
@@ -310,8 +315,9 @@ def cmd_learn(args) -> int:
             if pool is not None:
                 pool.close()
     machine = result.machine
-    write_artifact(out_dir / "machine.json", machine.to_json())
+    # machine.json last, so that it exists only once machine.dot does.
     write_artifact(out_dir / "machine.dot", machine.to_dot())
+    write_artifact(out_dir / "machine.json", machine.to_json())
     print(f"learned {len(machine.states)} states in {result.rounds} rounds "
           f"({oracle.trials} sessions); wrote {out_dir / 'machine.json'}")
     return EXIT_OK
@@ -381,10 +387,11 @@ def cmd_fuzz(args) -> int:
         name = "report.json"
     except CampaignInterrupted as exc:
         report, name = exc.report, "report-partial.json"
-    write_artifact(out_dir / name, report.to_json())
+    # The report last, so that it exists only once all its case files do.
     for case, finding in report.findings:
         write_artifact(out_dir / f"case-{case.case_id:05d}.json",
                        case_document(report.origin, case, finding))
+    write_artifact(out_dir / name, report.to_json())
     if name != "report.json":
         print(f"fuzzing interrupted after {report.cases_run} cases; "
               f"wrote {out_dir / name}", file=sys.stderr)
@@ -502,6 +509,9 @@ def main(argv=None) -> int:
     except ConfigFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # outside the learn or campaign loop: nothing more to save
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -46,7 +46,10 @@ the in-process transport; :class:`TcpTransport` reaches one served by a
 carrying ``{"frames": [...]}``, answered by ``{"delivered": n, "events":
 [[index, tick, frame], ...]}``.  Only the first ``reset()`` is a request of
 its own; a later one rides on the next request as ``"reset": true``, and
-injected messages ride on the next one as ``"inject": [frame, ...]``.
+injected messages ride on the next one as ``"inject": [frame, ...]``.  A
+deliver that delivers every frame also answers with the ``"observation"``
+taken after its run, so a fuzz case, its reset, run and health snapshot,
+costs one request.
 """
 from __future__ import annotations
 
@@ -221,8 +224,10 @@ def _serve_request(cluster: ClusterHandle, msg: dict) -> dict:
     before it is served, and its reply carries the fresh session's ``term``
     and ``window_ticks`` as a reset's does.  The frames of ``"inject":
     [frame, ...]`` are injected next, and then the request is served; an
-    ``__inject__`` is nothing else.  Every frame of a request is checked
-    before the cluster sees any of them."""
+    ``__inject__`` is nothing else.  A ``__deliver__`` whose run delivered
+    every frame answers with the ``observation`` after the run, as an
+    ``__observe__`` does.  Every frame of a request is checked before the
+    cluster sees any of them."""
     try:
         kind, payload = msg["type"], msg["payload"]
         if kind not in (CTRL_RESET, CTRL_DELIVER, CTRL_INJECT, CTRL_OBSERVE):
@@ -237,7 +242,7 @@ def _serve_request(cluster: ClusterHandle, msg: dict) -> dict:
         if msgs:
             done["delivered"], windows = cluster.run(msgs)
             done["events"] = [[index, t, m] for index, window in windows for t, m in window]
-        elif kind == CTRL_OBSERVE:
+        if kind == CTRL_OBSERVE or msgs and done["delivered"] == len(msgs):
             done["observation"] = cluster.observe().to_dict()
         return _control(CTRL_DONE, done)
     except Exception as exc:  # reported in-band; the connection stays usable
@@ -340,6 +345,13 @@ class TcpTransport:
     ``run()`` or ``observe()`` carries the queue; a reset that comes due
     drops it, as the reset overwrites all that the messages could change.
     ``close()`` sends a reset or queue that no request has carried.
+
+    The reply to a run that delivered every message carries the
+    observation after it, and the transport keeps it.  The next
+    ``observe()`` returns it, without a request, if nothing was sent,
+    queued or made due since; so a fuzz case costs one request.  It is the
+    snapshot an ``__observe__`` would read: the served cluster has one
+    owner, and only a request changes it.
     """
 
     def __init__(self, address, timeout: float = 30.0):
@@ -353,6 +365,7 @@ class TcpTransport:
         self._term: int | None = None  # the baseline term of a fresh session
         self._reset_due = False
         self._injects = []  # wire frames for the next request to carry
+        self._kept: ClusterObservation | None = None  # from the last run's reply
 
     def close(self):
         try:
@@ -372,6 +385,7 @@ class TcpTransport:
 
     def reset(self) -> int:
         self._injects = []
+        self._kept = None
         if self.window_ticks is None:
             self.window_ticks, self._term = _baseline(self._call(CTRL_RESET, {}))
         else:
@@ -407,22 +421,28 @@ class TcpTransport:
             raise TransportError("run went on after a keep-alive window")
         if stop is None and delivered < len(frames):
             raise TransportError("run stopped after a window without a keep-alive")
+        if delivered == len(frames):
+            self._kept = _observation(done)
+        elif "observation" in done:
+            raise TransportError("reply carries an observation, but its run stopped "
+                                 "before its last message")
         return delivered, windows
 
     def inject(self, msg: dict):
         self._injects.append(msg)
+        self._kept = None
 
     def observe(self) -> ClusterObservation:
-        done = self._call(CTRL_OBSERVE, {})
-        try:
-            return ClusterObservation.from_dict(done["observation"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise TransportError(f"malformed observation reply: {exc!r}") from exc
+        kept, self._kept = self._kept, None
+        if kept is not None:
+            return kept
+        return _observation(self._call(CTRL_OBSERVE, {}))
 
     def _call(self, msg_type: str, payload: dict) -> dict:
         """One request, carrying the reset that is due and the queued
         injects; the payload of its ``__done__`` reply.  Each rides on
         exactly one request, and a failure of it surfaces from that one."""
+        self._kept = None
         due = self._reset_due
         if due:
             payload["reset"] = True
@@ -457,6 +477,14 @@ class TcpTransport:
         if kind != CTRL_DONE:
             raise TransportError(f"unexpected frame type {kind!r}")
         return payload
+
+
+def _observation(done: dict) -> ClusterObservation:
+    """The observation of a reply payload."""
+    try:
+        return ClusterObservation.from_dict(done["observation"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise TransportError(f"malformed observation reply: {exc!r}") from exc
 
 
 def _baseline(done: dict) -> tuple:

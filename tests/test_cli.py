@@ -660,10 +660,61 @@ class TestArtifactWrites:
             main(["fuzz", machine_path(workspace), "--config", cfg,
                   "--vulns", "clear_store", "--out-dir", str(out)])
         monkeypatch.undo()
-        assert written[0] == "report.json" and len(written) == 3
+        # The report comes last, so a failure on a case file leaves none.
+        assert "report.json" not in written and len(written) == 3
         assert sorted(p.name for p in out.iterdir()) == sorted(written[:2])
         for name in written[:2]:
             json.loads((out / name).read_text(encoding="utf-8"))
+
+
+class TestInterruptOutsideTheLoop:
+    """A Ctrl-C before the learning or campaign loop, or while the outputs
+    are written, exits 130 without a traceback or a temporary file, and
+    ``machine.json`` or ``report.json`` only ever comes last."""
+
+    @staticmethod
+    def argv(command, workspace, tmp_path, out):
+        if command == "learn":
+            return ["learn", "--config", config_path(workspace), "--out-dir", str(out)]
+        return ["fuzz", machine_path(workspace), "--config",
+                fuzz_config(workspace, tmp_path), "--vulns", "clear_store",
+                "--out-dir", str(out)]
+
+    @pytest.mark.parametrize("command", ["learn", "fuzz"])
+    @pytest.mark.parametrize("when", ["spawn", "write", "second-write"])
+    def test_interrupt_exits_interrupted(self, workspace, tmp_path, monkeypatch,
+                                         capsys, command, when):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        if when == "spawn":
+            monkeypatch.setattr(cli, "spawn_cluster", interrupted)
+        else:
+            replace, replaced = os.replace, []
+
+            def replace_until_interrupted(*args):
+                if len(replaced) == (when == "second-write"):
+                    raise KeyboardInterrupt
+                replaced.append(args)
+                replace(*args)
+            monkeypatch.setattr(os, "replace", replace_until_interrupted)
+        out = tmp_path / "out"
+        try:
+            rc = main(self.argv(command, workspace, tmp_path, out))
+        except KeyboardInterrupt:  # would end the test run, not fail the test
+            pytest.fail("the interrupt escaped main")
+        monkeypatch.undo()
+        assert rc == EXIT_INTERRUPTED
+        captured = capsys.readouterr()
+        assert captured.err == "interrupted\n" and captured.out == ""
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if when == "spawn":
+            assert written == []
+        elif command == "learn":
+            assert written == (["machine.dot", "transcript.jsonl"]
+                               if when == "second-write" else ["transcript.jsonl"])
+        else:
+            assert len(written) == (when == "second-write")
+            assert all(name.startswith("case-") for name in written)
 
 
 class TestEntryPoint:

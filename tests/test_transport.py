@@ -120,21 +120,26 @@ def record_requests(transport) -> list:
 
 def reference_campaign(proxy, seed, cases):
     """The campaign ``statefuzz fuzz`` runs on the reference model: its
-    ``report.json`` text and each case's output words."""
-    outputs = []
-    query = proxy.query
+    ``report.json`` text, each case's output words, and every observation
+    the detector gets, the baseline's first."""
+    outputs, observations = [], []
+    query, observe = proxy.query, proxy.observe
 
     def recording(word):
         outputs.append(query(word))
         return outputs[-1]
 
-    proxy.query = recording
+    def observing():
+        observations.append(observe())
+        return observations[-1]
+
+    proxy.query, proxy.observe = recording, observing
     proxy.reset_session()
     detector = Detector(Baseline.capture(proxy))
     model = MealyMachine.from_json(REFERENCE_MACHINE.read_text(encoding="utf-8"))
     report = run_campaign(proxy, model.prune(PrunePolicy()), detector, rng_seed=seed,
                           max_cases=cases, domains=input_domains(proxy.cfg))
-    return report.to_json(), outputs
+    return report.to_json(), outputs, observations
 
 
 def random_words(rng, count, max_len=5):
@@ -167,17 +172,16 @@ class TestContract:
         assert local.reset() == term
 
     def test_proxy_session_sends_no_observe_frame(self):
-        with tcp_proxy() as proxy:
-            verbs = []
-            send = proxy.transport._send
-
-            def recording_send(kind, payload):
-                verbs.append(kind)
-                send(kind, payload)
-
-            proxy.transport._send = recording_send
+        # Learning only queries, so no request observes; the observation
+        # rides on each reply unasked.
+        with logged_tcp_proxy(()) as (proxy, _, payloads):
             proxy.query(LADDER_ALPHABET[:2])
-        assert verbs == ["__reset__", "__deliver__"]
+            assert [kind for kind, _ in payloads] == ["__reset__", "__deliver__"]
+            for word in random_words(random.Random(3), 20):
+                proxy.query(word)
+        assert len(payloads) >= 22
+        assert {kind for kind, _ in payloads} == {"__reset__", "__deliver__"}
+        assert not any("observe" in payload for _, payload in payloads)
 
     def test_refused_connection_raises_transport_error(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -266,7 +270,8 @@ class TestContract:
     def test_indices_of_one_window_may_repeat(self):
         events = [[0, 4, RESPONSE_FRAME], [0, 5, RESPONSE_FRAME], [2, 14, RESPONSE_FRAME]]
         with scripted_server(SCRIPTED_RESET,
-                             ("__done__", {"events": events, "delivered": 3})) as transport:
+                             ("__done__", {"events": events, "delivered": 3,
+                                           "observation": OBSERVATION})) as transport:
             transport.reset()
             delivered, windows = transport.run(SCRIPTED_RUN)
         assert delivered == 3
@@ -320,6 +325,33 @@ class TestContract:
         with scripted_server(("__done__", done)) as transport:
             with pytest.raises(TransportError, match=reason):
                 getattr(transport, verb)()
+
+    @pytest.mark.parametrize("done, reason", [
+        ({"observation": {"leader": "n1"}}, "malformed observation reply"),
+        *(({"observation": {**OBSERVATION, key: value}},
+           "malformed observation reply") for key, value in BAD_FIELDS),
+        ({"events": [[0, 4, PROBE_N2_FRAME]], "delivered": 1,
+          "observation": OBSERVATION}, "stopped before its last message"),
+        ({"observation": None}, "malformed observation reply"),
+        ({}, "malformed observation reply"),
+    ], ids=["partial", *(f"{key}-{value!r}" for key, value in BAD_FIELDS),
+            "stopped-early", "null", "missing"])
+    def test_malformed_observation_on_a_run_reply_raises_transport_error(self, done, reason):
+        done = {"events": [], "delivered": 3, **done}
+        with scripted_server(SCRIPTED_RESET, ("__done__", done)) as transport:
+            transport.reset()
+            with pytest.raises(TransportError, match=reason):
+                transport.run(SCRIPTED_RUN)
+
+    def test_observation_on_a_whole_run_reply_answers_the_next_observe(self):
+        # The peer answers two requests; a third would find it gone.
+        observed = {**OBSERVATION, "sessions_open": 4}
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": [], "delivered": 3,
+                                           "observation": observed})) as transport:
+            transport.reset()
+            assert transport.run(SCRIPTED_RUN) == (3, [])
+            assert transport.observe().to_dict() == observed
 
     def test_reply_of_unknown_type_raises_transport_error(self):
         with scripted_server(("__bogus__", {})) as transport:
@@ -509,14 +541,20 @@ class TestKeepaliveParity:
         monkeypatch.setattr(ClusterHandle, "deliver", delivering)
         vulns = sorted(ALL_VULNERABILITIES)
         local = inproc_proxy(vulns)
-        local_report, local_outputs = reference_campaign(local, seed=7, cases=600)
+        local_report, local_outputs, local_observations = reference_campaign(
+            local, seed=7, cases=600)
         local_rewinds, local_encodes, local_delivers = (
             len(rewinds), len(encodes), len(delivers))
         with tcp_proxy(vulns) as remote:
-            remote_report, remote_outputs = reference_campaign(remote, seed=7, cases=600)
+            remote_report, remote_outputs, remote_observations = reference_campaign(
+                remote, seed=7, cases=600)
         assert len(remote_outputs) == len(local_outputs) == 600
         for case, (got, want) in enumerate(zip(remote_outputs, local_outputs)):
             assert got == want, case
+        # The baseline, then one observation per case.
+        assert len(remote_observations) == len(local_observations) == 601
+        for case, (got, want) in enumerate(zip(remote_observations, local_observations)):
+            assert got == want, case - 1
         blob = json.dumps([[word_to_obj(w) for w in outs] for outs in local_outputs],
                           separators=(",", ":"))
         assert hashlib.sha256(blob.encode()).hexdigest() == VULNS_ALL_SEED7_OUTPUTS_SHA256
@@ -533,12 +571,32 @@ class TestKeepaliveParity:
 class TestRequestCounts:
     """Noise-free gates on the number of requests a session costs."""
 
-    def test_hardened_campaign_makes_at_most_720_requests(self):
+    def test_hardened_campaign_makes_at_most_402_requests(self):
         with tcp_proxy() as remote:
             requests = record_requests(remote.transport)
-            remote_report, _ = reference_campaign(remote, seed=1, cases=400)
-        assert len(requests) <= 720
+            remote_report, _, _ = reference_campaign(remote, seed=1, cases=400)
+        assert len(requests) <= 402
         assert remote_report == reference_campaign(inproc_proxy(), seed=1, cases=400)[0]
+
+    def test_each_hardened_case_costs_one_request_after_the_baseline(self, monkeypatch):
+        # The baseline costs the first reset and an observe; each case then
+        # sends its reset, run and observation as one request, an empty
+        # word's case as one observe.
+        sent = []
+        evaluate = Detector.evaluate
+
+        def counting(detector, *args, **kwargs):
+            sent.append(len(requests))
+            return evaluate(detector, *args, **kwargs)
+
+        monkeypatch.setattr(Detector, "evaluate", counting)
+        with tcp_proxy() as remote:
+            requests = record_requests(remote.transport)
+            reference_campaign(remote, seed=1, cases=400)
+        assert requests[:2] == [("__reset__", False), ("__observe__", False)]
+        assert sent == list(range(3, 403))
+        assert requests[2:] == [(kind, True) for kind, _ in requests[2:]]
+        assert {kind for kind, _ in requests[2:]} == {"__deliver__", "__observe__"}
 
     def test_silent_word_after_the_first_session_costs_one_request(self):
         cfg = cluster_config()
@@ -584,13 +642,13 @@ class TestRequestCounts:
                 stops_before_last.append(stops)
         assert max(stops_before_last) >= 3 and stops_before_last.count(0) >= 10
 
-    def test_keepalive_campaign_makes_at_most_1500_requests(self):
+    def test_keepalive_campaign_makes_at_most_1163_requests(self):
         vulns = sorted(ALL_VULNERABILITIES)
         with tcp_proxy(vulns) as remote:
             requests = record_requests(remote.transport)
-            remote_report, _ = reference_campaign(remote, seed=7, cases=600)
+            reference_campaign(remote, seed=7, cases=600)
             assert remote.keepalives_answered == 1_122
-        assert len(requests) <= 1_500
+        assert len(requests) <= 1_163
         assert ("__inject__", False) not in requests
 
 
@@ -638,20 +696,56 @@ class TestQueuedInjects:
     JOIN = LADDER_ALPHABET[2:4]  # its last window holds keep-alives on an open cluster
 
     def test_answers_ride_on_the_next_request(self):
+        # The reply to the run of JOIN carries the observation after it; the
+        # answers that follow change the cluster, so the next observe() is a
+        # request that carries them, never the kept reply.
         with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
             remote.query(self.JOIN)
             answered = remote.keepalives_answered
             assert answered > 0 and [kind for kind, _ in payloads] == [
                 "__reset__", "__deliver__"]
             assert ("inject",) not in {entry[:1] for entry in cluster.log}
+            assert cluster.log[-1] == ("observe",)
             observation = remote.observe()
             kind, payload = payloads[-1]
             assert kind == "__observe__" and len(payload["inject"]) == answered
-            assert [entry[0] for entry in cluster.log[-answered - 1:]] == \
-                ["inject"] * answered + ["observe"]
+            assert [entry[0] for entry in cluster.log[-answered - 2:]] == \
+                ["observe"] + ["inject"] * answered + ["observe"]
         local = inproc_proxy(["unauth_join"])
         local.query(self.JOIN)
         assert observation == local.observe()
+
+    @pytest.mark.parametrize("between, expected", [
+        (None, None),
+        ("observe", ("__observe__", {})),
+        ("inject", ("__observe__", {"inject": 1})),
+        ("reset", ("__observe__", {"reset": True})),
+    ], ids=["untouched", "observe", "inject", "reset"])
+    def test_only_an_untouched_kept_observation_is_returned(self, between, expected):
+        word = LADDER_ALPHABET[:2]
+        local = inproc_proxy()
+        local.query(word)
+        with logged_tcp_proxy(()) as (remote, cluster, payloads):
+            remote.query(word)
+            assert [kind for kind, _ in payloads] == ["__reset__", "__deliver__"]
+            sent = len(payloads)
+            if between == "observe":
+                assert remote.observe() == local.observe()
+            elif between == "inject":
+                for proxy in (remote, local):
+                    proxy.transport.inject(
+                        encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), proxy.ctx))
+            elif between == "reset":
+                for proxy in (remote, local):
+                    proxy.reset_session()
+            assert remote.observe() == local.observe()
+            if expected is None:
+                assert len(payloads) == sent
+            else:
+                kind, payload = payloads[-1]
+                assert len(payloads) == sent + 1 and kind == expected[0]
+                assert {key: len(value) if key == "inject" else value
+                        for key, value in payload.items()} == expected[1]
 
     def test_a_due_reset_drops_the_queue(self):
         with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
@@ -659,8 +753,8 @@ class TestQueuedInjects:
             remote.reset_session()
             remote.observe()
             assert payloads[-1] == ("__observe__", {"reset": True})
-            assert cluster.log[-3:] == [
-                ("exchange", "RaftJoinRequest", 2), ("reset",), ("observe",)]
+            assert cluster.log[-4:] == [
+                ("exchange", "RaftJoinRequest", 2), ("observe",), ("reset",), ("observe",)]
 
     def test_close_sends_what_is_still_queued(self):
         with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
@@ -671,8 +765,11 @@ class TestQueuedInjects:
             assert [entry[0] for entry in cluster.log[-answered:]] == ["inject"] * answered
 
     def test_the_served_cluster_sees_what_it_sees_in_process(self):
-        # The same words, cluster-side: equal logs, except that over TCP an
-        # answer that a reset would overwrite is never sent.
+        # The same words, cluster-side: equal logs but for the observes,
+        # except that over TCP an answer that a reset would overwrite is never
+        # sent.  The served cluster is also observed after each whole run,
+        # so its observes are compared by what the proxy gets: the same,
+        # call for call.
         vulns = sorted(ALL_VULNERABILITIES)
         rng = random.Random(5)
         letters = enumerate_input_alphabet(default_alphabet(cluster_config(vulns)))
@@ -681,20 +778,27 @@ class TestQueuedInjects:
         cfg = cluster_config(vulns)
         local_cluster = LoggingCluster(cfg)
         local = ClusterProxy(local_cluster, default_alphabet(cfg))
+        observations = []
         with logged_tcp_proxy(vulns) as (remote, cluster, payloads):
             for proxy in (local, remote):
+                observations.append([])
                 for word in words:
                     proxy.query(word)
                     if len(word) % 3 == 0:
-                        proxy.observe()
+                        observations[-1].append(proxy.observe())
             assert remote.keepalives_answered == local.keepalives_answered > 0
+        assert observations[0] == observations[1] and observations[0]
         expected = []
         for entry in local_cluster.log:
             if entry == ("reset",):
                 while expected and expected[-1][0] == "inject":
                     expected.pop()
             expected.append(entry)
-        assert cluster.log == expected
+
+        def without_observes(log):
+            return [entry for entry in log if entry != ("observe",)]
+
+        assert without_observes(cluster.log) == without_observes(expected)
         assert len(expected) < len(local_cluster.log)
 
     @pytest.mark.parametrize("bad", ["inject", "frames"])

@@ -42,14 +42,15 @@ A transport is any object with:
 
 A simulated cluster handle (:class:`~statefuzz.sulsim.ClusterHandle`) is
 the in-process transport; :class:`TcpTransport` reaches one served by a
-:class:`ClusterServer`.  On the wire a run is one ``__deliver__`` request
-carrying ``{"frames": [...]}``, answered by ``{"delivered": n, "events":
-[[index, tick, frame], ...]}``.  Only the first ``reset()`` is a request of
-its own; a later one rides on the next request as ``"reset": true``, and
-injected messages ride on the next one as ``"inject": [frame, ...]``.  A
-deliver that delivers every frame also answers with the ``"observation"``
-taken after its run, so a fuzz case, its reset, run and health snapshot,
-costs one request.
+:class:`ClusterServer`.  On the wire every request is one ``__request__``
+frame whose payload may hold ``"reset": true``, ``"inject": [frame, ...]``
+and ``"frames": [frame, ...]``; the server resets, injects and runs, in
+that order.  Its reply carries the fresh session's ``term`` and
+``window_ticks`` after a reset, ``{"delivered": n, "events": [[index,
+tick, frame], ...]}`` after a run, and the ``"observation"`` taken last,
+unless the run stopped before its last frame.  A reset and the injects
+ride on the next request, so a fuzz case, its reset, run and health
+snapshot, costs one request.
 """
 from __future__ import annotations
 
@@ -195,13 +196,10 @@ class ClusterProxy:
 # ---------------------------------------------------------------------------
 # The same transport contract served over a localhost socket, so the cluster
 # can live in another process.  Everything on the wire uses the
-# length-prefixed JSON message codec; control verbs are reserved type names
-# that can never collide with protocol wire types.
+# length-prefixed JSON message codec; the control types are reserved type
+# names that can never collide with protocol wire types.
 
-CTRL_RESET = "__reset__"
-CTRL_DELIVER = "__deliver__"
-CTRL_INJECT = "__inject__"
-CTRL_OBSERVE = "__observe__"
+CTRL_REQUEST = "__request__"
 CTRL_DONE = "__done__"
 CTRL_ERROR = "__error__"
 
@@ -217,42 +215,37 @@ def _control(msg_type: str, payload: dict) -> dict:
 
 
 def _serve_request(cluster: ClusterHandle, msg: dict) -> dict:
-    """Run one control request on ``cluster``; return its one reply frame,
-    ``__done__`` or ``__error__``.
-
-    A request whose payload holds ``"reset": true`` resets the cluster
-    before it is served, and its reply carries the fresh session's ``term``
-    and ``window_ticks`` as a reset's does.  The frames of ``"inject":
-    [frame, ...]`` are injected next, and then the request is served; an
-    ``__inject__`` is nothing else.  A ``__deliver__`` whose run delivered
-    every frame answers with the ``observation`` after the run, as an
-    ``__observe__`` does.  Every frame of a request is checked before the
-    cluster sees any of them."""
+    """Serve one ``__request__`` on ``cluster``: reset if its payload holds
+    ``"reset": true``, inject the frames of ``"inject"``, then run those of
+    ``"frames"``, every frame checked before the cluster sees any.  The one
+    reply frame is an ``__error__``, or a ``__done__`` that carries the
+    fresh ``term`` and ``window_ticks`` after a reset, ``delivered`` and
+    ``events`` after a run, and the ``observation`` taken last unless the
+    run stopped before its last frame."""
     try:
         kind, payload = msg["type"], msg["payload"]
-        if kind not in (CTRL_RESET, CTRL_DELIVER, CTRL_INJECT, CTRL_OBSERVE):
+        if kind != CTRL_REQUEST:
             return _control(CTRL_ERROR, {"reason": f"unknown control type: {kind!r}"})
+        injects, msgs = _frames(payload, "inject"), _frames(payload, "frames")
         done = {}
-        if kind == CTRL_RESET or payload.get("reset") is True:
+        if payload.get("reset") is True:
             done = {"window_ticks": cluster.window_ticks, "term": cluster.reset()}
-        injects = _frames(payload, "inject", kind == CTRL_INJECT)
-        msgs = _frames(payload, "frames", True) if kind == CTRL_DELIVER else ()
         for inject in injects:
             cluster.inject(inject)
         if msgs:
             done["delivered"], windows = cluster.run(msgs)
             done["events"] = [[index, t, m] for index, window in windows for t, m in window]
-        if kind == CTRL_OBSERVE or msgs and done["delivered"] == len(msgs):
+        if not msgs or done["delivered"] == len(msgs):
             done["observation"] = cluster.observe().to_dict()
         return _control(CTRL_DONE, done)
     except Exception as exc:  # reported in-band; the connection stays usable
         return _control(CTRL_ERROR, {"reason": str(exc)})
 
 
-def _frames(payload: dict, key: str, required: bool) -> list:
-    """The messages of the frame list ``payload[key]``, each one checked."""
+def _frames(payload: dict, key: str) -> list:
+    """The checked messages of the frame list ``payload[key]``, if any."""
     frames = payload.get(key)
-    if frames is None and not required:
+    if frames is None:
         return []
     if not isinstance(frames, list) or not frames:
         raise ValueError(f"request carries no {key!r} list of frames")
@@ -267,14 +260,14 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             while True:
                 try:
                     msg = read_frame(self.rfile.read)
-                except FrameError:
-                    return  # malformed stream: drop this client, accept the next
+                except (FrameError, OSError):
+                    return  # malformed or broken stream: drop this client
                 if msg is None:
                     return
                 reply = _serve_request(self.server.cluster, msg)
                 try:
                     self.wfile.write(frame_encode(reply))
-                except (BrokenPipeError, ConnectionResetError):
+                except OSError:
                     return
 
 
@@ -338,20 +331,20 @@ class TcpTransport:
     this side only frames messages and checks the replies.  Each request
     gets exactly one reply frame, and a ``run()`` is one request however
     many loud windows it passes through.  ``reset()`` must be called before
-    the first ``run()`` (the proxy always does).  The first reset is a
-    request of its own and sets the baseline ``term`` and
-    ``window_ticks``; a later one only marks a reset as due, and the next
-    request carries it.  ``inject()`` queues its message, and the next
-    ``run()`` or ``observe()`` carries the queue; a reset that comes due
-    drops it, as the reset overwrites all that the messages could change.
+    the first ``run()`` (the proxy always does).  ``reset()`` marks a reset
+    as due and ``inject()`` queues its message; the next request carries
+    both, but a reset that comes due drops the queue, as it overwrites all
+    that the messages could change.  The first reset is a request of its
+    own, and its reply sets the baseline ``term`` and ``window_ticks``.
     ``close()`` sends a reset or queue that no request has carried.
 
-    The reply to a run that delivered every message carries the
-    observation after it, and the transport keeps it.  The next
-    ``observe()`` returns it, without a request, if nothing was sent,
-    queued or made due since; so a fuzz case costs one request.  It is the
-    snapshot an ``__observe__`` would read: the served cluster has one
-    owner, and only a request changes it.
+    Every reply but that to a run that stopped before its last message
+    carries the observation taken last, and the transport keeps it.  The
+    next ``observe()`` returns it, without a request, if nothing was sent,
+    queued or made due since; so a fuzz case costs one request, and the
+    baseline none after the first reset.  It is the snapshot a request of
+    its own would read: the served cluster has one owner, and only a
+    request changes it.
     """
 
     def __init__(self, address, timeout: float = 30.0):
@@ -365,14 +358,12 @@ class TcpTransport:
         self._term: int | None = None  # the baseline term of a fresh session
         self._reset_due = False
         self._injects = []  # wire frames for the next request to carry
-        self._kept: ClusterObservation | None = None  # from the last run's reply
+        self._kept: ClusterObservation | None = None  # from the last reply
 
     def close(self):
         try:
-            if self._reset_due:
-                self._call(CTRL_RESET, {})
-            elif self._injects:
-                self._call(CTRL_INJECT, {})
+            if self._reset_due or self._injects:
+                self._call({})
         finally:
             self._rfile.close()
             self._sock.close()
@@ -386,17 +377,16 @@ class TcpTransport:
     def reset(self) -> int:
         self._injects = []
         self._kept = None
+        self._reset_due = True
         if self.window_ticks is None:
-            self.window_ticks, self._term = _baseline(self._call(CTRL_RESET, {}))
-        else:
-            self._reset_due = True
+            self._call({})
         return self._term
 
     def run(self, msgs) -> tuple:
         if self.window_ticks is None:
             raise TransportError("run before the first reset")
         frames = list(msgs)
-        done = self._call(CTRL_DELIVER, {"frames": frames})
+        done = self._call({"frames": frames})
         events, delivered = done.get("events"), done.get("delivered")
         if not isinstance(events, list):
             raise TransportError("reply carries no event list")
@@ -433,12 +423,12 @@ class TcpTransport:
         self._kept = None
 
     def observe(self) -> ClusterObservation:
+        if self._kept is None:
+            self._call({})
         kept, self._kept = self._kept, None
-        if kept is not None:
-            return kept
-        return _observation(self._call(CTRL_OBSERVE, {}))
+        return kept
 
-    def _call(self, msg_type: str, payload: dict) -> dict:
+    def _call(self, payload: dict) -> dict:
         """One request, carrying the reset that is due and the queued
         injects; the payload of its ``__done__`` reply.  Each rides on
         exactly one request, and a failure of it surfaces from that one."""
@@ -450,16 +440,22 @@ class TcpTransport:
         if self._injects:
             payload["inject"] = self._injects
             self._injects = []
-        self._send(msg_type, payload)
+        self._send(payload)
         done = self._read()
-        if due and _baseline(done) != (self.window_ticks, self._term):
-            raise TransportError("reset reply differs from the first reset's "
-                                 "window_ticks and term")
+        if due:
+            baseline = _baseline(done)
+            if self.window_ticks is None:
+                self.window_ticks, self._term = baseline
+            elif baseline != (self.window_ticks, self._term):
+                raise TransportError("reset reply differs from the first reset's "
+                                     "window_ticks and term")
+        if "frames" not in payload:  # a run's reply is checked after its events
+            self._kept = _observation(done)
         return done
 
-    def _send(self, msg_type: str, payload: dict):
+    def _send(self, payload: dict):
         try:
-            self._sock.sendall(frame_encode(_control(msg_type, payload)))
+            self._sock.sendall(frame_encode(_control(CTRL_REQUEST, payload)))
         except OSError as exc:
             raise TransportError(f"send to the server failed: {exc}") from exc
 

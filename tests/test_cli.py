@@ -298,7 +298,8 @@ class TestLearn:
         assert sorted(p.name for p in out.iterdir()) == [
             "machine-partial.json", "transcript.jsonl"]
         machine = MealyMachine.from_json((out / "machine-partial.json").read_text())
-        events = [json.loads(line) for line in (out / "transcript.jsonl").open()]
+        events = [json.loads(line)
+                  for line in (out / "transcript.jsonl").read_text().splitlines()]
         hypotheses = [e for e in events if e.get("event") == "hypothesis"]
         assert hypotheses and hypotheses[-1]["states"] == len(machine.states) > 1
 

@@ -2,6 +2,7 @@
 vulnerability gating, determinism, and the health observation."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,7 +17,7 @@ from statefuzz.alphabet import (
 )
 from statefuzz.proxy import SessionContext
 from statefuzz.sulsim import (
-    ALL_VULNERABILITIES, BASE_NODE_LOAD, ERROR_TYPE, ClusterConfig,
+    _OBSERVATION_FIELDS, ALL_VULNERABILITIES, BASE_NODE_LOAD, ERROR_TYPE, ClusterConfig,
     ClusterHandle, ClusterObservation, VULN_CLEAR_STORE, VULN_FAKE_LINK, VULN_FAKE_MEMBER,
     VULN_SEIZE_LEADER, VULN_SESSION_FLOOD, VULN_UNAUTH_JOIN,
     default_alphabet, spawn_cluster,
@@ -863,6 +864,12 @@ class TestObservation:
         obs = steady().observe()
         again = ClusterObservation.from_dict(obs.to_dict())
         assert again.to_dict() == obs.to_dict()
+
+    def test_wire_field_table_names_every_field(self):
+        # ``to_dict`` writes the dataclass's fields, ``from_dict`` reads the
+        # table's keys: one list of fields.
+        assert list(_OBSERVATION_FIELDS) == [
+            field.name for field in dataclasses.fields(ClusterObservation)]
 
 
 # ---------------------------------------------------------------------------

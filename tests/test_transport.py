@@ -97,7 +97,7 @@ BAD_FIELDS = [
 ]
 
 
-SCRIPTED_RESET = ("__done__", {"window_ticks": 5, "term": 1})
+SCRIPTED_RESET = ("__done__", {"window_ticks": 5, "term": 1, "observation": OBSERVATION})
 SCRIPTED_RUN = [message("sdwan", "dummy", ts, "RaftConfigureRequest", {})
                 for ts in (1, 2, 3)]
 RESPONSE_FRAME = message("sdwan", "n1", 1, "RaftConfigureResponse", {})
@@ -106,13 +106,13 @@ HEARTBEAT_FRAME = message("sdwan", "n1", 3, "RaftAppendRequest", {"term": 1, "en
 
 
 def record_requests(transport) -> list:
-    """``(verb, carries a reset)`` of each request ``transport`` sends from now on."""
+    """The sorted payload keys of each request ``transport`` sends from now on."""
     requests = []
     send = transport._send
 
-    def recording(kind, payload):
-        requests.append((kind, payload.get("reset", False)))
-        send(kind, payload)
+    def recording(payload):
+        requests.append(tuple(sorted(payload)))
+        send(payload)
 
     transport._send = recording
     return requests
@@ -172,16 +172,16 @@ class TestContract:
         assert local.reset() == term
 
     def test_proxy_session_sends_no_observe_frame(self):
-        # Learning only queries, so no request observes; the observation
-        # rides on each reply unasked.
+        # Learning only queries, so after the first reset every request
+        # carries a run; the observation rides on each reply unasked.
         with logged_tcp_proxy(()) as (proxy, _, payloads):
             proxy.query(LADDER_ALPHABET[:2])
-            assert [kind for kind, _ in payloads] == ["__reset__", "__deliver__"]
+            assert [sorted(payload) for payload in payloads] == [["reset"], ["frames"]]
             for word in random_words(random.Random(3), 20):
                 proxy.query(word)
         assert len(payloads) >= 22
-        assert {kind for kind, _ in payloads} == {"__reset__", "__deliver__"}
-        assert not any("observe" in payload for _, payload in payloads)
+        assert all("frames" in payload for payload in payloads[1:])
+        assert not any("observe" in payload for payload in payloads)
 
     def test_refused_connection_raises_transport_error(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -211,15 +211,21 @@ class TestContract:
         with tcp_transport() as (transport, cfg):
             ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
             probe = {**encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx), "extra": 1}
-            request = {**proxy_module._control("__deliver__", {"frames": [probe]}), "extra": 1}
+            request = {**proxy_module._control("__request__", {"frames": [probe]}), "extra": 1}
             transport._sock.sendall(frame_encode(request))
             done = transport._read()
             assert done["delivered"] == 1
             assert [frame["type"] for _, _, frame in done["events"]] == ["ProbeResponse"]
 
-    def test_unknown_control_type_reports_error_and_connection_survives(self):
+    @pytest.mark.parametrize("kind", [
+        "__bogus__", "__reset__", "__deliver__", "__inject__", "__observe__",
+        "__done__", "ProbeRequest"])
+    def test_unknown_control_type_reports_error_and_connection_survives(self, kind):
+        # ``__request__`` is the one request type; the four former verbs are
+        # unknown too.
         with tcp_transport() as (transport, cfg):
-            transport._send("__bogus__", {})
+            request = proxy_module._control(kind, {"reset": True})
+            transport._sock.sendall(frame_encode(request))
             with pytest.raises(TransportError, match="unknown control type"):
                 transport._read()
             transport.reset()
@@ -228,7 +234,7 @@ class TestContract:
     def test_malformed_nested_frame_reports_error(self):
         with tcp_transport() as (transport, _):
             transport.reset()
-            transport._send("__deliver__", {"frames": [{"nope": 1}]})
+            transport._send({"frames": [{"nope": 1}]})
             with pytest.raises(TransportError, match="missing keys"):
                 transport._read()
 
@@ -343,6 +349,18 @@ class TestContract:
             with pytest.raises(TransportError, match=reason):
                 transport.run(SCRIPTED_RUN)
 
+    @pytest.mark.parametrize("due", [False, True], ids=["first", "due"])
+    def test_reset_reply_without_an_observation_raises_transport_error(self, due):
+        # A reset-only request runs nothing, so nothing cuts its reply short.
+        reset = ("__done__", {"window_ticks": 5, "term": 1})
+        replies = (SCRIPTED_RESET, reset) if due else (reset,)
+        with scripted_server(*replies) as transport:
+            if due:
+                transport.reset()
+                transport.reset()
+            with pytest.raises(TransportError, match="malformed observation reply"):
+                transport.observe() if due else transport.reset()
+
     def test_observation_on_a_whole_run_reply_answers_the_next_observe(self):
         # The peer answers two requests; a third would find it gone.
         observed = {**OBSERVATION, "sessions_open": 4}
@@ -410,6 +428,29 @@ class TestContract:
                 with pytest.raises(TransportError) as info:
                     transport.reset()
         assert isinstance(info.value.__cause__, OSError)
+
+    def test_client_reset_mid_frame_is_dropped_quietly(self, monkeypatch):
+        # A connection that resets while the server reads a frame is
+        # dropped as a malformed stream is: no traceback, and the next
+        # client is served.
+        errors, dropped = [], threading.Event()
+        shutdown_request = proxy_module._Server.shutdown_request
+        monkeypatch.setattr(proxy_module._Server, "handle_error",
+                            lambda server, request, address: errors.append(address))
+        monkeypatch.setattr(proxy_module._Server, "shutdown_request",
+                            lambda server, request: (shutdown_request(server, request),
+                                                     dropped.set()))
+        cfg = cluster_config()
+        with ClusterServer(spawn_cluster(cfg)) as srv:
+            with socket.create_connection(srv.address, timeout=5.0) as client:
+                client.sendall(struct.pack(">I", 64) + b"{")
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                  struct.pack("ii", 1, 0))
+            assert dropped.wait(timeout=5.0)
+            assert errors == []
+            with TcpTransport(srv.address) as transport:
+                assert transport.reset() == spawn_cluster(cfg).reset()
+                assert transport.window_ticks == cfg.heartbeat_threshold
 
 
 class TestLatency:
@@ -571,17 +612,17 @@ class TestKeepaliveParity:
 class TestRequestCounts:
     """Noise-free gates on the number of requests a session costs."""
 
-    def test_hardened_campaign_makes_at_most_402_requests(self):
+    def test_hardened_campaign_makes_at_most_401_requests(self):
         with tcp_proxy() as remote:
             requests = record_requests(remote.transport)
             remote_report, _, _ = reference_campaign(remote, seed=1, cases=400)
-        assert len(requests) <= 402
+        assert len(requests) <= 401
         assert remote_report == reference_campaign(inproc_proxy(), seed=1, cases=400)[0]
 
     def test_each_hardened_case_costs_one_request_after_the_baseline(self, monkeypatch):
-        # The baseline costs the first reset and an observe; each case then
-        # sends its reset, run and observation as one request, an empty
-        # word's case as one observe.
+        # The baseline costs the first reset, whose reply carries the
+        # observation; each case then sends its reset and run as one
+        # request, an empty word's case its reset alone.
         sent = []
         evaluate = Detector.evaluate
 
@@ -593,10 +634,9 @@ class TestRequestCounts:
         with tcp_proxy() as remote:
             requests = record_requests(remote.transport)
             reference_campaign(remote, seed=1, cases=400)
-        assert requests[:2] == [("__reset__", False), ("__observe__", False)]
-        assert sent == list(range(3, 403))
-        assert requests[2:] == [(kind, True) for kind, _ in requests[2:]]
-        assert {kind for kind, _ in requests[2:]} == {"__deliver__", "__observe__"}
+        assert requests[:1] == [("reset",)]
+        assert sent == list(range(2, 402))
+        assert set(requests[1:]) == {("frames", "reset"), ("reset",)}
 
     def test_silent_word_after_the_first_session_costs_one_request(self):
         cfg = cluster_config()
@@ -609,7 +649,7 @@ class TestRequestCounts:
             requests = record_requests(remote.transport)
             for _ in range(3):
                 assert remote.query(word) == ((NO_RESPONSE,),) * 6
-            assert requests == [("__deliver__", True)] * 3
+            assert requests == [("frames", "reset")] * 3
 
     def test_each_keepalive_window_before_the_last_letter_costs_one_request(self):
         # Counted in process: a window that holds a keep-alive wire type
@@ -642,14 +682,14 @@ class TestRequestCounts:
                 stops_before_last.append(stops)
         assert max(stops_before_last) >= 3 and stops_before_last.count(0) >= 10
 
-    def test_keepalive_campaign_makes_at_most_1163_requests(self):
+    def test_keepalive_campaign_makes_at_most_1162_requests(self):
         vulns = sorted(ALL_VULNERABILITIES)
         with tcp_proxy(vulns) as remote:
             requests = record_requests(remote.transport)
             reference_campaign(remote, seed=7, cases=600)
             assert remote.keepalives_answered == 1_122
-        assert len(requests) <= 1_163
-        assert ("__inject__", False) not in requests
+            sent = len(requests)
+        assert len(requests) == sent <= 1_162  # close() had nothing left to send
 
 
 class LoggingCluster(ClusterHandle):
@@ -685,8 +725,7 @@ def logged_tcp_proxy(vulns):
     payloads = []
     with ClusterServer(cluster) as srv, TcpTransport(srv.address) as transport:
         send = transport._send
-        transport._send = lambda kind, payload: (
-            payloads.append((kind, dict(payload))), send(kind, payload))
+        transport._send = lambda payload: (payloads.append(dict(payload)), send(payload))
         yield ClusterProxy(transport, default_alphabet(cfg)), cluster, payloads
 
 
@@ -702,13 +741,13 @@ class TestQueuedInjects:
         with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
             remote.query(self.JOIN)
             answered = remote.keepalives_answered
-            assert answered > 0 and [kind for kind, _ in payloads] == [
-                "__reset__", "__deliver__"]
+            assert answered > 0 and [sorted(payload) for payload in payloads] == [
+                ["reset"], ["frames"]]
             assert ("inject",) not in {entry[:1] for entry in cluster.log}
             assert cluster.log[-1] == ("observe",)
             observation = remote.observe()
-            kind, payload = payloads[-1]
-            assert kind == "__observe__" and len(payload["inject"]) == answered
+            payload = payloads[-1]
+            assert sorted(payload) == ["inject"] and len(payload["inject"]) == answered
             assert [entry[0] for entry in cluster.log[-answered - 2:]] == \
                 ["observe"] + ["inject"] * answered + ["observe"]
         local = inproc_proxy(["unauth_join"])
@@ -717,9 +756,9 @@ class TestQueuedInjects:
 
     @pytest.mark.parametrize("between, expected", [
         (None, None),
-        ("observe", ("__observe__", {})),
-        ("inject", ("__observe__", {"inject": 1})),
-        ("reset", ("__observe__", {"reset": True})),
+        ("observe", {}),
+        ("inject", {"inject": 1}),
+        ("reset", {"reset": True}),
     ], ids=["untouched", "observe", "inject", "reset"])
     def test_only_an_untouched_kept_observation_is_returned(self, between, expected):
         word = LADDER_ALPHABET[:2]
@@ -727,7 +766,7 @@ class TestQueuedInjects:
         local.query(word)
         with logged_tcp_proxy(()) as (remote, cluster, payloads):
             remote.query(word)
-            assert [kind for kind, _ in payloads] == ["__reset__", "__deliver__"]
+            assert [sorted(payload) for payload in payloads] == [["reset"], ["frames"]]
             sent = len(payloads)
             if between == "observe":
                 assert remote.observe() == local.observe()
@@ -742,17 +781,16 @@ class TestQueuedInjects:
             if expected is None:
                 assert len(payloads) == sent
             else:
-                kind, payload = payloads[-1]
-                assert len(payloads) == sent + 1 and kind == expected[0]
+                assert len(payloads) == sent + 1
                 assert {key: len(value) if key == "inject" else value
-                        for key, value in payload.items()} == expected[1]
+                        for key, value in payloads[-1].items()} == expected
 
     def test_a_due_reset_drops_the_queue(self):
         with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
             remote.query(self.JOIN)
             remote.reset_session()
             remote.observe()
-            assert payloads[-1] == ("__observe__", {"reset": True})
+            assert payloads[-1] == {"reset": True}
             assert cluster.log[-4:] == [
                 ("exchange", "RaftJoinRequest", 2), ("observe",), ("reset",), ("observe",)]
 
@@ -761,8 +799,9 @@ class TestQueuedInjects:
             remote.query(self.JOIN)
             answered = remote.keepalives_answered
             remote.transport.close()
-            assert payloads[-1][0] == "__inject__"
-            assert [entry[0] for entry in cluster.log[-answered:]] == ["inject"] * answered
+            assert sorted(payloads[-1]) == ["inject"]
+            assert [entry[0] for entry in cluster.log[-answered - 1:]] == \
+                ["inject"] * answered + ["observe"]
 
     def test_the_served_cluster_sees_what_it_sees_in_process(self):
         # The same words, cluster-side: equal logs but for the observes,
@@ -810,19 +849,22 @@ class TestQueuedInjects:
             probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx)
             payload = {"frames": [probe], "inject": [probe]}
             payload[bad] = [probe, {"nope": 1}]
-            transport._send("__deliver__", payload)
+            transport._send(payload)
             with pytest.raises(TransportError, match="missing keys"):
                 transport._read()
-            assert cluster.log == [("reset",)]
+            assert cluster.log == [("reset",), ("observe",)]
 
-    @pytest.mark.parametrize("payload", [{}, {"inject": []}, {"inject": {"a": 1}}],
-                             ids=["none", "empty", "not-a-list"])
-    def test_inject_request_needs_a_frame_list(self, payload):
-        with tcp_transport() as (transport, _):
+    @pytest.mark.parametrize("key", ["inject", "frames"])
+    @pytest.mark.parametrize("value", [[], {"a": 1}], ids=["empty", "not-a-list"])
+    def test_a_frame_list_must_be_a_non_empty_list(self, key, value):
+        # Refused before the cluster sees anything, the reset with it.
+        cluster = LoggingCluster(cluster_config())
+        with ClusterServer(cluster) as srv, TcpTransport(srv.address) as transport:
             transport.reset()
-            transport._send("__inject__", payload)
-            with pytest.raises(TransportError, match="no 'inject' list of frames"):
+            transport._send({"reset": True, key: value})
+            with pytest.raises(TransportError, match=f"no '{key}' list of frames"):
                 transport._read()
+            assert cluster.log == [("reset",), ("observe",)]
 
 
 class TestDeferredReset:
@@ -831,10 +873,10 @@ class TestDeferredReset:
             requests = record_requests(transport)
             term = transport.reset()
             assert transport.reset() == term and transport.reset() == term
-            assert requests == [("__reset__", False)]
+            assert requests == [("reset",)]
             transport.observe()
             transport.observe()
-            assert requests[1:] == [("__observe__", True), ("__observe__", False)]
+            assert requests[1:] == [("reset",), ()]
             assert transport.window_ticks == cfg.heartbeat_threshold
 
     @pytest.mark.parametrize("reply, reason", [
@@ -844,9 +886,8 @@ class TestDeferredReset:
         ({"window_ticks": 5, "term": True}, "no integer term"),
     ], ids=["term", "window", "no-term", "bool-term"])
     def test_piggybacked_reset_reply_must_match_the_baseline(self, reply, reason):
-        first = ("__done__", {"window_ticks": 5, "term": 1})
         done = {"observation": OBSERVATION, **reply}
-        with scripted_server(first, ("__done__", done)) as transport:
+        with scripted_server(SCRIPTED_RESET, ("__done__", done)) as transport:
             assert transport.reset() == 1
             assert transport.reset() == 1
             with pytest.raises(TransportError, match=reason):
@@ -890,7 +931,7 @@ class TestDeferredReset:
         with tcp_transport() as (transport, cfg):
             ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
             probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx)
-            transport._send("__deliver__", {"frames": [probe, {"nope": 1}]})
+            transport._send({"frames": [probe, {"nope": 1}]})
             with pytest.raises(TransportError, match="missing keys"):
                 transport._read()
             # Had the probe been delivered, its timestamp would now be stale.

@@ -48,9 +48,10 @@ and ``"frames": [frame, ...]``; the server resets, injects and runs, in
 that order.  Its reply carries the fresh session's ``term`` and
 ``window_ticks`` after a reset, ``{"delivered": n, "events": [[index,
 tick, frame], ...]}`` after a run, and the ``"observation"`` taken last,
-unless the run stopped before its last frame.  A reset and the injects
-ride on the next request, so a fuzz case, its reset, run and health
-snapshot, costs one request.
+unless the run stopped before its last frame: the fields that differ from
+those last sent on the connection, so all nine on its first.  A reset and
+the injects ride on the next request, so a fuzz case, its reset, run and
+health snapshot, costs one request.
 """
 from __future__ import annotations
 
@@ -83,27 +84,33 @@ class SessionContext:
     self_id: str
     observed_leader_term: int = 0
     _ts: int = field(default=0, repr=False)
-    _last_sent_term: int | None = field(default=None, repr=False)
+    # The ballots sent, newest first: (clock before its letter, ballot,
+    # the older ones), or None.
+    _ballots: tuple | None = field(default=None, repr=False)
 
     def next_ts(self) -> int:
         self._ts += 1
         return self._ts
 
-    def mark(self) -> tuple:
-        """The clock and ballot state, for :meth:`rewind`."""
-        return self._ts, self._last_sent_term
+    def mark(self) -> int:
+        """The clock: the timestamp of the last letter encoded."""
+        return self._ts
 
-    def rewind(self, mark: tuple):
-        self._ts, self._last_sent_term = mark
+    def rewind(self, ts: int):
+        """Back to the state just after the letter stamped ``ts``: the
+        clock, and the ballots sent up to that letter."""
+        self._ts = ts
+        while self._ballots is not None and self._ballots[0] >= ts:
+            self._ballots = self._ballots[2]
 
     def vote_term(self, kind: str) -> int:
         if kind == TERM_CURRENT:
             return self.observed_leader_term
         base = self.observed_leader_term
-        if self._last_sent_term is not None and self._last_sent_term > base:
-            base = self._last_sent_term
-        self._last_sent_term = base + 1
-        return self._last_sent_term
+        if self._ballots is not None and self._ballots[1] > base:
+            base = self._ballots[1]
+        self._ballots = (self._ts, base + 1, self._ballots)
+        return base + 1
 
 
 # The word of a window in which nothing reached the peer: one object for all.
@@ -152,8 +159,8 @@ class ClusterProxy:
         up to the first window that holds a keep-alive wire type.  Each
         ``encode`` takes one timestamp, so a clock past ``mark + sent`` shows
         that the transport took letters it did not deliver: the context goes
-        back to the mark and the delivered letters are encoded again, so the
-        keep-alive answers take the timestamps just after them."""
+        back to the state just after the last delivered letter, so the
+        keep-alive answers take the timestamps just after it."""
         cfg, ctx, transport = self.cfg, self.ctx, self.transport
         out = [_SILENT] * len(word)
         done = counted = 0
@@ -166,10 +173,8 @@ class ClusterProxy:
                     counted = done + index + 1
                     out[counted - 1] = canonical_output(
                         [(ts, decode(m, cfg)) for ts, m in window], cfg, keepalives)
-                if ctx.mark()[0] > mark[0] + sent:
-                    ctx.rewind(mark)
-                    for sym in word[done:done + sent]:
-                        encode(sym, ctx)
+                if ctx.mark() > mark + sent:
+                    ctx.rewind(mark + sent)
                 done = counted = done + sent
                 for reply_sym in keepalives:  # from the last window: the run stopped there
                     self._answer_keepalive(reply_sym)
@@ -214,14 +219,15 @@ def _control(msg_type: str, payload: dict) -> dict:
             "type": msg_type, "payload": payload}
 
 
-def _serve_request(cluster: ClusterHandle, msg: dict) -> dict:
+def _serve_request(cluster: ClusterHandle, msg: dict, sent: dict) -> dict:
     """Serve one ``__request__`` on ``cluster``: reset if its payload holds
     ``"reset": true``, inject the frames of ``"inject"``, then run those of
     ``"frames"``, every frame checked before the cluster sees any.  The one
     reply frame is an ``__error__``, or a ``__done__`` that carries the
     fresh ``term`` and ``window_ticks`` after a reset, ``delivered`` and
     ``events`` after a run, and the ``observation`` taken last unless the
-    run stopped before its last frame."""
+    run stopped before its last frame: only its fields that differ from
+    ``sent``, the fields last sent on the connection, which it updates."""
     try:
         kind, payload = msg["type"], msg["payload"]
         if kind != CTRL_REQUEST:
@@ -236,7 +242,10 @@ def _serve_request(cluster: ClusterHandle, msg: dict) -> dict:
             done["delivered"], windows = cluster.run(msgs)
             done["events"] = [[index, t, m] for index, window in windows for t, m in window]
         if not msgs or done["delivered"] == len(msgs):
-            done["observation"] = cluster.observe().to_dict()
+            fields = cluster.observe().to_dict()
+            done["observation"] = {key: value for key, value in fields.items()
+                                   if key not in sent or sent[key] != value}
+            sent.update(done["observation"])
         return _control(CTRL_DONE, done)
     except Exception as exc:  # reported in-band; the connection stays usable
         return _control(CTRL_ERROR, {"reason": str(exc)})
@@ -257,6 +266,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
 
     def handle(self):
         with self.server.session_lock:  # one owner session at a time
+            sent = {}  # the observation fields last sent on this connection
             while True:
                 try:
                     msg = read_frame(self.rfile.read)
@@ -264,7 +274,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                     return  # malformed or broken stream: drop this client
                 if msg is None:
                     return
-                reply = _serve_request(self.server.cluster, msg)
+                reply = _serve_request(self.server.cluster, msg, sent)
                 try:
                     self.wfile.write(frame_encode(reply))
                 except OSError:
@@ -344,7 +354,9 @@ class TcpTransport:
     queued or made due since; so a fuzz case costs one request, and the
     baseline none after the first reset.  It is the snapshot a request of
     its own would read: the served cluster has one owner, and only a
-    request changes it.
+    request changes it.  A reply carries only the observation's fields
+    that changed since the last it carried, and the transport folds them
+    into the fields it holds as soon as it reads the reply.
     """
 
     def __init__(self, address, timeout: float = 30.0):
@@ -359,6 +371,8 @@ class TcpTransport:
         self._reset_due = False
         self._injects = []  # wire frames for the next request to carry
         self._kept: ClusterObservation | None = None  # from the last reply
+        self._fields = {}  # the observation fields the server last sent
+        self._last: ClusterObservation | None = None  # built from them
 
     def close(self):
         try:
@@ -386,7 +400,7 @@ class TcpTransport:
         if self.window_ticks is None:
             raise TransportError("run before the first reset")
         frames = list(msgs)
-        done = self._call({"frames": frames})
+        done, observation = self._call({"frames": frames})
         events, delivered = done.get("events"), done.get("delivered")
         if not isinstance(events, list):
             raise TransportError("reply carries no event list")
@@ -412,8 +426,8 @@ class TcpTransport:
         if stop is None and delivered < len(frames):
             raise TransportError("run stopped after a window without a keep-alive")
         if delivered == len(frames):
-            self._kept = _observation(done)
-        elif "observation" in done:
+            self._kept = _carried(observation)
+        elif observation is not None:
             raise TransportError("reply carries an observation, but its run stopped "
                                  "before its last message")
         return delivered, windows
@@ -428,10 +442,11 @@ class TcpTransport:
         kept, self._kept = self._kept, None
         return kept
 
-    def _call(self, payload: dict) -> dict:
+    def _call(self, payload: dict) -> tuple:
         """One request, carrying the reset that is due and the queued
-        injects; the payload of its ``__done__`` reply.  Each rides on
-        exactly one request, and a failure of it surfaces from that one."""
+        injects; the payload of its ``__done__`` reply and the observation
+        it carries, or None.  Each rides on exactly one request, and a
+        failure of it surfaces from that one."""
         self._kept = None
         due = self._reset_due
         if due:
@@ -442,6 +457,7 @@ class TcpTransport:
             self._injects = []
         self._send(payload)
         done = self._read()
+        observation = self._fold(done)  # first: a reply refused below is folded too
         if due:
             baseline = _baseline(done)
             if self.window_ticks is None:
@@ -450,8 +466,27 @@ class TcpTransport:
                 raise TransportError("reset reply differs from the first reset's "
                                      "window_ticks and term")
         if "frames" not in payload:  # a run's reply is checked after its events
-            self._kept = _observation(done)
-        return done
+            self._kept = _carried(observation)
+        return done, observation
+
+    def _fold(self, done: dict) -> ClusterObservation | None:
+        """The observation of a reply payload, its fields folded into those
+        held, or None if it carries none.  An empty one is the last as it
+        is.  A malformed one empties the held fields, so that no later one
+        builds on fields the server did not send."""
+        if "observation" not in done:
+            return None
+        delta = done["observation"]
+        if delta == {} and self._last is not None:
+            return self._last
+        try:
+            if not isinstance(delta, dict):
+                raise TypeError(f"observation is not an object: {delta!r}")
+            self._last = ClusterObservation.fold(self._fields, delta)
+        except (TypeError, ValueError) as exc:
+            self._fields, self._last = {}, None
+            raise TransportError(f"malformed observation reply: {exc!r}") from exc
+        return self._last
 
     def _send(self, payload: dict):
         try:
@@ -475,12 +510,11 @@ class TcpTransport:
         return payload
 
 
-def _observation(done: dict) -> ClusterObservation:
-    """The observation of a reply payload."""
-    try:
-        return ClusterObservation.from_dict(done["observation"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise TransportError(f"malformed observation reply: {exc!r}") from exc
+def _carried(observation: ClusterObservation | None) -> ClusterObservation:
+    """``observation``, which a reply must carry."""
+    if observation is None:
+        raise TransportError("malformed observation reply: it carries none")
+    return observation
 
 
 def _baseline(done: dict) -> tuple:

@@ -189,14 +189,28 @@ class ClusterObservation:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterObservation":
-        """Inverse of :meth:`to_dict`.  A missing field raises ``KeyError``,
-        a field of the wrong type or shape ``ValueError``."""
-        for key, valid in _OBSERVATION_FIELDS.items():
-            if not valid(doc[key]):
-                raise ValueError(f"observation field {key} is malformed: {doc[key]!r}")
-        fields = {key: doc[key] for key in _OBSERVATION_FIELDS}
-        fields["apps"] = tuple(doc["apps"])
-        fields["links"] = tuple(tuple(link) for link in doc["links"])
+        """Inverse of :meth:`to_dict`: the fold of ``doc`` onto nothing."""
+        return cls.fold({}, doc)
+
+    @classmethod
+    def fold(cls, fields: dict, doc: dict) -> "ClusterObservation":
+        """Write the fields of ``doc``, the dict form of an observation or
+        any part of it, into ``fields``, and return the observation they
+        then hold.  Only the fields of ``doc`` are checked.  A field that is
+        unknown, of the wrong type or shape, or still missing raises
+        ``ValueError``, and ``fields`` may then hold part of ``doc``."""
+        for key, value in doc.items():
+            valid = _OBSERVATION_FIELDS.get(key)
+            if valid is None or not valid(value):
+                raise ValueError(f"observation field {key!r} is unknown or malformed: "
+                                 f"{value!r}")
+            fields[key] = value
+        if "apps" in doc:
+            fields["apps"] = tuple(doc["apps"])
+        if "links" in doc:
+            fields["links"] = tuple(map(tuple, doc["links"]))
+        if len(fields) < len(_OBSERVATION_FIELDS):
+            raise ValueError(f"observation lacks {sorted(_OBSERVATION_FIELDS.keys() - fields)}")
         return cls(**fields)
 
 

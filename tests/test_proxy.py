@@ -233,8 +233,8 @@ class TestKeeper:
     def test_a_transport_that_takes_more_than_it_delivers_sends_the_same(self, monkeypatch):
         # As over TCP: the transport takes the whole rest of the word but
         # delivers it only through the keep-alive window, so the context goes
-        # back to the mark before the run and the delivered letters are
-        # encoded again before the answers.
+        # back to the state just after the last delivered letter, its clock
+        # and its ballots, before the answers.
         rewinds = []
         rewind = SessionContext.rewind
         monkeypatch.setattr(SessionContext, "rewind",
@@ -247,11 +247,29 @@ class TestKeeper:
         out = proxy.query(word)
         assert [[s.tag for s in w] for w in out] == [
             [RCONRES], [NO_RESPONSE.tag], [RCOMRES], [NO_RESPONSE.tag], [NO_RESPONSE.tag]]
-        assert rewinds == [(0, None)]
+        assert rewinds == [3]
         assert [m["ts"] for m in transport.sent] == [1, 2, 3, 6, 7]
         assert [m["ts"] for m in transport.injected] == [4, 5]
         assert [m["payload"]["term"] for m in transport.sent if "term" in m["payload"]] == [4, 5, 6]
         assert proxy.symbols_sent == 5 and proxy.keepalives_answered == 2
+
+    def test_a_transport_that_takes_more_encodes_each_letter_once(self, monkeypatch):
+        # The undelivered rest is encoded again for the next run, but no
+        # delivered letter is.
+        calls = []
+        monkeypatch.setattr(proxy_module, "encode",
+                            lambda sym, ctx, _encode=encode: calls.append(sym) or _encode(sym, ctx))
+        proxy, transport = scripted_proxy(
+            [[], list(self.KEEPALIVE_WIN), [], [], list(self.KEEPALIVE_WIN), []], term=3)
+        transport.run = lambda msgs: ClusterHandle.run(transport, list(msgs))
+        word = [RVREQ_HI, RVREQ_HI, RVREQ_HI, RCONREQ_S, RVREQ_HI, RVREQ_HI]
+        proxy.query(word)
+        tags, answers = [sym.tag for sym in word], [PRES, RARES]
+        assert [sym.tag for sym in calls] == [
+            *tags, *answers, *tags[2:], *answers, *tags[5:]]
+        assert [m["ts"] for m in transport.sent] == [1, 2, 5, 6, 7, 10]
+        assert [m["payload"]["term"] for m in transport.sent if "term" in m["payload"]] == [
+            4, 5, 6, 7, 8]
 
     def test_probe_for_another_member_ends_a_run_without_a_rewind(self, monkeypatch):
         rewinds = []

@@ -87,13 +87,14 @@ def scripted_server(*replies):
 
 
 OBSERVATION = spawn_cluster(cluster_config()).observe().to_dict()
-# One wrong-typed or misshapen field at a time; the rest of OBSERVATION is valid.
+# One wrong-typed, misshapen or unknown field at a time; the rest of
+# OBSERVATION is valid.
 BAD_FIELDS = [
     ("leader", 1), ("term", "1"), ("term", True), ("term", 1.0),
     ("membership", {"n1": 1}), ("apps", [1]), ("links", [["a1", "a2", "b1"]]),
     ("links", [["a1", 2]]), ("reachability", {"n1": {"n2": "yes"}}),
     ("reachability", {"n1": []}), ("sessions_open", "3"),
-    ("resource_load", {"n1": "2"}), ("origin", None),
+    ("resource_load", {"n1": "2"}), ("origin", None), ("uptime", 1),
 ]
 
 
@@ -116,6 +117,21 @@ def record_requests(transport) -> list:
 
     transport._send = recording
     return requests
+
+
+def record_reply_bytes(monkeypatch) -> list:
+    """The length of each ``__done__`` frame the server encodes from now on."""
+    sizes = []
+    frame_encode = proxy_module.frame_encode
+
+    def recording(msg):
+        data = frame_encode(msg)
+        if msg["type"] == "__done__":
+            sizes.append(len(data))
+        return data
+
+    monkeypatch.setattr(proxy_module, "frame_encode", recording)
+    return sizes
 
 
 def reference_campaign(proxy, seed, cases):
@@ -320,28 +336,32 @@ class TestContract:
         ("reset", {"window_ticks": "5", "term": 1}, "no positive integer window_ticks"),
         ("reset", {"window_ticks": 0, "term": 1}, "no positive integer window_ticks"),
         ("reset", {"window_ticks": 5, "term": True}, "no integer term"),
+        ("reset", {"window_ticks": 5, "term": 1, "observation": {"leader": "n1"}},
+         "malformed observation reply"),
         ("observe", {}, "malformed observation reply"),
         ("observe", {"observation": {"leader": "n1"}}, "malformed observation reply"),
+        ("observe", {"observation": {}}, "malformed observation reply"),
         *(("observe", {"observation": {**OBSERVATION, key: value}},
            "malformed observation reply") for key, value in BAD_FIELDS),
     ], ids=["reset-empty", "reset-string-window", "reset-zero-window", "reset-bool-term",
-            "observe-empty", "observe-partial",
+            "reset-partial", "observe-empty", "observe-partial", "observe-empty-delta",
             *(f"observe-{key}-{value!r}" for key, value in BAD_FIELDS)])
     def test_malformed_reset_or_observe_reply_raises_transport_error(self, verb, done, reason):
+        # The first reply on a connection must carry all nine fields.
         with scripted_server(("__done__", done)) as transport:
             with pytest.raises(TransportError, match=reason):
                 getattr(transport, verb)()
 
     @pytest.mark.parametrize("done, reason", [
-        ({"observation": {"leader": "n1"}}, "malformed observation reply"),
         *(({"observation": {**OBSERVATION, key: value}},
            "malformed observation reply") for key, value in BAD_FIELDS),
         ({"events": [[0, 4, PROBE_N2_FRAME]], "delivered": 1,
           "observation": OBSERVATION}, "stopped before its last message"),
         ({"observation": None}, "malformed observation reply"),
+        ({"observation": []}, "malformed observation reply"),
         ({}, "malformed observation reply"),
-    ], ids=["partial", *(f"{key}-{value!r}" for key, value in BAD_FIELDS),
-            "stopped-early", "null", "missing"])
+    ], ids=[*(f"{key}-{value!r}" for key, value in BAD_FIELDS),
+            "stopped-early", "null", "list", "missing"])
     def test_malformed_observation_on_a_run_reply_raises_transport_error(self, done, reason):
         done = {"events": [], "delivered": 3, **done}
         with scripted_server(SCRIPTED_RESET, ("__done__", done)) as transport:
@@ -360,6 +380,45 @@ class TestContract:
                 transport.reset()
             with pytest.raises(TransportError, match="malformed observation reply"):
                 transport.observe() if due else transport.reset()
+
+    def test_a_delta_folds_onto_the_fields_held(self):
+        # Each reply carries the fields that changed; an empty one, none.
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": [], "delivered": 3,
+                                           "observation": {"sessions_open": 4}}),
+                             ("__done__", {"observation": {}})) as transport:
+            transport.reset()
+            baseline = transport.observe()
+            assert transport.run(SCRIPTED_RUN) == (3, [])
+            folded = transport.observe()
+            assert folded.to_dict() == {**OBSERVATION, "sessions_open": 4}
+            assert transport.observe() is folded
+        assert baseline.to_dict() == OBSERVATION
+
+    @pytest.mark.parametrize("then", [{"term": 2}, {}], ids=["partial", "empty"])
+    def test_a_malformed_delta_empties_the_fields_held(self, then):
+        # Fail closed: no later delta builds on fields the client did not get.
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": [], "delivered": 3,
+                                           "observation": {"term": "2"}}),
+                             ("__done__", {"observation": then}),
+                             ("__done__", {"observation": OBSERVATION})) as transport:
+            transport.reset()
+            with pytest.raises(TransportError, match="malformed observation reply"):
+                transport.run(SCRIPTED_RUN)
+            with pytest.raises(TransportError, match="malformed observation reply"):
+                transport.observe()
+            assert transport.observe().to_dict() == OBSERVATION
+
+    def test_a_run_reply_refused_for_its_events_is_still_folded(self):
+        with scripted_server(SCRIPTED_RESET,
+                             ("__done__", {"events": [[0]], "delivered": 3,
+                                           "observation": {"sessions_open": 4}}),
+                             ("__done__", {"observation": {}})) as transport:
+            transport.reset()
+            with pytest.raises(TransportError, match="triple"):
+                transport.run(SCRIPTED_RUN)
+            assert transport.observe().sessions_open == 4
 
     def test_observation_on_a_whole_run_reply_answers_the_next_observe(self):
         # The peer answers two requests; a third would find it gone.
@@ -387,6 +446,27 @@ class TestContract:
                 assert obs2 == obs1  # same cluster, untouched in between
                 second.reset()
                 assert second.window_ticks == cfg.heartbeat_threshold
+
+    def test_each_connection_starts_from_a_full_observation(self):
+        # The server keeps the fields it last sent per connection, so a
+        # client that connects again gets all nine, though nothing changed.
+        cfg = cluster_config(["seize_leader"])
+        word = [Symbol(RVREQ, (NodeRef("n1", KNOWN), TERM_HIGHER))]
+        replies, observations = [], []
+        with ClusterServer(spawn_cluster(cfg)) as srv:
+            for _ in range(2):
+                with TcpTransport(srv.address) as transport:
+                    read = transport._read
+                    transport._read = lambda read=read: replies.append(read()) or replies[-1]
+                    proxy = ClusterProxy(transport, default_alphabet(cfg))
+                    for _ in range(2):
+                        proxy.query(word)
+                        observations.append(proxy.observe())
+        deltas = [sorted(done["observation"]) for done in replies]
+        assert deltas == [sorted(OBSERVATION), ["leader", "term"], []] * 2
+        local = inproc_proxy(["seize_leader"])
+        local.query(word)
+        assert observations == [local.observe()] * 4
 
     def test_observation_round_trip_matches_in_process(self):
         word = LADDER_ALPHABET[:3]
@@ -563,8 +643,8 @@ class TestKeepaliveParity:
         # Keep-alives that arrive before a word's last letter end a run.  In
         # process the transport takes each letter as it delivers it, so every
         # message is encoded once; over TCP it takes the whole rest, and the
-        # proxy sends its session context back to encode the delivered
-        # letters again.
+        # proxy sends its session context back to just after the last
+        # delivered letter, so only the undelivered rest is encoded again.
         rewinds, encodes, delivers = [], [], []
         rewind, deliver = SessionContext.rewind, ClusterHandle.deliver
 
@@ -589,6 +669,7 @@ class TestKeepaliveParity:
         with tcp_proxy(vulns) as remote:
             remote_report, remote_outputs, remote_observations = reference_campaign(
                 remote, seed=7, cases=600)
+        remote_encodes = len(encodes) - local_encodes
         assert len(remote_outputs) == len(local_outputs) == 600
         for case, (got, want) in enumerate(zip(remote_outputs, local_outputs)):
             assert got == want, case
@@ -605,8 +686,10 @@ class TestKeepaliveParity:
         assert remote_report == local_report
         # One encoding per delivered message, keep-alive answers included.
         assert local_encodes == local_delivers == (
-            local.symbols_sent + local.keepalives_answered)
+            local.symbols_sent + local.keepalives_answered) == 3_029
         assert local_rewinds == 0 < len(rewinds)
+        # Over TCP, those and 1,317 letters that a run took but did not deliver.
+        assert remote_encodes == local_encodes + 1_317
 
 
 class TestRequestCounts:
@@ -681,6 +764,21 @@ class TestRequestCounts:
                 assert len(requests) - before == stops + 1, word
                 stops_before_last.append(stops)
         assert max(stops_before_last) >= 3 and stops_before_last.count(0) >= 10
+
+    def test_hardened_campaign_replies_take_at_most_124484_bytes(self, monkeypatch):
+        # Each reply carries the observation fields that changed: all nine
+        # on the first, none on most (307,284 bytes with all nine on each).
+        sizes = record_reply_bytes(monkeypatch)
+        with tcp_proxy() as remote:
+            reference_campaign(remote, seed=1, cases=400)
+        assert len(sizes) == 401 and sum(sizes) <= 124_484
+
+    def test_keepalive_campaign_replies_take_at_most_467319_bytes(self, monkeypatch):
+        # 780,010 bytes with all nine observation fields on each reply.
+        sizes = record_reply_bytes(monkeypatch)
+        with tcp_proxy(sorted(ALL_VULNERABILITIES)) as remote:
+            reference_campaign(remote, seed=7, cases=600)
+        assert len(sizes) == 1_162 and sum(sizes) <= 467_319
 
     def test_keepalive_campaign_makes_at_most_1162_requests(self):
         vulns = sorted(ALL_VULNERABILITIES)

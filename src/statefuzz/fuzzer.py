@@ -9,14 +9,16 @@ state-changing.
 Each campaign case picks a seed (biased toward rarely exercised end
 states), applies one to three random mutations, injects the mutant through
 the proxy from a fresh session, and hands the collected reactions plus the
-cluster health snapshot to the detector.  Every random decision is recorded
-so any case can be replayed exactly, with no random number generator, from
-its report entry.
+cluster health snapshot to the detector.  The proxy takes the cases in
+batches, so that over TCP a batch costs one request.  Every random decision
+is recorded so any case can be replayed exactly, with no random number
+generator, from its report entry.
 """
 from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .alphabet import (
@@ -25,6 +27,7 @@ from .alphabet import (
 )
 from .detector import Detector
 from .mealy import MealyMachine
+from .proxy import TransportError
 
 MUT_DUPLICATE = "duplicate"
 MUT_REMOVE = "remove"
@@ -272,8 +275,12 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
     traversal end state has been exercised least.  Stops after ``max_cases``
     or once ``until_criteria`` (a set of criterion names) have all been
     witnessed.  A case whose reply does not decode is recorded and skipped;
-    the campaign continues.  An interrupt raises ``CampaignInterrupted``
-    with the report of the cases before the one in flight.
+    the campaign continues.  Cases are built as the proxy takes them for its
+    batches (``ClusterProxy.run_cases``), ahead of the results of the cases
+    before them, which none depends on: the end-state counts and both random
+    number generators move as a case is built.  An interrupt raises
+    ``CampaignInterrupted`` with the report of the cases evaluated before
+    it; a ``TransportError`` is raised with that report as its ``report``.
     """
     if max_cases < 1:
         raise ValueError("max_cases must be positive")
@@ -285,13 +292,9 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
     end_states = [machine.state_after(seed) for seed in seeds]
     hits = {state: 0 for state in end_states}
     scheduler = random.Random(rng_seed)
-    findings = []
-    errors = []
-    wanted = frozenset(until_criteria) if until_criteria else None
-    found = set()
-    cases_run = 0
-    interrupt = None
-    try:
+    built = deque()  # the cases whose words the proxy took, not yet evaluated
+
+    def schedule():
         for case_id in range(max_cases):
             bias = [1.0 / (1 + hits[state]) for state in end_states]
             seed_index = scheduler.choices(range(len(seeds)), weights=bias)[0]
@@ -304,21 +307,32 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
                     break
                 word, record = mutate(word, case_rng, domains, weights)
                 records.append(record)
-            case = FuzzCase(case_id=case_id, seed_index=seed_index,
-                            base=seeds[seed_index], mutations=tuple(records), word=word)
-            try:
-                outputs = proxy.query(case.word)
-                finding = detector.evaluate(proxy.observe(), received=outputs)
-            except DecodeError as exc:
-                errors.append((case_id, str(exc)))
+            built.append(FuzzCase(case_id=case_id, seed_index=seed_index,
+                                  base=seeds[seed_index], mutations=tuple(records),
+                                  word=word))
+            yield word
+
+    findings = []
+    errors = []
+    wanted = frozenset(until_criteria) if until_criteria else None
+    found = set()
+    cases_run = 0
+    interrupt = None
+    try:
+        for result in proxy.run_cases(schedule()):
+            case = built.popleft()
+            if isinstance(result, DecodeError):
+                errors.append((case.case_id, str(result)))
                 finding = None
+            else:
+                finding = detector.evaluate(result[1], received=result[0])
             if finding is not None:
                 findings.append((case, finding))
                 found.update(finding.criteria)
             cases_run += 1
             if wanted is not None and wanted <= found:
                 break
-    except KeyboardInterrupt as exc:
+    except (KeyboardInterrupt, TransportError) as exc:
         interrupt = exc
     stats = {
         "cases": cases_run,
@@ -331,6 +345,9 @@ def run_campaign(proxy, machine: MealyMachine, detector: Detector, *,
     report = CampaignReport(origin=detector.baseline.origin, rng_seed=rng_seed,
                             cases_run=cases_run, findings=tuple(findings),
                             errors=tuple(errors), stats=stats)
+    if isinstance(interrupt, TransportError):
+        interrupt.report = report
+        raise interrupt
     if interrupt is not None:
         raise CampaignInterrupted(report) from interrupt
     return report
@@ -341,13 +358,15 @@ def replay_case(proxy, detector: Detector, case: FuzzCase):
 
     The stored mutation chain is re-applied to the stored base sequence and
     must reproduce the stored word, guarding against tampered or stale
-    reports.
+    reports.  A reply that does not decode raises its ``DecodeError``.
     """
     word = case.base
     for record in case.mutations:
         word = apply_mutation(word, record)
     if word != case.word:
         raise ValueError("mutation chain does not reproduce the recorded word")
-    outputs = proxy.query(case.word)
-    finding = detector.evaluate(proxy.observe(), received=outputs)
-    return outputs, finding
+    result = next(proxy.run_cases([case.word]))
+    if isinstance(result, DecodeError):
+        raise result
+    outputs, observation = result
+    return outputs, detector.evaluate(observation, received=outputs)

@@ -283,6 +283,21 @@ class ClusterHandle:
                         return index + 1, loud
         return index + 1, loud
 
+    def run_cases(self, cases):
+        """For each case of the iterable ``cases``, an iterable of messages,
+        ``reset()`` and ``run`` its messages, and yield ``(delivered,
+        windows, observation)``.  After a case whose last window holds a
+        keep-alive, the peer's answers must reach the cluster before its
+        snapshot: its observation is None and no case after it is run.
+        Each case is taken as it is run."""
+        for msgs in cases:
+            self.reset()
+            delivered, loud = self.run(msgs)
+            if loud and any(sent["type"] in KEEPALIVE_WIRE_TYPES for _, sent in loud[-1][1]):
+                yield delivered, loud, None
+                return
+            yield delivered, loud, self.observe()
+
     def inject(self, msg: dict):
         """Deliver ``msg`` without opening an observation window."""
         self.deliver(msg)

@@ -310,8 +310,9 @@ class TestCampaign:
             resets = 0
             ticks_advanced = 0
 
-            def query(self, word):
-                raise DecodeError("bad probe status: 'maybe'")
+            def run_cases(self, words):
+                for _ in words:
+                    yield DecodeError("bad probe status: 'maybe'")
 
         report = run_campaign(Exploding(), machine, detector, rng_seed=1,
                               max_cases=5, domains=DOMAINS)

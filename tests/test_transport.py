@@ -21,7 +21,8 @@ from statefuzz.alphabet import (
 )
 from statefuzz.detector import Baseline, Detector
 from statefuzz.fuzzer import (
-    MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE, MUT_SWAP_ARG, run_campaign,
+    MUT_DUPLICATE, MUT_REMOVE, MUT_REPLACE, MUT_SWAP_ARG, CampaignInterrupted,
+    run_campaign,
 )
 from statefuzz.mealy import MealyMachine, PrunePolicy
 from statefuzz import proxy as proxy_module
@@ -137,21 +138,19 @@ def record_reply_bytes(monkeypatch) -> list:
 def reference_campaign(proxy, seed, cases):
     """The campaign ``statefuzz fuzz`` runs on the reference model: its
     ``report.json`` text, each case's output words, and every observation
-    the detector gets, the baseline's first."""
+    the detector gets, the baseline's first, as the detector gets them."""
     outputs, observations = [], []
-    query, observe = proxy.query, proxy.observe
-
-    def recording(word):
-        outputs.append(query(word))
-        return outputs[-1]
-
-    def observing():
-        observations.append(observe())
-        return observations[-1]
-
-    proxy.query, proxy.observe = recording, observing
     proxy.reset_session()
     detector = Detector(Baseline.capture(proxy))
+    observations.append(detector.baseline.observation)
+    evaluate = detector.evaluate
+
+    def recording(observation, received=()):
+        outputs.append(received)
+        observations.append(observation)
+        return evaluate(observation, received=received)
+
+    detector.evaluate = recording
     model = MealyMachine.from_json(REFERENCE_MACHINE.read_text(encoding="utf-8"))
     report = run_campaign(proxy, model.prune(PrunePolicy()), detector, rng_seed=seed,
                           max_cases=cases, domains=input_domains(proxy.cfg))
@@ -430,6 +429,43 @@ class TestContract:
             assert transport.run(SCRIPTED_RUN) == (3, [])
             assert transport.observe().to_dict() == observed
 
+    @pytest.mark.parametrize("done, reason", [
+        ({}, "no list of \\[delivered, events, observation\\] cases"),
+        ({"cases": [[3, []]]}, "no list of \\[delivered, events, observation\\] cases"),
+        ({"cases": []}, "no case, or more than the request"),
+        ({"cases": [[3, [], OBSERVATION]] * 3}, "no case, or more than the request"),
+        ({"cases": [[3, [], None]]}, "if, and only if, no keep-alive window ended it"),
+        ({"cases": [[1, [[0, 4, PROBE_N2_FRAME]], OBSERVATION]]},
+         "if, and only if, no keep-alive window ended it"),
+        ({"cases": [[1, [[0, 4, PROBE_N2_FRAME]], None], [3, [], OBSERVATION]]},
+         "went on after a case that a keep-alive stopped"),
+        ({"cases": [[3, [], OBSERVATION]]}, "stopped after a case without a keep-alive"),
+        ({"cases": [[2, [], OBSERVATION]]}, "stopped after a window without a keep-alive"),
+        ({"cases": [[3, [[0, 4, RESPONSE_FRAME]], {"term": "2"}]]},
+         "malformed observation reply"),
+    ], ids=["missing", "pair", "none", "too-many", "whole-without-observation",
+            "stopped-with-observation", "went-on", "stopped-early", "run-stopped-early",
+            "malformed-observation"])
+    def test_malformed_cases_reply_raises_transport_error(self, done, reason):
+        with scripted_server(SCRIPTED_RESET, ("__done__", done)) as transport:
+            transport.reset()
+            with pytest.raises(TransportError, match=reason):
+                transport.run_cases([SCRIPTED_RUN, SCRIPTED_RUN])
+
+    def test_cases_reply_ends_after_the_case_a_keepalive_stopped(self):
+        observed = {**OBSERVATION, "sessions_open": 4}
+        cases = [[3, [[0, 4, RESPONSE_FRAME]], observed], [0, [], {}],
+                 [2, [[1, 9, HEARTBEAT_FRAME]], None]]
+        with scripted_server(SCRIPTED_RESET, ("__done__", {"cases": cases}),
+                             ("__done__", {"observation": {}})) as transport:
+            transport.reset()
+            ran = transport.run_cases([SCRIPTED_RUN, [], SCRIPTED_RUN, SCRIPTED_RUN])
+            # Nothing is kept from a batch: observe() asks.
+            assert transport.observe().to_dict() == observed
+        assert [(delivered, [index for index, _ in windows], observation and
+                 observation.to_dict()) for delivered, windows, observation in ran] == [
+            (3, [0], observed), (0, [], observed), (2, [1], None)]
+
     def test_reply_of_unknown_type_raises_transport_error(self):
         with scripted_server(("__bogus__", {})) as transport:
             with pytest.raises(TransportError, match="unexpected frame type"):
@@ -695,17 +731,17 @@ class TestKeepaliveParity:
 class TestRequestCounts:
     """Noise-free gates on the number of requests a session costs."""
 
-    def test_hardened_campaign_makes_at_most_401_requests(self):
+    def test_hardened_campaign_makes_at_most_13_requests(self):
         with tcp_proxy() as remote:
             requests = record_requests(remote.transport)
             remote_report, _, _ = reference_campaign(remote, seed=1, cases=400)
-        assert len(requests) <= 401
+        assert len(requests) <= 13
         assert remote_report == reference_campaign(inproc_proxy(), seed=1, cases=400)[0]
 
-    def test_each_hardened_case_costs_one_request_after_the_baseline(self, monkeypatch):
+    def test_hardened_cases_go_in_batches_that_double_up_to_64(self, monkeypatch):
         # The baseline costs the first reset, whose reply carries the
-        # observation; each case then sends its reset and run as one
-        # request, an empty word's case its reset alone.
+        # observation; no keep-alive stops a hardened case, so the cases
+        # then go 1, 2, 4, ... 64 to a request, each batch one request.
         sent = []
         evaluate = Detector.evaluate
 
@@ -717,9 +753,10 @@ class TestRequestCounts:
         with tcp_proxy() as remote:
             requests = record_requests(remote.transport)
             reference_campaign(remote, seed=1, cases=400)
+        batches = (1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64, 17)
         assert requests[:1] == [("reset",)]
-        assert sent == list(range(2, 402))
-        assert set(requests[1:]) == {("frames", "reset"), ("reset",)}
+        assert sent == [n for n, size in enumerate(batches, start=2) for _ in range(size)]
+        assert set(requests[1:]) == {("cases",)}
 
     def test_silent_word_after_the_first_session_costs_one_request(self):
         cfg = cluster_config()
@@ -765,29 +802,193 @@ class TestRequestCounts:
                 stops_before_last.append(stops)
         assert max(stops_before_last) >= 3 and stops_before_last.count(0) >= 10
 
-    def test_hardened_campaign_replies_take_at_most_124484_bytes(self, monkeypatch):
+    def test_hardened_campaign_replies_take_at_most_66794_bytes(self, monkeypatch):
         # Each reply carries the observation fields that changed: all nine
-        # on the first, none on most (307,284 bytes with all nine on each).
+        # on the first, none on most (307,284 bytes with all nine on each
+        # of 401 replies, 124,484 with one reply per case).
         sizes = record_reply_bytes(monkeypatch)
         with tcp_proxy() as remote:
             reference_campaign(remote, seed=1, cases=400)
-        assert len(sizes) == 401 and sum(sizes) <= 124_484
+        assert len(sizes) == 13 and sum(sizes) <= 66_794
 
-    def test_keepalive_campaign_replies_take_at_most_467319_bytes(self, monkeypatch):
-        # 780,010 bytes with all nine observation fields on each reply.
+    def test_keepalive_campaign_replies_take_at_most_415569_bytes(self, monkeypatch):
+        # 780,010 bytes with all nine observation fields on each of 1,162
+        # replies, 467,319 with one reply per case.
         sizes = record_reply_bytes(monkeypatch)
         with tcp_proxy(sorted(ALL_VULNERABILITIES)) as remote:
             reference_campaign(remote, seed=7, cases=600)
-        assert len(sizes) == 1_162 and sum(sizes) <= 467_319
+        assert len(sizes) == 891 and sum(sizes) <= 415_569
 
-    def test_keepalive_campaign_makes_at_most_1162_requests(self):
+    def test_keepalive_campaign_makes_at_most_891_requests(self):
         vulns = sorted(ALL_VULNERABILITIES)
         with tcp_proxy(vulns) as remote:
             requests = record_requests(remote.transport)
             reference_campaign(remote, seed=7, cases=600)
             assert remote.keepalives_answered == 1_122
             sent = len(requests)
-        assert len(requests) == sent <= 1_162  # close() had nothing left to send
+        assert len(requests) == sent <= 891  # close() had nothing left to send
+
+
+class GarblingCluster(ClusterHandle):
+    """A cluster whose answer to a vote request does not decode."""
+
+    def exchange(self, msg):
+        window = super().exchange(msg)
+        if msg["type"] != "RaftVoteRequest":
+            return window
+        return [(tick, {**sent, "type": "ProbeResponse",
+                        "payload": {"node": "n1", "status": "maybe"}})
+                for tick, sent in window]
+
+
+@contextlib.contextmanager
+def dropping_relay(address, requests):
+    """A peer that relays the first ``requests`` requests to ``address``,
+    and their replies, then closes the connection; yields its address."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def relay():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile, \
+                    socket.create_connection(address) as upstream, \
+                    upstream.makefile("rb") as ufile:
+                for _ in range(requests):
+                    msg = read_frame(rfile.read)
+                    if msg is None:
+                        return
+                    upstream.sendall(frame_encode(msg))
+                    conn.sendall(frame_encode(read_frame(ufile.read)))
+
+        thread = threading.Thread(target=relay, daemon=True)
+        thread.start()
+        yield listener.getsockname()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+def campaign(proxy, vulns_seed, cases, until=None):
+    """The reference-model campaign at ``vulns_seed`` over ``proxy``."""
+    proxy.reset_session()
+    detector = Detector(Baseline.capture(proxy))
+    model = MealyMachine.from_json(REFERENCE_MACHINE.read_text(encoding="utf-8"))
+    return run_campaign(proxy, model.prune(PrunePolicy()), detector,
+                        rng_seed=vulns_seed, max_cases=cases,
+                        domains=input_domains(proxy.cfg), until_criteria=until)
+
+
+class TestBatches:
+    """A batch of cases stops where the peer must act, and a campaign
+    counts only the cases it evaluated, however far its batch ran."""
+
+    JOIN = LADDER_ALPHABET[2:4]  # its last window holds keep-alives on an open cluster
+
+    def test_a_case_whose_last_window_holds_a_keepalive_ends_its_batch(self):
+        # So its answers reach the cluster before its snapshot, as they do
+        # for a word that is queried and then observed.  JOIN is the second
+        # case of the third batch; the two after it go again, as they were.
+        words = [LADDER_ALPHABET[:1]] * 4 + [self.JOIN] + [LADDER_ALPHABET[:2]] * 4
+        cfg = cluster_config(["unauth_join"])
+        reference = LoggingCluster(cfg)
+        proxy = ClusterProxy(reference, default_alphabet(cfg))
+        expected = [(proxy.query(word), proxy.observe()) for word in words]
+        local_cluster = LoggingCluster(cfg)
+        local = ClusterProxy(local_cluster, default_alphabet(cfg))
+        local.reset_session()
+        del local_cluster.log[:]
+        assert list(local.run_cases(words)) == expected
+        assert local_cluster.log == reference.log
+        with logged_tcp_proxy(["unauth_join"]) as (remote, cluster, payloads):
+            remote.reset_session()
+            del cluster.log[:]
+            assert list(remote.run_cases(words)) == expected
+            assert cluster.log == reference.log
+        answers = sum(entry[0] == "inject" for entry in reference.log)
+        assert answers == remote.keepalives_answered > 0
+        assert [sorted(payload) for payload in payloads] == [
+            ["reset"], ["cases"], ["cases"], ["cases"], ["inject"],
+            ["cases"], ["cases"], ["cases"]]
+        assert [len(payload.get("cases", ())) for payload in payloads] == [
+            0, 1, 2, 4, 0, 1, 2, 1]
+        assert payloads[3]["cases"][2:] == payloads[5]["cases"] + payloads[6]["cases"][:1]
+
+    def test_until_criteria_stops_at_the_same_case_as_in_process(self):
+        # Over TCP the batch of the last case ran on; the report counts only
+        # the cases evaluated, as in process.
+        local = campaign(inproc_proxy(["fake_link"]), 1, 400, until={"reachability-change"})
+        with logged_tcp_proxy(["fake_link"]) as (remote, cluster, _):
+            assert campaign(remote, 1, 400, until={"reachability-change"}).to_json() \
+                == local.to_json()
+            served = cluster.log.count(("reset",))
+        assert local.cases_run < 400 and local.findings
+        assert local.stats["resets"] == local.cases_run + 1 < served
+
+    @pytest.mark.parametrize("at", [0, 40])
+    def test_an_interrupt_gives_the_in_process_report(self, monkeypatch, at):
+        # Ctrl-C at the evaluation of case ``at``: the report holds the
+        # cases before it, and the counters the case in flight too.
+        evaluate = Detector.evaluate
+        evaluated = []
+
+        def interrupting(detector, *args, **kwargs):
+            if len(evaluated) == at:
+                raise KeyboardInterrupt
+            evaluated.append(at)
+            return evaluate(detector, *args, **kwargs)
+
+        monkeypatch.setattr(Detector, "evaluate", interrupting)
+        reports = []
+        with pytest.raises(CampaignInterrupted) as info:
+            campaign(inproc_proxy(), 1, 400)
+        reports.append(info.value.report.to_json())
+        evaluated.clear()
+        with logged_tcp_proxy(()) as (remote, cluster, _):
+            with pytest.raises(CampaignInterrupted) as info:
+                campaign(remote, 1, 400)
+            served = cluster.log.count(("reset",))
+        reports.append(info.value.report.to_json())
+        assert reports[0] == reports[1]
+        assert info.value.report.cases_run == at
+        assert info.value.report.stats["resets"] == at + 2 <= served
+
+    def test_a_dropped_connection_keeps_the_finished_cases(self):
+        # The relay carries the first 12 requests, then closes the
+        # connection.  The report holds the cases evaluated, and
+        # its counters the case in flight too, as after an interrupt.
+        vulns = sorted(ALL_VULNERABILITIES)
+        with ClusterServer(spawn_cluster(cluster_config(vulns))) as srv, \
+                dropping_relay(srv.address, 12) as address, \
+                TcpTransport(address, timeout=5.0) as transport:
+            with pytest.raises(TransportError) as info:  # a close, or a reset
+                campaign(ClusterProxy(transport, default_alphabet(cluster_config(vulns))),
+                         7, 600)
+        report = info.value.report.to_dict()
+        assert 0 < report["cases_run"] == report["stats"]["cases"] < 600
+        assert report["findings"]
+        local = campaign(inproc_proxy(vulns), 7, report["cases_run"]).to_dict()
+        assert {**report, "stats": None} == {**local, "stats": None}
+
+    def test_a_case_that_does_not_decode_yields_its_error_and_the_batch_goes_on(self):
+        vote, probe = LADDER_ALPHABET[5:6], LADDER_ALPHABET[:1]
+        words = [probe, probe, vote, probe, vote, probe]
+        cfg = cluster_config()
+        results = []
+        local = ClusterProxy(GarblingCluster(cfg), default_alphabet(cfg))
+        local.reset_session()
+        results.append(list(local.run_cases(words)))
+        with ClusterServer(GarblingCluster(cfg)) as srv, \
+                TcpTransport(srv.address) as transport:
+            remote = ClusterProxy(transport, default_alphabet(cfg))
+            requests = record_requests(transport)
+            remote.reset_session()
+            results.append(list(remote.run_cases(words)))
+        for got in results:
+            assert [type(result).__name__ for result in got] == [
+                "tuple", "tuple", "DecodeError", "tuple", "DecodeError", "tuple"]
+            assert "bad probe status" in str(got[2])
+        assert [r for r in results[0] if isinstance(r, tuple)] == \
+            [r for r in results[1] if isinstance(r, tuple)]
+        assert remote.symbols_sent == local.symbols_sent == 6
+        assert remote.resets == local.resets == 7
+        assert requests == [("reset",), ("cases",), ("cases",), ("cases",)]
 
 
 class LoggingCluster(ClusterHandle):
@@ -961,6 +1162,33 @@ class TestQueuedInjects:
             transport.reset()
             transport._send({"reset": True, key: value})
             with pytest.raises(TransportError, match=f"no '{key}' list of frames"):
+                transport._read()
+            assert cluster.log == [("reset",), ("observe",)]
+
+
+    @pytest.mark.parametrize("cases, reason", [
+        ([], "no 'cases' list of frame lists"),
+        ({"a": 1}, "no 'cases' list of frame lists"),
+        ([{"nope": 1}], "no 'cases' list of frame lists"),
+        ([[], [{"nope": 1}]], "missing keys"),
+    ], ids=["empty", "not-a-list", "case-not-a-list", "malformed-frame"])
+    def test_a_cases_list_must_be_a_non_empty_list_of_frame_lists(self, cases, reason):
+        cluster = LoggingCluster(cluster_config())
+        with ClusterServer(cluster) as srv, TcpTransport(srv.address) as transport:
+            transport.reset()
+            transport._send({"reset": True, "cases": cases})
+            with pytest.raises(TransportError, match=reason):
+                transport._read()
+            assert cluster.log == [("reset",), ("observe",)]
+
+    def test_a_request_carries_frames_or_cases_not_both(self):
+        cfg = cluster_config()
+        cluster = LoggingCluster(cfg)
+        with ClusterServer(cluster) as srv, TcpTransport(srv.address) as transport:
+            ctx = SessionContext(cfg.cluster_id, "dummy", transport.reset())
+            probe = encode(Symbol(PREQ, (NodeRef("n1", KNOWN),)), ctx)
+            transport._send({"frames": [probe], "cases": [[probe]]})
+            with pytest.raises(TransportError, match="both 'frames' and 'cases'"):
                 transport._read()
             assert cluster.log == [("reset",), ("observe",)]
 

@@ -39,7 +39,6 @@ import logging
 import math
 import os
 import sys
-import threading
 from pathlib import Path
 
 from .alphabet import (
@@ -260,7 +259,7 @@ def write_artifact(path: Path, text: str):
 def cmd_learn(args) -> int:
     # Imported here, not at module load: fuzz and replay never learn.
     from .learner import (
-        MembershipOracle, NondeterminismError, PartialResultError, SuitePool,
+        MembershipOracle, NondeterminismError, PartialResultError,
         lstar_learn, wmethod_counterexample,
     )
 
@@ -280,23 +279,10 @@ def cmd_learn(args) -> int:
     with open(out_dir / "transcript.jsonl", "w", encoding="utf-8") as transcript:
         oracle = MembershipOracle(proxy.query, letters, votes=lcfg["votes"],
                                   max_trials=budget, transcript=transcript)
-        # The conformance suite's sessions run on one forked worker per CPU.
-        # On one CPU a worker would only take turns with this process, so
-        # there is none.  Forked, not spawned: a spawned worker imports
-        # statefuzz and unpickles the cluster while this process waits,
-        # which gave back most of the gain (learn --seed 1 on 2 vCPUs, four
-        # runs each: spawn 0.41-0.51 s, fork 0.29-0.32 s, no workers
-        # 0.43-0.46 s).  Fork is unsafe once another thread runs, so then
-        # the suite is asked in this process.
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else 1)
-        pool = (SuitePool(oracle, workers)
-                if workers > 1 and threading.active_count() == 1 else None)
         try:
             result = lstar_learn(
                 oracle,
-                lambda m: wmethod_counterexample(m, oracle,
-                                                 depth=lcfg["eq_depth"], pool=pool),
+                lambda m: wmethod_counterexample(m, oracle, depth=lcfg["eq_depth"]),
                 max_rounds=lcfg["max_rounds"])
         except (PartialResultError, NondeterminismError) as exc:
             if exc.hypothesis is not None:
@@ -311,9 +297,6 @@ def cmd_learn(args) -> int:
             if isinstance(exc.__cause__, KeyboardInterrupt):
                 return EXIT_INTERRUPTED
             return EXIT_BUDGET_EXHAUSTED
-        finally:
-            if pool is not None:
-                pool.close()
     machine = result.machine
     # machine.json last, so that it exists only once machine.dot does.
     write_artifact(out_dir / "machine.dot", machine.to_dot())

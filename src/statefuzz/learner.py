@@ -42,13 +42,7 @@ counterexample becomes letters.  Suite words the tree already holds cost no
 session.  The suite is asked in a seeded order derived from the hypothesis
 (its number of states), not shortest first: counterexamples tend to be long
 words, so a failing suite stops sooner, while completeness rests on the set
-of words, not on their order.  The suite's sessions may run on forked
-workers (:class:`SuitePool`) that vote on the words the tree lacks ahead of
-the loop.  The loop still asks every word in the seeded order and alone
-charges the sessions, stores the answers and writes the transcript, so the
-words asked, the transcript and the session count do not depend on the
-number of workers, and a worker's error is raised at the word where a loop
-without workers raises it.
+of words, not on their order.
 
 The oracle holds the alphabet, and a letter's id is its rank by
 ``symbol_sort_key`` in the tree, the learner, each hypothesis's tables and
@@ -65,17 +59,10 @@ learning a wrong machine.
 """
 from __future__ import annotations
 
-import gc
 import itertools
 import json
-import mmap
-import os
-import pickle
 import random
-import signal
-import socket
 from array import array
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -97,9 +84,6 @@ class NondeterminismError(RuntimeError):
             f"{len(self.observations)} conflicting transcripts"
         )
 
-    def __reduce__(self):
-        return type(self), (self.word, self.observations)
-
 
 class PartialResultError(RuntimeError):
     """Learning stopped early; the best hypothesis so far is attached."""
@@ -120,14 +104,6 @@ _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def _emit(sink, obj):
     if sink is not None:
         sink.write(_json(obj) + "\n")
-
-
-def _answer(query_fn, word) -> tuple:
-    """One session's answer to ``word``: one reaction word per letter."""
-    result = tuple(query_fn(word))
-    if len(result) != len(word):
-        raise ValueError("query backend returned wrong number of reactions")
-    return result
 
 
 def _vote(session, word, votes: int) -> tuple:
@@ -332,31 +308,17 @@ class MembershipOracle:
         except KeyError as exc:
             raise ValueError(f"letter outside the alphabet: {exc.args[0]!r}") from None
 
-    def query(self, ids, voted=None) -> tuple:
+    def query(self, ids) -> tuple:
         """The outputs of the word with these letter ids, one reaction word
         per letter, from the tree or from as many sessions as the vote
-        takes.
-
-        ``voted``, if given, is called when the tree lacks the word, for a
-        vote held elsewhere (by a :class:`SuitePool` worker): it returns
-        ``(attempts, outcome, error)``, the sessions the vote took and its
-        outcome or the error it raised, or ``None`` to vote here.  The
-        sessions are charged as the vote here would charge them before
-        ``error`` is raised or ``outcome`` stored."""
+        takes, each charged to the budget before it runs."""
         tree = self.tree
         found = tree._find(ids)
         if len(found[1]) == len(ids):
             self.cache_hits += 1
             return tuple(found[1])
-        reply = None if voted is None else voted()
-        if reply is None:
-            word = tuple(map(self.letters.__getitem__, ids))
-            outcome, attempts = _vote(self._session, word, self.votes)
-        else:
-            attempts, outcome, error = reply
-            self._charge(attempts)
-            if error is not None:
-                raise error
+        word = tuple(map(self.letters.__getitem__, ids))
+        outcome, attempts = _vote(self._session, word, self.votes)
         # Nothing stores into the tree during a vote, so the prefix found
         # before it still holds: the word's path is walked once.
         outcome = tree._insert(ids, outcome, found)
@@ -364,17 +326,16 @@ class MembershipOracle:
             self._record(ids, outcome, attempts)
         return outcome
 
-    def _charge(self, sessions: int):
-        """Spend sessions of the budget, one at a time."""
-        for _ in range(sessions):
-            if self.max_trials is not None and self.trials >= self.max_trials:
-                raise _BudgetExhausted()
-            self.trials += 1
-
     def _session(self, word) -> tuple:
-        """The target's answer to ``word`` from one session of the budget."""
-        self._charge(1)
-        return _answer(self.query_fn, word)
+        """The target's answer to ``word`` from one session of the budget:
+        one reaction word per letter."""
+        if self.max_trials is not None and self.trials >= self.max_trials:
+            raise _BudgetExhausted()
+        self.trials += 1
+        result = tuple(self.query_fn(word))
+        if len(result) != len(word):
+            raise ValueError("query backend returned wrong number of reactions")
+        return result
 
     def _record(self, ids, outcome, attempts):
         """Write the ``query`` event of a resolved word.  The line is what
@@ -753,286 +714,35 @@ def wmethod_suite(machine: MealyMachine, depth: int) -> _Suite:
 
 
 def wmethod_counterexample(machine: MealyMachine, oracle: MembershipOracle,
-                           depth: int, pool: SuitePool | None = None):
+                           depth: int):
     """First word of the HSI-method suite (:func:`wmethod_suite`) on which the
     target and the hypothesis disagree, or ``None`` if the whole suite
     matches position by position.
 
-    The words are asked in a seeded order derived from the hypothesis: the
-    canonical order shuffled by a generator seeded with its number of
-    states, so the order is the same on every run and under every hash seed.
-    The suite is almost prefix-free, so a passing suite costs the same in
-    any order, while a failing one stops sooner than shortest first.
-    Completeness rests on the set of words, not on their order.  The words
-    stay letter ids, which the tables share with the oracle (else
+    The words are asked one at a time, in a seeded order derived from the
+    hypothesis: the canonical order shuffled by a generator seeded with its
+    number of states, so the order is the same on every run and under every
+    hash seed.  The suite is almost prefix-free, so a passing suite costs
+    the same in any order, while a failing one stops sooner than shortest
+    first.  Completeness rests on the set of words, not on their order.  The
+    words stay letter ids, which the tables share with the oracle (else
     ``ValueError``), and only a counterexample becomes letters.  Each call
     writes one ``suite`` event: the suite's size, the words asked, the
     sessions they cost and whether one disagreed.
-
-    With a ``pool``, made for this oracle, its workers vote on the words
-    the tree lacks ahead of this loop, which still asks every word in the
-    same order, so the tree, the transcript and the sessions charged are
-    the same.
     """
     suite = wmethod_suite(machine, depth)
     t = suite.tables
     if t.letters != oracle.letters:
         raise ValueError("the machine's input alphabet is not the oracle's")
-    if pool is not None and pool._tree is not oracle.tree:
-        raise ValueError("the suite pool serves another oracle")
     words = list(suite.words)
     random.Random(len(machine.states)).shuffle(words)
     trials = oracle.trials
     found, asked = None, 0
-    try:
-        if pool is not None and not pool._begin(t, words):
-            pool = None
-        for asked, word in enumerate(words, 1):
-            # With a pool, ``query`` looks the word up again, though the pool
-            # did when it handed the word out: a word that missed then may
-            # be a tree hit by now, and a hit costs no session.
-            answers = (oracle.query(word) if pool is None else
-                       oracle.query(word, lambda: pool._reply(asked - 1, word)))
-            if not t.agrees(word, answers):
-                found = tuple(map(t.letters.__getitem__, word))
-                break
-        if pool is not None:
-            pool._end()
-    except BaseException:
-        if pool is not None:
-            pool.close()
-        raise
+    for asked, word in enumerate(words, 1):
+        if not t.agrees(word, oracle.query(word)):
+            found = tuple(map(t.letters.__getitem__, word))
+            break
     _emit(oracle.transcript, {"event": "suite", "words": len(words),
                               "asked": asked, "sessions": oracle.trials - trials,
                               "counterexample": found is not None})
     return found
-
-
-# ---------------------------------------------------------------------------
-# Suite workers
-# ---------------------------------------------------------------------------
-
-# Chunks of suite words start at one word, so a suite that fails at once
-# wastes little, and double up to this many, so a passing suite's replies
-# are few.
-_MAX_CHUNK = 64
-
-
-class _Worker:
-    """The parent's end of one worker: its process, its socket, and how many
-    chunks it holds."""
-
-    def __init__(self, pid: int, sock: socket.socket):
-        self.pid = pid
-        self.sock = sock
-        self.reader = sock.makefile("rb")
-        self.chunks = 0
-
-    def send(self, data: bytes):
-        try:
-            self.sock.sendall(data)
-        except OSError as exc:
-            raise TransportError(f"suite worker {self.pid} exited") from exc
-
-    def receive(self):
-        try:
-            return pickle.load(self.reader)
-        except (EOFError, OSError, pickle.UnpicklingError) as exc:
-            raise TransportError(f"suite worker {self.pid} exited") from exc
-
-    def close(self):
-        self.reader.close()
-        self.sock.close()
-
-
-class SuitePool:
-    """Forked processes that vote on conformance-suite words ahead of
-    :func:`wmethod_counterexample`.
-
-    Each worker is a fork of the process that makes the pool and votes with
-    its own copy of the oracle's ``query_fn``, so the target must live in
-    that process (the simulator, not a socket) and start every session from
-    one fixed baseline: then a copy answers each word as the original
-    would.  Workers ignore SIGINT; the parent's interrupt ends them through
-    :meth:`close`.
-
-    Per suite, the parent hands out the words that the tree of the pool's
-    oracle lacks in the seeded order, in chunks that start at one word and
-    double, at most one more chunk than there are workers at a time.  A
-    worker checks each answer against the hypothesis and sends back only
-    how many sessions each vote took, and the answer that disagrees or the
-    error that ends its chunk; the parent rebuilds an agreeing answer from
-    the hypothesis's tables, whose output words are the tree's own.  A
-    shared counter, the generation of work still wanted, stops every worker
-    within one session once the suite is decided.
-    """
-
-    def __init__(self, oracle: MembershipOracle, workers: int):
-        if workers < 1:
-            raise ValueError("a suite pool needs at least one worker")
-        self._generation = 0
-        self._shared = mmap.mmap(-1, 8)
-        self._wanted = memoryview(self._shared).cast("Q")
-        self._workers: list = []
-        self._pending: deque = deque()  # (worker, positions), oldest first
-        self._replies: dict = {}
-        self._tree = oracle.tree
-        try:
-            for _ in range(workers):
-                self._fork(oracle)
-        except BaseException:
-            self.close()
-            raise
-
-    def _fork(self, oracle):
-        ours, theirs = socket.socketpair()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                # The parent's objects, garbage included, are never collected
-                # here, so no finalizer of theirs runs twice.
-                gc.freeze()
-                ours.close()
-                for worker in self._workers:
-                    worker.close()
-                _serve(theirs, oracle.query_fn, oracle.votes, self._wanted)
-                status = 0
-            finally:
-                os._exit(status)
-        theirs.close()
-        self._workers.append(_Worker(pid, ours))
-
-    def __enter__(self) -> "SuitePool":
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self):
-        """Stop and reap every worker.  Idempotent."""
-        if not self._workers:
-            return
-        self._generation += 1
-        self._wanted[0] = self._generation
-        for worker in self._workers:
-            worker.close()
-        for worker in self._workers:
-            try:
-                os.waitpid(worker.pid, 0)
-            except ChildProcessError:
-                pass
-        self._workers = []
-        self._pending.clear()
-        self._replies.clear()
-        self._wanted.release()
-        self._shared.close()
-
-    def _begin(self, tables, words) -> bool:
-        """Start on a suite: ``words`` in letter ids, asked in this order.
-        ``False`` if the pool is closed."""
-        if not self._workers:
-            return False
-        self._tables, self._words = tables, words
-        self._next = 0   # the first position not yet handed out
-        self._size = 1
-        data = pickle.dumps(tables)
-        for worker in self._workers:
-            worker.send(data)
-        self._hand_out()
-        return True
-
-    def _hand_out(self):
-        """Hand out chunks of the words the tree lacks, in the seeded order,
-        until one more chunk than there are workers is out."""
-        words, lookup = self._words, self._tree._lookup
-        while len(self._pending) <= len(self._workers) and self._next < len(words):
-            positions = []
-            while len(positions) < self._size and self._next < len(words):
-                if lookup(words[self._next]) is None:
-                    positions.append(self._next)
-                self._next += 1
-            if not positions:
-                return
-            worker = min(self._workers, key=lambda w: w.chunks)
-            worker.send(pickle.dumps((self._generation, [words[p] for p in positions])))
-            worker.chunks += 1
-            self._pending.append((worker, positions))
-            self._size = min(2 * self._size, _MAX_CHUNK)
-
-    def _receive(self):
-        """Take the reply to the oldest chunk out."""
-        worker, positions = self._pending.popleft()
-        attempts, wrong, error = worker.receive()
-        worker.chunks -= 1
-        self._hand_out()
-        replies = self._replies
-        for position, n in zip(positions, attempts):
-            replies[position] = (n, None, None)
-        if wrong is not None:
-            replies[positions[len(attempts) - 1]] = (attempts[-1], wrong, None)
-        if error is not None:
-            replies[positions[len(attempts)]] = (error[0], None, error[1])
-
-    def _reply(self, position: int, word) -> tuple | None:
-        """``(attempts, outcome, error)`` of a worker's vote on the suite
-        word at ``position``, as :meth:`MembershipOracle.query` takes it, or
-        ``None`` if no worker voted on it."""
-        while self._pending and self._pending[0][1][0] <= position:
-            self._receive()
-        reply = self._replies.pop(position, None)
-        if reply is not None and reply[1] is None and reply[2] is None:
-            t = self._tables
-            reply = (reply[0], tuple(map(t.outputs.__getitem__, t.run(word, 0)[0])), None)
-        return reply
-
-    def _end(self):
-        """Stop the workers on the suite and drop what they still send."""
-        self._generation += 1
-        self._wanted[0] = self._generation
-        while self._pending:
-            worker, _ = self._pending.popleft()
-            worker.receive()
-            worker.chunks -= 1
-        self._replies.clear()
-
-
-def _serve(sock, query_fn, votes: int, wanted):
-    """A worker's loop: take a suite's tables, then vote on the words of
-    each chunk until the chunk ends, a vote raises or ``wanted`` moves past
-    the chunk's generation, and reply once per chunk."""
-    reader = sock.makefile("rb")
-    tables = None
-    calls = 0
-
-    def session(word):
-        nonlocal calls
-        calls += 1
-        return _answer(query_fn, word)
-
-    while True:
-        try:
-            message = pickle.load(reader)
-        except EOFError:
-            return
-        if isinstance(message, _Tables):
-            tables = message
-            continue
-        generation, words = message
-        letters = tables.letters
-        attempts, wrong, error = [], None, None
-        for word in words:
-            if wanted[0] != generation:
-                break
-            calls = 0
-            try:
-                outcome, n = _vote(session, tuple(map(letters.__getitem__, word)), votes)
-            except BaseException as exc:  # raised again by the parent, at this word
-                error = (calls, exc)
-                break
-            attempts.append(n)
-            if not tables.agrees(word, outcome):
-                wrong = outcome  # the suite fails here at the latest
-                break
-        sock.sendall(pickle.dumps((attempts, wrong, error)))

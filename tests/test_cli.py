@@ -3,17 +3,21 @@ deterministic outputs, partial results, and config validation."""
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from statefuzz.alphabet import word_to_obj
 from statefuzz import cli
+from statefuzz.detector import ALL_CRITERIA
 from statefuzz.cli import (
     EXIT_BUDGET_EXHAUSTED, EXIT_INTERRUPTED, EXIT_NONDETERMINISM, EXIT_OK,
     EXIT_TRANSPORT, DEFAULTS, EXIT_USAGE, EXIT_VERDICT_MISMATCH, SETTINGS, cluster_from_config,
@@ -174,6 +178,16 @@ class TestLearn:
         block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
         assert json.loads(block) == load_config(None)
 
+    def test_readme_library_example_runs(self, capsys):
+        # The first example under "Library use" learns, fuzzes and replays
+        # through the library alone; a stale import or call fails here.
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+        first = capsys.readouterr().out.splitlines()[0]
+        assert ast.literal_eval(first) == sorted(ALL_CRITERIA)
+
     def test_every_setting_has_a_default_that_passes_its_check(self):
         assert {section: set(rows) for section, rows in SETTINGS.items()} == {
             section: set(values) for section, values in DEFAULTS.items()}
@@ -275,8 +289,7 @@ class TestLearn:
     def test_nondeterministic_target_exits_nondeterminism_with_partial_model(
             self, workspace, tmp_path, monkeypatch, capsys):
         # The cluster falls silent after 300 sessions, which contradicts the
-        # answers stored before; the learn has a hypothesis by then.  One CPU:
-        # a forked suite worker would count its sessions on its own.
+        # answers stored before; the learn has a hypothesis by then.
         class FallingSilent(ClusterHandle):
             resets = 0
 
@@ -288,7 +301,6 @@ class TestLearn:
                 window = super().exchange(msg)
                 return window if FallingSilent.resets <= 300 else []
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(cli, "spawn_cluster", FallingSilent)
         out = tmp_path / "t"
         rc = main(["learn", "--config", config_path(workspace),
@@ -716,6 +728,35 @@ class TestInterruptOutsideTheLoop:
         else:
             assert len(written) == (when == "second-write")
             assert all(name.startswith("case-") for name in written)
+
+
+def test_ctrl_c_exits_interrupted_and_leaves_no_process(tmp_path):
+    """SIGINT to the whole process group, as a terminal sends it, during
+    ``learn --vulns all``: the learn saves its partial model and exits 130."""
+    out = tmp_path / "out"
+    script = ("import sys; from statefuzz.cli import main; "
+              f"sys.exit(main(['learn', '--vulns', 'all', '--out-dir', {str(out)!r}]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                            start_new_session=True, stderr=subprocess.PIPE, text=True)
+    try:
+        transcript = out / "transcript.jsonl"
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and proc.poll() is None:
+            if transcript.exists() and transcript.read_text().count('"suite"') >= 2:
+                break
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+    assert proc.returncode == EXIT_INTERRUPTED, err
+    assert "interrupted" in err
+    assert (out / "machine-partial.json").exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 class TestEntryPoint:
